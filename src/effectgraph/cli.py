@@ -180,12 +180,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
         Path(args.trace).write_text(
             encode_trace(t, rule_name), encoding="utf-8"
         )
-    created = (record.output.nodes.keys() - record.context.nodes.keys()) | (
-        record.output.edges.keys() - record.context.edges.keys()
-    )
-    deleted = (record.input.nodes.keys() - record.context.nodes.keys()) | (
-        record.input.edges.keys() - record.context.edges.keys()
-    )
+    created = record.created.nodes | record.created.edges
+    deleted = record.deleted.nodes | record.deleted.edges
     reused = {
         record.match.node_map[x] for x in t.selection.preserve_extra.nodes
     } | {record.match.edge_map[x] for x in t.selection.preserve_extra.edges}

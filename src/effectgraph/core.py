@@ -12,18 +12,28 @@ The module provides validation (:func:`validate_graph`,
 :func:`check_morphism`), deterministic injective-morphism search
 (:func:`find_injective_extensions`), pushouts along injective morphisms
 (:func:`pushout`), pushout complements with the dangling-edge check
-(:func:`pushout_complement`), and a pullback test for commuting squares of
-injective morphisms (:func:`is_pullback_square`).
+(:func:`pushout_complement`, :func:`deleted_images`), and a pullback test
+for commuting squares of injective morphisms (:func:`is_pullback_square`).
+
+A graph's search indexes (``sorted_nodes``, ``sorted_edges``,
+``nodes_by_type``, ``edge_classes``, ``incidence``) are built on first use.
+A rewrite step does not rebuild them: the rewritten graph is derived from
+its input as a delta of deleted and created ids, which copies the two
+element dicts at C level and patches only the index entries the delta
+touches, so a step costs O(|L| + |R|) Python operations plus those copies,
+however large the host.  A derived graph holds no reference to the graph it
+came from.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 
 class EffectGraphError(Exception):
@@ -100,6 +110,57 @@ class Edge:
     tgt: str
 
 
+def _frozen_copy(mapping: Mapping) -> MappingProxyType:
+    """A read-only private copy; ``dict(proxy)`` goes through the generic
+    mapping protocol, ``proxy.copy()`` copies the underlying dict in C."""
+    if type(mapping) is MappingProxyType:
+        mapping = mapping.copy()
+    return MappingProxyType(dict(mapping))
+
+
+def _patched(
+    ids: tuple[str, ...], removed: Collection[str], added: Collection[str]
+) -> tuple[str, ...]:
+    """The sorted tuple ``ids`` without ``removed`` (all present) and with
+    ``added``, still sorted."""
+    if not removed and not added:
+        return ids
+    out = list(ids)
+    for x in removed:
+        del out[bisect_left(out, x)]
+    for x in added:
+        insort(out, x)
+    return tuple(out)
+
+
+def _patch_buckets(
+    buckets: dict,
+    removed: Iterable[tuple],
+    added: Iterable[tuple],
+    drop_empty: bool = True,
+) -> dict:
+    """Patch, in place, an index of sorted id tuples by ``(key, id)`` pairs.
+
+    A bucket left empty is dropped unless ``drop_empty`` is false, so the
+    result equals the index built from scratch."""
+    changes: dict = {}
+    for key, x in removed:
+        changes.setdefault(key, ([], []))[0].append(x)
+    for key, x in added:
+        changes.setdefault(key, ([], []))[1].append(x)
+    for key, (rem, add) in changes.items():
+        ids = _patched(buckets.get(key, ()), rem, add)
+        if ids or not drop_empty:
+            buckets[key] = ids
+        else:
+            del buckets[key]
+    return buckets
+
+
+def _endpoints(e: Edge) -> tuple[str, ...]:
+    return (e.src,) if e.src == e.tgt else (e.src, e.tgt)
+
+
 @dataclass(frozen=True)
 class TypedGraph:
     """An immutable graph typed over a :class:`TypeGraph`.
@@ -113,12 +174,77 @@ class TypedGraph:
     edges: Mapping[str, Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        object.__setattr__(self, "nodes", _frozen_copy(self.nodes))
+        object.__setattr__(self, "edges", _frozen_copy(self.edges))
 
     @classmethod
     def empty(cls, type_graph: TypeGraph) -> TypedGraph:
         return cls(type_graph, {}, {})
+
+    def _derive(
+        self,
+        deleted_nodes: Collection[str],
+        deleted_edges: Collection[str],
+        created_nodes: Mapping[str, str] = MappingProxyType({}),
+        created_edges: Mapping[str, Edge] = MappingProxyType({}),
+    ) -> TypedGraph:
+        """This graph minus the deleted ids, plus the created elements.
+
+        Trusted, for constructions that hold by design: every deleted id is
+        present, no edge is left dangling, and created ids are fresh once
+        the deletions are done (a deleted id may be created again).  The
+        indexes this graph has already built are patched rather than
+        rebuilt; the others stay lazy.  The result keeps no reference to
+        this graph."""
+        nodes = self.nodes.copy()
+        edges = self.edges.copy()
+        gone_nodes = {n: nodes.pop(n) for n in deleted_nodes}
+        gone_edges = {e: edges.pop(e) for e in deleted_edges}
+        nodes.update(created_nodes)
+        edges.update(created_edges)
+        out = object.__new__(TypedGraph)
+        object.__setattr__(out, "type_graph", self.type_graph)
+        object.__setattr__(out, "nodes", MappingProxyType(nodes))
+        object.__setattr__(out, "edges", MappingProxyType(edges))
+
+        built, patched = self.__dict__, out.__dict__
+        if "sorted_nodes" in built:
+            patched["sorted_nodes"] = _patched(
+                built["sorted_nodes"], gone_nodes, created_nodes
+            )
+        if "sorted_edges" in built:
+            patched["sorted_edges"] = _patched(
+                built["sorted_edges"], gone_edges, created_edges
+            )
+        if "nodes_by_type" in built:
+            patched["nodes_by_type"] = _patch_buckets(
+                built["nodes_by_type"].copy(),
+                [(t, n) for n, t in gone_nodes.items()],
+                [(t, n) for n, t in created_nodes.items()],
+            )
+        if "edge_classes" in built:
+            patched["edge_classes"] = _patch_buckets(
+                built["edge_classes"].copy(),
+                [((e.type, e.src, e.tgt), eid) for eid, e in gone_edges.items()],
+                [((e.type, e.src, e.tgt), eid) for eid, e in created_edges.items()],
+            )
+        if "incidence" in built:
+            incidence = built["incidence"].copy()
+            for n in gone_nodes:
+                del incidence[n]  # its incident edges are deleted with it
+            incidence.update(dict.fromkeys(created_nodes, ()))
+            patched["incidence"] = _patch_buckets(
+                incidence,
+                [
+                    (n, eid)
+                    for eid, e in gone_edges.items()
+                    for n in _endpoints(e)
+                    if n not in gone_nodes
+                ],
+                [(n, eid) for eid, e in created_edges.items() for n in _endpoints(e)],
+                drop_empty=False,
+            )
+        return out
 
     @cached_property
     def sorted_nodes(self) -> tuple[str, ...]:
@@ -258,19 +384,27 @@ class Morphism:
     edge_map: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", MappingProxyType(dict(self.node_map)))
-        object.__setattr__(self, "edge_map", MappingProxyType(dict(self.edge_map)))
+        object.__setattr__(self, "node_map", _frozen_copy(self.node_map))
+        object.__setattr__(self, "edge_map", _frozen_copy(self.edge_map))
 
     @classmethod
     def identity(cls, g: TypedGraph) -> Morphism:
-        return cls(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
+        return cls._trusted_inclusion(g, g)
 
     @classmethod
     def inclusion(cls, sub: TypedGraph, sup: TypedGraph) -> Morphism:
         """The identity-on-ids inclusion of an id-subgraph."""
         if not is_id_subgraph(sub, sup):
             raise ValueError("not an id-subgraph; no inclusion exists")
-        return cls(sub, sup, {n: n for n in sub.nodes}, {e: e for e in sub.edges})
+        return cls._trusted_inclusion(sub, sup)
+
+    @classmethod
+    def _trusted_inclusion(cls, sub: TypedGraph, sup: TypedGraph) -> Morphism:
+        """The identity-on-ids inclusion, unchecked: for inclusions that
+        hold by construction."""
+        return cls(
+            sub, sup, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges))
+        )
 
     def node(self, nid: str) -> str:
         return self.node_map[nid]
@@ -539,17 +673,14 @@ def find_injective_extensions(
         he = host.edges[img]
         claimed_per_host_class[(he.type, he.src, he.tgt)] += 1
 
-    host_class_sizes = {k: len(v) for k, v in host.edge_classes.items()}
-
     def class_feasible(cls: tuple[str, str, str]) -> bool:
         etype, ps, pt = cls
         hs, ht = node_map.get(ps), node_map.get(pt)
         if hs is None or ht is None:
             return True
         need = len(pattern_classes[cls]) - preassigned_per_class[cls]
-        have = host_class_sizes.get((etype, hs, ht), 0) - claimed_per_host_class[
-            (etype, hs, ht)
-        ]
+        host_cls = (etype, hs, ht)
+        have = len(host.edge_classes.get(host_cls, ())) - claimed_per_host_class[host_cls]
         return have >= need
 
     touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in pattern.nodes}
@@ -669,9 +800,28 @@ def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
             in_c_edges[cid] = new
 
     d = TypedGraph(b.type_graph, nodes, edges)
-    in_b = Morphism(b, d, {n: n for n in b.nodes}, {e: e for e in b.edges})
+    in_b = Morphism._trusted_inclusion(b, d)
     in_c = Morphism(c, d, in_c_nodes, in_c_edges)
     return d, in_b, in_c
+
+
+def deleted_images(
+    m: Morphism, kept_nodes: Collection[str], kept_edges: Collection[str]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The host node and edge ids that ``m`` sends its source elements
+    outside ``kept_nodes`` and ``kept_edges`` to: what a rule deletes.
+
+    Raises :class:`DanglingViolation`, naming the smallest such node id,
+    if a deleted host node keeps an incident edge that is not itself
+    deleted.  Costs O(|L|) plus the incident edges of the deleted nodes."""
+    host = m.dst_graph
+    nodes = frozenset(m.node_map[v] for v in m.src_graph.nodes if v not in kept_nodes)
+    edges = frozenset(m.edge_map[e] for e in m.src_graph.edges if e not in kept_edges)
+    for y in sorted(nodes):
+        for eid in host.incidence[y]:
+            if eid not in edges:
+                raise DanglingViolation(y)
+    return nodes, edges
 
 
 def pushout_complement(
@@ -691,27 +841,14 @@ def pushout_complement(
         raise ValueError("interface inclusion and match do not compose")
 
     host = m.dst_graph
-    kept_nodes = {l.node_map[k] for k in l.src_graph.nodes}
-    kept_edges = {l.edge_map[k] for k in l.src_graph.edges}
-    deleted_nodes = {m.node_map[v] for v in m.src_graph.nodes if v not in kept_nodes}
-    deleted_edges = {m.edge_map[e] for e in m.src_graph.edges if e not in kept_edges}
-
-    for y in sorted(deleted_nodes):
-        for eid in host.incidence[y]:
-            if eid not in deleted_edges:
-                raise DanglingViolation(y)
-
-    nodes = {n: t for n, t in host.nodes.items() if n not in deleted_nodes}
-    edges = {e: v for e, v in host.edges.items() if e not in deleted_edges}
-    context = TypedGraph(host.type_graph, nodes, edges)
+    context = host._derive(*deleted_images(m, l.node_images, l.edge_images))
     k_to_context = Morphism(
         l.src_graph,
         context,
         {k: m.node_map[l.node_map[k]] for k in l.src_graph.nodes},
         {k: m.edge_map[l.edge_map[k]] for k in l.src_graph.edges},
     )
-    context_to_host = Morphism.inclusion(context, host)
-    return context, k_to_context, context_to_host
+    return context, k_to_context, Morphism._trusted_inclusion(context, host)
 
 
 def is_pullback_square(

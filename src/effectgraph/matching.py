@@ -13,6 +13,7 @@ brute force over all selections and serves as the exhaustive cross-check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -232,11 +233,14 @@ def find_locally_complete(
 
     def extend(position: int) -> bool:
         n = unbound[position]
-        candidates = [
+        # Filtered lazily, so a success does not scan the whole type bucket;
+        # each failed branch restores ``used`` before the next candidate.
+        candidates = (
             x for x in host.nodes_by_type.get(node_types[n], ()) if x not in used
-        ]
-        if candidates:
-            for x in candidates:
+        )
+        first = next(candidates, None)
+        if first is not None:
+            for x in itertools.chain((first,), candidates):
                 node_assign[n] = x
                 used.add(x)
                 if position == len(unbound) - 1:

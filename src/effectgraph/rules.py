@@ -15,23 +15,24 @@ semantically (application-condition equivalence on bounded hosts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Diagnostic,
     Edge,
     EffectGraphError,
+    ElementSet,
     Morphism,
     TypedGraph,
     check_morphism,
     compose,
+    deleted_images,
     enumerate_typed_graphs,
     find_injective_extensions,
     fresh_id,
-    graph_union,
     is_id_subgraph,
     is_pullback_square,
-    pushout_complement,
     same_maps,
     validate_graph,
 )
@@ -102,8 +103,12 @@ class SubruleEmbedding:
 class TransformationRecord:
     """Everything produced by one rule application.
 
-    The context is the host minus the deleted image; it embeds into both the
-    input and the output, and the interface embeds into the context.
+    The record keeps the delta of the step: the host ids it ``deleted`` and
+    the output ids it ``created`` (a deleted id can be created again).  The
+    context is the host minus the deleted image; it embeds into both the
+    input and the output, and the interface embeds into the context.  The
+    context and these three morphisms are computed on first access and
+    then cached, so a step that never asks for them does not pay for them.
     """
 
     rule: Rule
@@ -111,10 +116,30 @@ class TransformationRecord:
     output: TypedGraph
     match: Morphism
     comatch: Morphism
-    context: TypedGraph
-    interface_to_context: Morphism
-    context_to_input: Morphism
-    context_to_output: Morphism
+    deleted: ElementSet
+    created: ElementSet
+
+    @cached_property
+    def context(self) -> TypedGraph:
+        return self.input._derive(self.deleted.nodes, self.deleted.edges)
+
+    @cached_property
+    def interface_to_context(self) -> Morphism:
+        k, m = self.rule.interface, self.match
+        return Morphism(
+            k,
+            self.context,
+            {n: m.node_map[n] for n in k.nodes},
+            {e: m.edge_map[e] for e in k.edges},
+        )
+
+    @cached_property
+    def context_to_input(self) -> Morphism:
+        return Morphism._trusted_inclusion(self.context, self.input)
+
+    @cached_property
+    def context_to_output(self) -> Morphism:
+        return Morphism._trusted_inclusion(self.context, self.output)
 
 
 def validate_rule(r: Rule) -> list[Diagnostic]:
@@ -403,60 +428,66 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     The match must be a total injective morphism from the rule's lhs that
     satisfies all NACs; deletion must not leave dangling edges.  Created
     elements receive ids of the form ``ruleElementId#k`` with the smallest
-    ``k >= 1`` that is unused, so outputs are reproducible.
+    ``k >= 1`` that is unused, so outputs are reproducible.  Finding ``k``
+    probes ``k`` ids, by design.
+
+    The output is derived from ``g`` as a delta, so a step costs
+    O(|L| + |R|) plus C-level copies of the host's element dicts, however
+    large ``g`` is.
     """
     if m.src_graph != r.lhs or m.dst_graph != g:
         raise ValueError("match must map the rule's lhs into the host")
-    problems = check_morphism(m)
+    problems = check_morphism(m, require_injective=True)
     if problems:
-        raise ValueError(f"match is not a valid morphism: {problems[0]}")
-    if check_morphism(m, require_injective=True):
+        # Injectivity findings come last, so any other finding is first.
+        if problems[0].code != "not-injective":
+            raise ValueError(f"match is not a valid morphism: {problems[0]}")
         raise NotInjective("match identifies distinct lhs elements")
     if not satisfies_nacs(m, r.nacs):
         raise NacViolated("a negative application condition matches the host")
+    if not is_id_subgraph(r.interface, r.lhs):
+        raise ValueError("not an id-subgraph; no inclusion exists")
 
-    context, k_to_context, context_to_input = pushout_complement(r.left_inclusion, m)
-
-    taken = set(context.nodes) | set(context.edges)
+    deleted_nodes, deleted_edges = deleted_images(
+        m, r.interface.nodes, r.interface.edges
+    )
     created_nodes: dict[str, str] = {}
-    comatch_nodes = dict(k_to_context.node_map)
-    for rid in sorted(r.rhs.nodes.keys() - r.interface.nodes.keys()):
+    created_edges: dict[str, Edge] = {}
+
+    def taken(x: str) -> bool:
+        # The ids of the context, without building it, plus those created.
+        return (
+            (x in g.nodes and x not in deleted_nodes)
+            or (x in g.edges and x not in deleted_edges)
+            or x in created_nodes
+            or x in created_edges
+        )
+
+    def fresh(rid: str) -> str:
         k = 1
-        new = f"{rid}#{k}"
-        while new in taken:
+        while taken(f"{rid}#{k}"):
             k += 1
-            new = f"{rid}#{k}"
-        taken.add(new)
+        return f"{rid}#{k}"
+
+    comatch_nodes = {n: m.node_map[n] for n in r.interface.nodes}
+    for rid in sorted(r.rhs.nodes.keys() - r.interface.nodes.keys()):
+        new = fresh(rid)
         created_nodes[new] = r.rhs.nodes[rid]
         comatch_nodes[rid] = new
-    created_edges: dict[str, Edge] = {}
-    comatch_edges = dict(k_to_context.edge_map)
+    comatch_edges = {e: m.edge_map[e] for e in r.interface.edges}
     for rid in sorted(r.rhs.edges.keys() - r.interface.edges.keys()):
-        k = 1
-        new = f"{rid}#{k}"
-        while new in taken:
-            k += 1
-            new = f"{rid}#{k}"
-        taken.add(new)
+        new = fresh(rid)
         e = r.rhs.edges[rid]
         created_edges[new] = Edge(e.type, comatch_nodes[e.src], comatch_nodes[e.tgt])
         comatch_edges[rid] = new
 
-    output = TypedGraph(
-        g.type_graph,
-        {**context.nodes, **created_nodes},
-        {**context.edges, **created_edges},
-    )
-    comatch = Morphism(r.rhs, output, comatch_nodes, comatch_edges)
-    context_to_output = Morphism.inclusion(context, output)
+    output = g._derive(deleted_nodes, deleted_edges, created_nodes, created_edges)
     return TransformationRecord(
         rule=r,
         input=g,
         output=output,
         match=m,
-        comatch=comatch,
-        context=context,
-        interface_to_context=k_to_context,
-        context_to_input=context_to_input,
-        context_to_output=context_to_output,
+        comatch=Morphism(r.rhs, output, comatch_nodes, comatch_edges),
+        deleted=ElementSet(deleted_nodes, deleted_edges),
+        created=ElementSet(frozenset(created_nodes), frozenset(created_edges)),
     )

@@ -238,9 +238,10 @@ def test_criterion_06_base_embedding_and_strategy_chain(request):
                     union[mr.sort_key()] = mr.induced.size
             top = find_globally_maximal(eor, host)
             assert bool(top) == bool(union)
+            best = max(union.values(), default=None)
             for mr in top:
                 assert mr.sort_key() in union
-                assert mr.induced.size == max(union.values())
+                assert mr.induced.size == best
 
 
 def _as_transformation(eor, host, mr):
