@@ -18,9 +18,7 @@ from .core import (
     check_morphism,
     compose,
     find_injective_extensions,
-    is_isomorphic,
     is_pullback_square,
-    pushout,
     pushout_complement,
     validate_graph,
 )
@@ -47,7 +45,6 @@ from .effect import (
     check_base_subrule,
     count_bounds,
     enumerate_selections,
-    potential_actions,
     validate_selection,
 )
 from .matching import (

@@ -10,10 +10,12 @@ type between the same nodes are permitted throughout.
 
 The module provides validation (:func:`validate_graph`,
 :func:`check_morphism`), deterministic injective-morphism search
-(:func:`find_injective_extensions`), pushouts along injective morphisms
-(:func:`pushout`), pushout complements with the dangling-edge check
+(:func:`find_injective_extensions`), the one dangling-edge check
+(:func:`dangling_node`), pushout complements built on it
 (:func:`pushout_complement`, :func:`deleted_images`), and a pullback test
 for commuting squares of injective morphisms (:func:`is_pullback_square`).
+Gluing lives in :func:`effectgraph.rules.apply_rule`; pushouts, isomorphism
+and host enumeration are test oracles, not library code.
 
 A graph's search indexes (``sorted_nodes``, ``sorted_edges``,
 ``nodes_by_type``, ``edge_classes``, ``incidence``) are built on first use.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
@@ -302,25 +304,6 @@ class TypedGraph:
             new_edges[eid] = edge
         return TypedGraph(self.type_graph, new_nodes, new_edges)
 
-    def induced(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> TypedGraph:
-        """The subgraph on the given ids; endpoints of kept edges must be kept."""
-        node_ids = set(node_ids)
-        edge_ids = set(edge_ids)
-        nodes = {}
-        for nid in node_ids:
-            if nid not in self.nodes:
-                raise ValueError(f"unknown node id {nid!r}")
-            nodes[nid] = self.nodes[nid]
-        edges = {}
-        for eid in edge_ids:
-            if eid not in self.edges:
-                raise ValueError(f"unknown edge id {eid!r}")
-            e = self.edges[eid]
-            if e.src not in node_ids or e.tgt not in node_ids:
-                raise ValueError(f"edge {eid!r} would dangle in the subgraph")
-            edges[eid] = e
-        return TypedGraph(self.type_graph, nodes, edges)
-
     def __repr__(self) -> str:
         return (
             f"TypedGraph({len(self.nodes)} nodes, {len(self.edges)} edges "
@@ -349,21 +332,11 @@ class ElementSet:
     def __bool__(self) -> bool:
         return bool(self.nodes) or bool(self.edges)
 
-    def __or__(self, other: ElementSet) -> ElementSet:
-        return ElementSet(self.nodes | other.nodes, self.edges | other.edges)
-
     def __sub__(self, other: ElementSet) -> ElementSet:
         return ElementSet(self.nodes - other.nodes, self.edges - other.edges)
 
-    def issubset(self, other: ElementSet) -> bool:
-        return self.nodes <= other.nodes and self.edges <= other.edges
-
     def sort_key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
-
-
-def graph_elements(g: TypedGraph) -> ElementSet:
-    return ElementSet(frozenset(g.nodes), frozenset(g.edges))
 
 
 def element_difference(a: TypedGraph, b: TypedGraph) -> ElementSet:
@@ -406,12 +379,6 @@ class Morphism:
             sub, sup, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges))
         )
 
-    def node(self, nid: str) -> str:
-        return self.node_map[nid]
-
-    def edge(self, eid: str) -> str:
-        return self.edge_map[eid]
-
     @cached_property
     def node_images(self) -> frozenset[str]:
         return frozenset(self.node_map.values())
@@ -419,15 +386,6 @@ class Morphism:
     @cached_property
     def edge_images(self) -> frozenset[str]:
         return frozenset(self.edge_map.values())
-
-    def restricted(self, sub: TypedGraph) -> Morphism:
-        """The restriction to an id-subgraph of the source."""
-        return Morphism(
-            sub,
-            self.dst_graph,
-            {n: self.node_map[n] for n in sub.nodes},
-            {e: self.edge_map[e] for e in sub.edges},
-        )
 
     def sort_key(self) -> tuple:
         return (
@@ -464,31 +422,14 @@ def is_id_subgraph(sub: TypedGraph, sup: TypedGraph) -> bool:
     return True
 
 
-def graph_union(a: TypedGraph, b: TypedGraph) -> TypedGraph:
-    """The id-level union of two graphs over the same type graph."""
-    if a.type_graph != b.type_graph:
-        raise ValueError("graphs are typed over different type graphs")
-    nodes = dict(a.nodes)
-    for nid, ntype in b.nodes.items():
-        if nodes.get(nid, ntype) != ntype:
-            raise ValueError(f"node {nid!r} has conflicting types in the union")
-        nodes[nid] = ntype
-    edges = dict(a.edges)
-    for eid, edge in b.edges.items():
-        if edges.get(eid, edge) != edge:
-            raise ValueError(f"edge {eid!r} has conflicting content in the union")
-        edges[eid] = edge
-    return TypedGraph(a.type_graph, nodes, edges)
-
-
-def fresh_id(base: str, taken: set[str], sep: str = "~") -> str:
+def fresh_id(base: str, taken: set[str]) -> str:
     """``base`` if unused, otherwise the first free ``base~k`` with k >= 1."""
     if base not in taken:
         return base
     k = 1
-    while f"{base}{sep}{k}" in taken:
+    while f"{base}~{k}" in taken:
         k += 1
-    return f"{base}{sep}{k}"
+    return f"{base}~{k}"
 
 
 def validate_graph(g: TypedGraph, tg: TypeGraph) -> list[Diagnostic]:
@@ -743,66 +684,18 @@ def find_injective_extensions(
     return assign_nodes(0)
 
 
-def is_isomorphic(a: TypedGraph, b: TypedGraph) -> bool:
-    """Exhaustive isomorphism check, intended for small graphs."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return False
-    if Counter(a.nodes.values()) != Counter(b.nodes.values()):
-        return False
-    if Counter(e.type for e in a.edges.values()) != Counter(
-        e.type for e in b.edges.values()
-    ):
-        return False
-    return next(iter(find_injective_extensions(a, b)), None) is not None
-
-
-def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
-    """The pushout of injective ``f: A -> B`` and ``g: A -> C``.
-
-    The result reuses the ids of ``B``; elements of ``C`` outside the image
-    of ``g`` keep their ids unless they clash, in which case a ``~k`` suffix
-    is appended deterministically.
-    """
-    if f.src_graph != g.src_graph:
-        raise ValueError("pushout legs must share their source graph")
-    for leg, name in ((f, "first"), (g, "second")):
-        problems = check_morphism(leg, require_injective=True)
-        if problems:
-            raise ValueError(f"{name} pushout leg is not a valid injection: {problems[0]}")
-    b, c = f.dst_graph, g.dst_graph
-    if b.type_graph != c.type_graph:
-        raise ValueError("pushout legs land in different type graphs")
-
-    g_node_inv = {v: k for k, v in g.node_map.items()}
-    g_edge_inv = {v: k for k, v in g.edge_map.items()}
-
-    nodes = dict(b.nodes)
-    edges = dict(b.edges)
-    taken = set(nodes) | set(edges)
-    in_c_nodes: dict[str, str] = {}
-    for cid in c.sorted_nodes:
-        if cid in g_node_inv:
-            in_c_nodes[cid] = f.node_map[g_node_inv[cid]]
-        else:
-            new = fresh_id(cid, taken)
-            taken.add(new)
-            nodes[new] = c.nodes[cid]
-            in_c_nodes[cid] = new
-    in_c_edges: dict[str, str] = {}
-    for cid in c.sorted_edges:
-        if cid in g_edge_inv:
-            in_c_edges[cid] = f.edge_map[g_edge_inv[cid]]
-        else:
-            new = fresh_id(cid, taken)
-            taken.add(new)
-            e = c.edges[cid]
-            edges[new] = Edge(e.type, in_c_nodes[e.src], in_c_nodes[e.tgt])
-            in_c_edges[cid] = new
-
-    d = TypedGraph(b.type_graph, nodes, edges)
-    in_b = Morphism._trusted_inclusion(b, d)
-    in_c = Morphism(c, d, in_c_nodes, in_c_edges)
-    return d, in_b, in_c
+def dangling_node(
+    host: TypedGraph, nodes: Iterable[str], edges: Collection[str]
+) -> str | None:
+    """The first of ``nodes``, in the order given, with an incident ``host``
+    edge outside ``edges``: a node whose deletion together with ``edges``
+    would leave that edge dangling.  ``None`` if there is no such node.
+    Costs the incident edges of the nodes scanned."""
+    for y in nodes:
+        for eid in host.incidence[y]:
+            if eid not in edges:
+                return y
+    return None
 
 
 def deleted_images(
@@ -814,13 +707,11 @@ def deleted_images(
     Raises :class:`DanglingViolation`, naming the smallest such node id,
     if a deleted host node keeps an incident edge that is not itself
     deleted.  Costs O(|L|) plus the incident edges of the deleted nodes."""
-    host = m.dst_graph
     nodes = frozenset(m.node_map[v] for v in m.src_graph.nodes if v not in kept_nodes)
     edges = frozenset(m.edge_map[e] for e in m.src_graph.edges if e not in kept_edges)
-    for y in sorted(nodes):
-        for eid in host.incidence[y]:
-            if eid not in edges:
-                raise DanglingViolation(y)
+    culprit = dangling_node(m.dst_graph, sorted(nodes), edges)
+    if culprit is not None:
+        raise DanglingViolation(culprit)
     return nodes, edges
 
 
@@ -888,35 +779,3 @@ def is_pullback_square(
             if cid is not None and (bid, cid) not in covered:
                 return False
     return True
-
-
-def enumerate_typed_graphs(
-    tg: TypeGraph, max_nodes: int, max_parallel: int = 1
-) -> Iterator[TypedGraph]:
-    """All graphs over ``tg`` with at most ``max_nodes`` nodes, up to
-    isomorphic relabelling of nodes, with at most ``max_parallel`` parallel
-    edges per (type, src, tgt) class.
-
-    Used for bounded semantic checks of application conditions.
-    """
-    type_names = sorted(tg.node_types)
-    for n in range(max_nodes + 1):
-        for combo in itertools.combinations_with_replacement(type_names, n):
-            nodes = {f"h{i}": t for i, t in enumerate(combo)}
-            slots = []
-            for et_name in sorted(tg.edge_types):
-                et = tg.edge_types[et_name]
-                for u in sorted(nodes):
-                    if nodes[u] != et.source:
-                        continue
-                    for v in sorted(nodes):
-                        if nodes[v] == et.target:
-                            slots.append((et_name, u, v))
-            for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
-                edges = {}
-                i = 0
-                for (et_name, u, v), k in zip(slots, counts):
-                    for _ in range(k):
-                        edges[f"e{i}"] = Edge(et_name, u, v)
-                        i += 1
-                yield TypedGraph(tg, nodes, edges)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .core import (
     Diagnostic,
@@ -62,14 +61,7 @@ class EffectOrientedRule:
         return not self.potential_deletions and not self.potential_creations
 
 
-def potential_actions(eor: EffectOrientedRule) -> tuple[ElementSet, ElementSet]:
-    """The potential deletions and potential creations, in that order."""
-    return eor.potential_deletions, eor.potential_creations
-
-
-def validate_effect_rule(
-    eor: EffectOrientedRule, max_equiv_nodes: int = 5
-) -> list[Diagnostic]:
+def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
     interfaces identical, and the embedding a genuine subrule embedding."""
     out: list[Diagnostic] = []
@@ -88,7 +80,7 @@ def validate_effect_rule(
         )
     if not out:
         try:
-            ok = check_subrule_embedding(eor.embedding, max_equiv_nodes=max_equiv_nodes)
+            ok = check_subrule_embedding(eor.embedding)
         except (ValueError, EffectGraphError) as exc:
             out.append(Diagnostic("embedding-invalid", None, str(exc)))
         else:
@@ -127,7 +119,10 @@ class InducedSelection:
 class InducedRule:
     selection: InducedSelection
     rule: Rule
-    size: int
+
+    @property
+    def size(self) -> int:
+        return self.selection.size
 
 
 def validate_selection(
@@ -135,7 +130,7 @@ def validate_selection(
 ) -> list[Diagnostic]:
     """Containment and edge-closure violations of ``sel`` against ``eor``."""
     out: list[Diagnostic] = []
-    deletions, creations = potential_actions(eor)
+    deletions, creations = eor.potential_deletions, eor.potential_creations
     for xid in sorted(sel.del_extra.nodes - deletions.nodes):
         out.append(Diagnostic("not-potential", xid, "not a potential deletion node"))
     for xid in sorted(sel.del_extra.edges - deletions.edges):
@@ -201,7 +196,7 @@ def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> Induce
     interface = TypedGraph(lg.type_graph, interface_nodes, interface_edges)
     nacs = shift_nacs(Morphism.inclusion(eor.base.lhs, lhs), eor.base.nacs)
     rule = Rule(lhs=lhs, interface=interface, rhs=rg, nacs=nacs)
-    return InducedRule(selection=sel, rule=rule, size=sel.size)
+    return InducedRule(selection=sel, rule=rule)
 
 
 def _closed_edge_subsets(
@@ -250,7 +245,7 @@ def enumerate_selections(
         raise ValueError(
             f"unknown filter {selection_filter!r}; expected one of {SELECTION_FILTERS}"
         )
-    deletions, creations = potential_actions(eor)
+    deletions, creations = eor.potential_deletions, eor.potential_creations
     lg, rg = eor.maximal.lhs, eor.maximal.rhs
     base_lhs_nodes = set(eor.base.lhs.nodes)
     interface_nodes = set(eor.interface.nodes)
@@ -295,15 +290,13 @@ def count_bounds(eor: EffectOrientedRule) -> tuple[int, int]:
 
     The lower bound counts the node choices alone (every pure node subset
     is closed); the upper bound counts all element subsets."""
-    deletions, creations = potential_actions(eor)
+    deletions, creations = eor.potential_deletions, eor.potential_creations
     lower = 2 ** (len(deletions.nodes) + len(creations.nodes))
     upper = 2 ** (len(deletions) + len(creations))
     return lower, upper
 
 
-def check_base_subrule(
-    eor: EffectOrientedRule, induced: InducedRule, max_equiv_nodes: int = 5
-) -> bool:
+def check_base_subrule(eor: EffectOrientedRule, induced: InducedRule) -> bool:
     """Whether the base rule embeds into the induced rule as a subrule."""
     embedding = SubruleEmbedding.by_inclusion(eor.base, induced.rule)
-    return check_subrule_embedding(embedding, max_equiv_nodes=max_equiv_nodes)
+    return check_subrule_embedding(embedding)

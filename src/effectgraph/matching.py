@@ -23,6 +23,7 @@ from .core import (
     Morphism,
     TypedGraph,
     check_morphism,
+    dangling_node,
     find_injective_extensions,
 )
 from .effect import (
@@ -160,11 +161,7 @@ def _dangling_ok(
         for e in base.lhs.edges.keys() - base.interface.edges.keys()
     }
     deleted_edges.update(del_edge_map.values())
-    for y in deleted_hosts:
-        for eid in host.incidence[y]:
-            if eid not in deleted_edges:
-                return False
-    return True
+    return dangling_node(host, deleted_hosts, deleted_edges) is None
 
 
 def _assemble_result(
@@ -327,20 +324,15 @@ def is_locally_complete(
 
 
 def rule_applicable(rule: Rule, host: TypedGraph, match: Morphism) -> bool:
-    """Whether deleting along ``match`` leaves no dangling host edge."""
-    deleted_hosts = {
-        match.node_map[v]
-        for v in rule.lhs.nodes.keys() - rule.interface.nodes.keys()
-    }
-    deleted_edges = {
-        match.edge_map[e]
-        for e in rule.lhs.edges.keys() - rule.interface.edges.keys()
-    }
-    for y in deleted_hosts:
-        for eid in host.incidence[y]:
-            if eid not in deleted_edges:
-                return False
-    return True
+    """Whether deleting along ``match`` leaves no dangling host edge.
+
+    Asks :func:`dangling_node` directly rather than catching the exception
+    of :func:`deleted_images`: the brute-force search calls this once per
+    candidate match, and most candidates dangle."""
+    kept_nodes, kept_edges = rule.interface.nodes, rule.interface.edges
+    nodes = [match.node_map[v] for v in rule.lhs.nodes if v not in kept_nodes]
+    edges = {match.edge_map[e] for e in rule.lhs.edges if e not in kept_edges}
+    return dangling_node(host, nodes, edges) is None
 
 
 def oracle_locally_complete(

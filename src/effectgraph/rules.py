@@ -7,9 +7,12 @@ the image of ``K``, and glues in fresh copies of ``R \\ K``.
 
 NACs can be shifted along an injective morphism of their root
 (:func:`shift_nacs`); the result forbids the same host situations for the
-extended pattern.  Subrule embeddings relate a smaller rule to a larger one
+extended pattern.  Two NAC sets over one root are equivalent exactly when
+each NAC of either set receives a root-fixing injection from a NAC of the
+other (:func:`nac_sets_equivalent`); the test is exact for hosts of any
+size.  Subrule embeddings relate a smaller rule to a larger one
 componentwise and are checked structurally (commuting pullback squares) and
-semantically (application-condition equivalence on bounded hosts).
+semantically (equivalence of the application conditions).
 """
 
 from __future__ import annotations
@@ -24,16 +27,14 @@ from .core import (
     EffectGraphError,
     ElementSet,
     Morphism,
+    NonCommuting,
     TypedGraph,
     check_morphism,
-    compose,
     deleted_images,
-    enumerate_typed_graphs,
     find_injective_extensions,
     fresh_id,
     is_id_subgraph,
     is_pullback_square,
-    same_maps,
     validate_graph,
 )
 
@@ -265,13 +266,22 @@ def _overlap_candidates(
         yield from edge_choices(phi, 0, {})
 
 
+def _rooted_injection_exists(
+    root: TypedGraph, source: TypedGraph, target: TypedGraph
+) -> bool:
+    """Whether an injective morphism ``source -> target`` fixes ``root``
+    pointwise; both graphs must contain ``root`` as an id-subgraph."""
+    partial = ({n: n for n in root.nodes}, {e: e for e in root.edges})
+    hit = next(iter(find_injective_extensions(source, target, partial)), None)
+    return hit is not None
+
+
 def _same_rooted_nac(root: TypedGraph, a: Nac, b: Nac) -> bool:
     """Isomorphism of two NACs fixing the shared root pointwise."""
     fa, fb = a.forbidden, b.forbidden
     if len(fa.nodes) != len(fb.nodes) or len(fa.edges) != len(fb.edges):
         return False
-    partial = ({n: n for n in root.nodes}, {e: e for e in root.edges})
-    return next(iter(find_injective_extensions(fa, fb, partial)), None) is not None
+    return _rooted_injection_exists(root, fa, fb)
 
 
 def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
@@ -341,44 +351,29 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
     return tuple(shifted)
 
 
-def _max_parallel(graphs: Iterable[TypedGraph]) -> int:
-    worst = 1
-    for g in graphs:
-        for ids in g.edge_classes.values():
-            worst = max(worst, len(ids))
-    return worst
-
-
 def nac_sets_equivalent(
-    lhs: TypedGraph,
-    first: Sequence[Nac],
-    second: Sequence[Nac],
-    max_nodes: int = 5,
-    max_parallel: int | None = None,
+    lhs: TypedGraph, first: Sequence[Nac], second: Sequence[Nac]
 ) -> bool:
-    """Semantic equivalence of two NAC sets over the same root.
+    """Semantic equivalence of two NAC sets rooted at ``lhs``: every
+    injective match of ``lhs`` into any host satisfies both sets or neither.
 
-    Decided exhaustively: every host up to ``max_nodes`` nodes (one
-    representative per node relabelling) and every injective match of the
-    root is checked against both sets.  Parallel-edge multiplicity in the
-    generated hosts is bounded by the worst multiplicity occurring in the
-    inputs unless overridden.
-    """
-    if list(first) == list(second):
-        return True
-    involved = [lhs, *(n.forbidden for n in first), *(n.forbidden for n in second)]
-    if max_parallel is None:
-        max_parallel = _max_parallel(involved)
-    for host in enumerate_typed_graphs(lhs.type_graph, max_nodes, max_parallel):
-        for m in find_injective_extensions(lhs, host):
-            if satisfies_nacs(m, first) != satisfies_nacs(m, second):
-                return False
-    return True
+    Decided exactly: the sets are equivalent iff every NAC of each set
+    receives a root-fixing injective morphism from some NAC of the other.
+    If one does, a host violating the first NAC violates the second; if
+    none does, that NAC itself, matched by the root inclusion, is a host
+    that violates one set and satisfies the other.  Raises ``ValueError``
+    for a NAC that does not contain ``lhs``."""
+    for nac in (*first, *second):
+        if not is_id_subgraph(lhs, nac.forbidden):
+            raise ValueError("NAC is not rooted at the lhs")
+    return all(
+        any(_rooted_injection_exists(lhs, b.forbidden, a.forbidden) for b in others)
+        for ones, others in ((first, second), (second, first))
+        for a in ones
+    )
 
 
-def check_subrule_embedding(
-    e: SubruleEmbedding, max_equiv_nodes: int = 5
-) -> bool:
+def check_subrule_embedding(e: SubruleEmbedding) -> bool:
     """Whether ``e`` embeds its small rule into its large rule.
 
     Structurally both mediating squares must commute and be pullbacks;
@@ -396,29 +391,16 @@ def check_subrule_embedding(
         if problems:
             raise ValueError(f"{name} leg is not a valid injection: {problems[0]}")
 
-    left_ok = same_maps(
-        compose(e.sub.left_inclusion, e.iota_lhs),
-        compose(e.iota_interface, e.sup.left_inclusion),
-    )
-    right_ok = same_maps(
-        compose(e.sub.right_inclusion, e.iota_rhs),
-        compose(e.iota_interface, e.sup.right_inclusion),
-    )
-    if not (left_ok and right_ok):
+    try:
+        squares_ok = is_pullback_square(
+            e.sub.left_inclusion, e.iota_interface, e.iota_lhs, e.sup.left_inclusion
+        ) and is_pullback_square(
+            e.sub.right_inclusion, e.iota_interface, e.iota_rhs, e.sup.right_inclusion
+        )
+    except NonCommuting:
         return False
-    if not is_pullback_square(
-        e.sub.left_inclusion, e.iota_interface, e.iota_lhs, e.sup.left_inclusion
-    ):
-        return False
-    if not is_pullback_square(
-        e.sub.right_inclusion, e.iota_interface, e.iota_rhs, e.sup.right_inclusion
-    ):
-        return False
-    return nac_sets_equivalent(
-        e.sup.lhs,
-        list(e.sup.nacs),
-        list(shift_nacs(e.iota_lhs, e.sub.nacs)),
-        max_nodes=max_equiv_nodes,
+    return squares_ok and nac_sets_equivalent(
+        e.sup.lhs, e.sup.nacs, shift_nacs(e.iota_lhs, e.sub.nacs)
     )
 
 

@@ -1,0 +1,187 @@
+"""Reference constructions that the tests check the library against.
+
+None of these is used by the library itself.  ``pushout`` (with its ``~k``
+ids) is the independent gluing that ``apply_rule`` is round-tripped
+through, ``is_isomorphic`` compares graphs up to renaming, and
+``enumerate_typed_graphs`` with ``bounded_nac_sets_equivalent`` decides
+application-condition questions by brute force over every small host.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from typing import Iterable, Iterator, Sequence
+
+from effectgraph.core import (
+    Edge,
+    Morphism,
+    TypeGraph,
+    TypedGraph,
+    check_morphism,
+    find_injective_extensions,
+    fresh_id,
+)
+from effectgraph.rules import Nac, satisfies_nacs
+
+
+def induced(
+    g: TypedGraph, node_ids: Iterable[str], edge_ids: Iterable[str]
+) -> TypedGraph:
+    """The subgraph on the given ids; endpoints of kept edges must be kept."""
+    node_ids = set(node_ids)
+    edge_ids = set(edge_ids)
+    nodes = {}
+    for nid in node_ids:
+        if nid not in g.nodes:
+            raise ValueError(f"unknown node id {nid!r}")
+        nodes[nid] = g.nodes[nid]
+    edges = {}
+    for eid in edge_ids:
+        if eid not in g.edges:
+            raise ValueError(f"unknown edge id {eid!r}")
+        e = g.edges[eid]
+        if e.src not in node_ids or e.tgt not in node_ids:
+            raise ValueError(f"edge {eid!r} would dangle in the subgraph")
+        edges[eid] = e
+    return TypedGraph(g.type_graph, nodes, edges)
+
+
+def restricted(f: Morphism, sub: TypedGraph) -> Morphism:
+    """The restriction of ``f`` to an id-subgraph of its source."""
+    return Morphism(
+        sub,
+        f.dst_graph,
+        {n: f.node_map[n] for n in sub.nodes},
+        {e: f.edge_map[e] for e in sub.edges},
+    )
+
+
+def graph_union(a: TypedGraph, b: TypedGraph) -> TypedGraph:
+    """The id-level union of two graphs over the same type graph."""
+    if a.type_graph != b.type_graph:
+        raise ValueError("graphs are typed over different type graphs")
+    nodes = dict(a.nodes)
+    for nid, ntype in b.nodes.items():
+        if nodes.get(nid, ntype) != ntype:
+            raise ValueError(f"node {nid!r} has conflicting types in the union")
+        nodes[nid] = ntype
+    edges = dict(a.edges)
+    for eid, edge in b.edges.items():
+        if edges.get(eid, edge) != edge:
+            raise ValueError(f"edge {eid!r} has conflicting content in the union")
+        edges[eid] = edge
+    return TypedGraph(a.type_graph, nodes, edges)
+
+
+def is_isomorphic(a: TypedGraph, b: TypedGraph) -> bool:
+    """Exhaustive isomorphism check, intended for small graphs."""
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
+        return False
+    if Counter(a.nodes.values()) != Counter(b.nodes.values()):
+        return False
+    if Counter(e.type for e in a.edges.values()) != Counter(
+        e.type for e in b.edges.values()
+    ):
+        return False
+    return next(iter(find_injective_extensions(a, b)), None) is not None
+
+
+def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
+    """The pushout of injective ``f: A -> B`` and ``g: A -> C``.
+
+    The result reuses the ids of ``B``; elements of ``C`` outside the image
+    of ``g`` keep their ids unless they clash, in which case a ``~k`` suffix
+    is appended deterministically.
+    """
+    if f.src_graph != g.src_graph:
+        raise ValueError("pushout legs must share their source graph")
+    for leg, name in ((f, "first"), (g, "second")):
+        problems = check_morphism(leg, require_injective=True)
+        if problems:
+            raise ValueError(f"{name} pushout leg is not a valid injection: {problems[0]}")
+    b, c = f.dst_graph, g.dst_graph
+    if b.type_graph != c.type_graph:
+        raise ValueError("pushout legs land in different type graphs")
+
+    g_node_inv = {v: k for k, v in g.node_map.items()}
+    g_edge_inv = {v: k for k, v in g.edge_map.items()}
+
+    nodes = dict(b.nodes)
+    edges = dict(b.edges)
+    taken = set(nodes) | set(edges)
+    in_c_nodes: dict[str, str] = {}
+    for cid in c.sorted_nodes:
+        if cid in g_node_inv:
+            in_c_nodes[cid] = f.node_map[g_node_inv[cid]]
+        else:
+            new = fresh_id(cid, taken)
+            taken.add(new)
+            nodes[new] = c.nodes[cid]
+            in_c_nodes[cid] = new
+    in_c_edges: dict[str, str] = {}
+    for cid in c.sorted_edges:
+        if cid in g_edge_inv:
+            in_c_edges[cid] = f.edge_map[g_edge_inv[cid]]
+        else:
+            new = fresh_id(cid, taken)
+            taken.add(new)
+            e = c.edges[cid]
+            edges[new] = Edge(e.type, in_c_nodes[e.src], in_c_nodes[e.tgt])
+            in_c_edges[cid] = new
+
+    d = TypedGraph(b.type_graph, nodes, edges)
+    in_b = Morphism._trusted_inclusion(b, d)
+    in_c = Morphism(c, d, in_c_nodes, in_c_edges)
+    return d, in_b, in_c
+
+
+def enumerate_typed_graphs(
+    tg: TypeGraph, max_nodes: int, max_parallel: int = 1
+) -> Iterator[TypedGraph]:
+    """All graphs over ``tg`` with at most ``max_nodes`` nodes, up to
+    isomorphic relabelling of nodes, with at most ``max_parallel`` parallel
+    edges per (type, src, tgt) class.
+
+    Used for bounded semantic checks of application conditions.
+    """
+    type_names = sorted(tg.node_types)
+    for n in range(max_nodes + 1):
+        for combo in itertools.combinations_with_replacement(type_names, n):
+            nodes = {f"h{i}": t for i, t in enumerate(combo)}
+            slots = []
+            for et_name in sorted(tg.edge_types):
+                et = tg.edge_types[et_name]
+                for u in sorted(nodes):
+                    if nodes[u] != et.source:
+                        continue
+                    for v in sorted(nodes):
+                        if nodes[v] == et.target:
+                            slots.append((et_name, u, v))
+            for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
+                edges = {}
+                i = 0
+                for (et_name, u, v), k in zip(slots, counts):
+                    for _ in range(k):
+                        edges[f"e{i}"] = Edge(et_name, u, v)
+                        i += 1
+                yield TypedGraph(tg, nodes, edges)
+
+
+def bounded_nac_sets_equivalent(
+    lhs: TypedGraph,
+    first: Sequence[Nac],
+    second: Sequence[Nac],
+    hosts: Iterable[TypedGraph],
+) -> bool:
+    """Whether every injective match of ``lhs`` into every one of ``hosts``
+    satisfies both NAC sets or neither: equivalence decided by brute force.
+
+    Exact when ``hosts`` holds every graph with as many nodes as the largest
+    NAC and as many parallel edges as the worst class of the inputs, since a
+    NAC is then a host itself."""
+    for host in hosts:
+        for m in find_injective_extensions(lhs, host):
+            if satisfies_nacs(m, first) != satisfies_nacs(m, second):
+                return False
+    return True

@@ -32,14 +32,12 @@ from effectgraph import (
     find_injective_extensions,
     find_locally_complete,
     find_locally_maximal,
-    is_isomorphic,
     oracle_locally_complete,
     prematch_from_maps,
-    pushout,
     satisfies_nacs,
     shift_nacs,
 )
-from effectgraph.core import DanglingViolation, compose, enumerate_typed_graphs
+from effectgraph.core import DanglingViolation, compose
 from effectgraph.matching import MatchStats, is_compatible, is_locally_complete
 from effectgraph.fixtures import (
     bank_graph,
@@ -48,6 +46,7 @@ from effectgraph.fixtures import (
     ensure_no_account_rule,
     shared_accounts_graph,
 )
+from oracles import enumerate_typed_graphs, is_isomorphic, pushout
 
 
 @contextmanager

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,15 +20,14 @@ from effectgraph import (
     check_morphism,
     compose,
     find_injective_extensions,
-    is_isomorphic,
     is_pullback_square,
-    pushout,
     pushout_complement,
     validate_graph,
 )
-from effectgraph.core import enumerate_typed_graphs, fresh_id, graph_union, same_maps
+from effectgraph.core import fresh_id, same_maps
 
 from gen import grow, random_graph, random_type_graph
+from oracles import enumerate_typed_graphs, graph_union, induced, is_isomorphic, pushout
 
 PAIR = TypeGraph(
     "pair",
@@ -240,6 +240,65 @@ def test_find_injective_extensions_is_deterministic():
     assert first == second
 
 
+def _as_networkx(g: TypedGraph, nx):
+    out = nx.MultiDiGraph()
+    for nid, ntype in g.nodes.items():
+        out.add_node(nid, type=ntype)
+    for eid, e in g.edges.items():
+        out.add_edge(e.src, e.tgt, key=eid, type=e.type)
+    return out
+
+
+def _edges_fit(host_edges, pattern_edges) -> bool:
+    """Between one pair of nodes the host holds at least as many edges of
+    each type as the pattern."""
+    have = Counter(attrs["type"] for attrs in host_edges.values())
+    need = Counter(attrs["type"] for attrs in pattern_edges.values())
+    return all(have[t] >= k for t, k in need.items())
+
+
+def test_find_injective_extensions_agrees_with_networkx():
+    """The node maps of all injective morphisms, with and without a
+    root-fixing partial map, against networkx's VF2 multigraph
+    monomorphisms with node and edge types as match attributes."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import MultiDiGraphMatcher
+
+    rng = random.Random(5150)
+    maps_seen = rooted_seen = 0
+    for _ in range(200):
+        tg = random_type_graph(rng)
+        root = random_graph(rng, tg, max_nodes=2, max_edges=2, prefix="r")
+        pattern = grow(rng, root, rng.randint(0, 2), rng.randint(0, 3), "p")
+        host = grow(rng, root, rng.randint(1, 5), rng.randint(2, 8), "h")
+        matcher = MultiDiGraphMatcher(
+            _as_networkx(host, nx),
+            _as_networkx(pattern, nx),
+            node_match=lambda h, p: h["type"] == p["type"],
+            edge_match=_edges_fit,
+        )
+        expected = {
+            frozenset((p, h) for h, p in mono.items())
+            for mono in matcher.subgraph_monomorphisms_iter()
+        }
+        got = {
+            frozenset(m.node_map.items())
+            for m in find_injective_extensions(pattern, host)
+        }
+        assert got == expected
+        fixed = ({n: n for n in root.nodes}, {e: e for e in root.edges})
+        got_rooted = {
+            frozenset(m.node_map.items())
+            for m in find_injective_extensions(pattern, host, fixed)
+        }
+        assert got_rooted == {
+            nmap for nmap in expected if all((n, n) in nmap for n in root.nodes)
+        }
+        maps_seen += len(got)
+        rooted_seen += bool(root.nodes) and len(got_rooted) < len(got)
+    assert maps_seen > 1000 and rooted_seen > 30
+
+
 def test_empty_pattern_has_exactly_the_empty_morphism():
     host = pair_graph()
     results = list(find_injective_extensions(TypedGraph.empty(PAIR), host))
@@ -255,8 +314,8 @@ def test_fresh_id_picks_smallest_free_suffix():
 
 def test_graph_union_merges_overlapping_id_subgraphs():
     base = pair_graph()
-    left = base.induced(["x", "y"], ["e2"])
-    right = base.induced(["x", "z"], ["e1"])
+    left = induced(base, ["x", "y"], ["e2"])
+    right = induced(base, ["x", "z"], ["e1"])
     assert is_isomorphic(graph_union(left, right), base)
     merged = graph_union(left, right)
     assert dict(merged.nodes) == dict(base.nodes)
@@ -279,7 +338,7 @@ def test_is_isomorphic_on_relabelled_graphs():
         )
         assert is_isomorphic(g, h)
         if g.nodes:
-            assert not is_isomorphic(g, h.induced(list(h.sorted_nodes[1:]), []))
+            assert not is_isomorphic(g, induced(h, list(h.sorted_nodes[1:]), []))
 
 
 @given(st.integers(0, 10**6))

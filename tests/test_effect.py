@@ -18,7 +18,6 @@ from effectgraph import (
     check_base_subrule,
     count_bounds,
     enumerate_selections,
-    potential_actions,
     validate_rule,
     validate_selection,
 )
@@ -30,13 +29,13 @@ from gen import random_effect_rule, random_type_graph
 
 def test_fixture_rules_have_the_expected_potential_actions():
     provision = ensure_account_rule()
-    deletions, creations = potential_actions(provision)
+    deletions, creations = provision.potential_deletions, provision.potential_creations
     assert deletions == ElementSet()
     assert creations.nodes == {"a", "p"}
     assert creations.edges == {"accounts_c_a", "portfolios_c_p", "portfolio_a_p"}
 
     teardown = ensure_no_account_rule()
-    deletions, creations = potential_actions(teardown)
+    deletions, creations = teardown.potential_deletions, teardown.potential_creations
     assert creations == ElementSet()
     assert deletions.nodes == {"a", "p"}
     assert deletions.edges == {"accounts_c_a", "portfolios_c_p", "portfolio_a_p"}
@@ -184,7 +183,7 @@ def test_random_selections_build_valid_rules_embedding_the_base():
 
 def test_full_selection_recovers_the_maximal_rule():
     teardown = ensure_no_account_rule()
-    deletions, _ = potential_actions(teardown)
+    deletions = teardown.potential_deletions
     induced = build_induced_rule(
         teardown, InducedSelection(deletions, ElementSet.empty())
     )

@@ -31,7 +31,6 @@ from effectgraph import (
     is_compatible,
     is_locally_complete,
     oracle_locally_complete,
-    potential_actions,
     satisfies_nacs,
     validate_selection,
 )
@@ -47,6 +46,7 @@ from effectgraph.matching import rule_applicable, validate_prematch
 from effectgraph.rules import apply_rule
 
 from gen import instances, random_graph
+from oracles import induced, restricted
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -82,7 +82,7 @@ def mirror_is_locally_complete(eor, host, mr) -> bool:
     that keeps every existing binding in place."""
     sel = mr.induced.selection
     m = mr.match
-    deletions, creations = potential_actions(eor)
+    deletions, creations = eor.potential_deletions, eor.potential_creations
 
     def blocked(sel2: InducedSelection) -> bool:
         if validate_selection(eor, sel2):
@@ -494,10 +494,11 @@ def test_match_decomposes_over_the_base(seed):
                 compose(Morphism.inclusion(eor.base.lhs, rule.lhs), m), pm.morphism
             )
             # ... and restricting to the interface agrees with it too.
-            on_interface = m.restricted(
-                rule.lhs.induced(
-                    eor.interface.nodes.keys(), eor.interface.edges.keys()
-                )
+            on_interface = restricted(
+                m,
+                induced(
+                    rule.lhs, eor.interface.nodes.keys(), eor.interface.edges.keys()
+                ),
             )
             for nid in eor.interface.nodes:
                 assert on_interface.node_map[nid] == pm.morphism.node_map[nid]

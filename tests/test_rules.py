@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from effectgraph import (
     check_subrule_embedding,
     compose,
     find_injective_extensions,
-    is_isomorphic,
     is_pullback_square,
     nac_sets_equivalent,
     satisfies_nacs,
@@ -34,6 +34,7 @@ from effectgraph import (
 from effectgraph.core import same_maps
 
 from gen import grow, random_graph, random_plain_rule, random_type_graph
+from oracles import bounded_nac_sets_equivalent, enumerate_typed_graphs, is_isomorphic
 
 CHAIN = TypeGraph(
     "chain",
@@ -248,7 +249,7 @@ def test_shift_along_identity_is_semantically_neutral():
         ),
     ]
     shifted = shift_nacs(Morphism.identity(r.lhs), nacs)
-    assert nac_sets_equivalent(r.lhs, nacs, list(shifted), max_nodes=3)
+    assert nac_sets_equivalent(r.lhs, nacs, list(shifted))
 
 
 @given(st.integers(0, 10**6))
@@ -298,9 +299,152 @@ def test_nac_sets_equivalent_detects_difference():
     renamed = Nac(
         root.with_elements(nodes={"m": "A"}, edges={"me": Edge("ab", "m", "k")})
     )
-    assert nac_sets_equivalent(root, [with_edge], [renamed], max_nodes=3)
-    assert not nac_sets_equivalent(root, [with_edge], [node_only], max_nodes=3)
-    assert not nac_sets_equivalent(root, [], [node_only], max_nodes=3)
+    assert nac_sets_equivalent(root, [with_edge], [renamed])
+    assert not nac_sets_equivalent(root, [with_edge], [node_only])
+    assert not nac_sets_equivalent(root, [], [node_only])
+    # A NAC that extends another adds nothing to the set.
+    # The same shape hung off another root node is another condition.
+    pair = root.with_elements(nodes={"j": "B"})
+    at_k = Nac(pair.with_elements(nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}))
+    at_j = Nac(pair.with_elements(nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "j")}))
+    assert not nac_sets_equivalent(pair, [at_k], [at_j])
+    wider = Nac(with_edge.forbidden.with_elements(nodes={"x": "B"}))
+    assert nac_sets_equivalent(root, [with_edge], [with_edge, wider])
+    assert not nac_sets_equivalent(root, [wider], [with_edge, wider])
+    with pytest.raises(ValueError, match="not rooted"):
+        nac_sets_equivalent(root, [Nac(TypedGraph(CHAIN, {"n": "A"}, {}))], [])
+
+
+def test_nac_equivalence_sees_nacs_larger_than_five_nodes():
+    # A NAC of six nodes fires on hosts of six nodes or more; it is not
+    # equivalent to having no NAC, and a rule gaining it is no subrule.
+    tg = TypeGraph("star", frozenset({"A", "B"}), {"ab": EdgeType("A", "B")})
+    root = TypedGraph(tg, {"a": "A"}, {})
+    nac = Nac(
+        root.with_elements(
+            nodes={f"b{i}": "B" for i in range(5)},
+            edges={f"e{i}": Edge("ab", "a", f"b{i}") for i in range(5)},
+        )
+    )
+    assert not nac_sets_equivalent(root, [nac], [])
+    assert not check_subrule_embedding(
+        SubruleEmbedding.by_inclusion(
+            Rule(root, root, root), Rule(root, root, root, (nac,))
+        )
+    )
+
+
+LOOPY = TypeGraph(
+    "loopy",
+    frozenset({"A", "B"}),
+    {"ab": EdgeType("A", "B"), "bb": EdgeType("B", "B")},
+)
+
+
+@functools.cache
+def _loopy_hosts(max_nodes: int, max_parallel: int) -> tuple[TypedGraph, ...]:
+    return tuple(enumerate_typed_graphs(LOOPY, max_nodes, max_parallel))
+
+
+def _extend(
+    rng: random.Random, g: TypedGraph, prefix: str, extra_nodes: int, parallel: bool
+) -> TypedGraph:
+    """``g`` plus ``extra_nodes`` fresh nodes and one or two fresh edges,
+    which run parallel to other edges only if ``parallel``."""
+    g = g.with_elements(
+        nodes={f"{prefix}n{i}": rng.choice("AB") for i in range(extra_nodes)}
+    )
+    slots = [
+        (name, u, v)
+        for name, et in sorted(LOOPY.edge_types.items())
+        for u in g.sorted_nodes
+        for v in g.sorted_nodes
+        if g.nodes[u] == et.source and g.nodes[v] == et.target
+    ]
+    edges: dict[str, Edge] = {}
+    for i in range(rng.randint(1, 2)):
+        if not parallel:
+            occupied = set(g.edge_classes)
+            occupied.update((e.type, e.src, e.tgt) for e in edges.values())
+            slots = [s for s in slots if s not in occupied]
+        if slots:
+            edges[f"{prefix}e{i}"] = Edge(*rng.choice(slots))
+    return g.with_elements(edges=edges)
+
+
+def _renamed(nac: Nac, root: TypedGraph, prefix: str, swap: bool = False) -> Nac:
+    """The same NAC with fresh ids outside the root; with ``swap``, and a
+    root of two same-typed nodes and no edges, also hung off the root with
+    those two nodes exchanged."""
+    f = nac.forbidden
+    names = {
+        x: x if x in root.nodes or x in root.edges else prefix + x
+        for x in (*f.nodes, *f.edges)
+    }
+    same_typed_pair = len(root.nodes) == 2 and len(set(root.nodes.values())) == 1
+    if swap and same_typed_pair and not root.edges:
+        u, v = root.sorted_nodes
+        names[u], names[v] = v, u
+    return Nac(
+        TypedGraph(
+            f.type_graph,
+            {names[n]: t for n, t in f.nodes.items()},
+            {
+                names[e]: Edge(v.type, names[v.src], names[v.tgt])
+                for e, v in f.edges.items()
+            },
+        )
+    )
+
+
+def _nac_set_pairs(seed: int, count: int):
+    """Seeded pairs of NAC sets over one root: independent sets, a set and
+    the set plus one NAC (fresh, or extending one of its NACs), and a set
+    and a renamed, reordered or shortened copy, possibly hung off the root
+    differently."""
+    rng = random.Random(seed)
+    for i in range(count):
+        root = random_graph(rng, LOOPY, max_nodes=2, max_edges=1, prefix="r")
+        # Parallel edges only over roots of at most one node, whose NACs have
+        # at most two: the brute force then needs every host of three nodes,
+        # or of two nodes with parallel edges, never both.
+        parallel = len(root.nodes) < 2
+
+        def fresh(tag: str) -> Nac:
+            return Nac(_extend(rng, root, tag, rng.randint(0, 1), parallel))
+
+        first = [fresh(f"s{j}_") for j in range(rng.randint(1, 2))]
+        kind = i % 3
+        if kind == 0:
+            second = [fresh(f"t{j}_") for j in range(rng.randint(0, 2))]
+        elif kind == 1:
+            grown = Nac(_extend(rng, rng.choice(first).forbidden, "g_", 0, parallel))
+            second = [*first, rng.choice([grown, fresh("u_")])]
+        else:
+            swap = rng.random() < 0.5
+            second = [_renamed(n, root, "q_", swap) for n in reversed(first)]
+            if len(second) > 1 and rng.random() < 0.5:
+                second.pop()
+        yield root, first, second
+
+
+def test_nac_equivalence_agrees_with_the_bounded_oracle():
+    """The exact test against brute force over every host as large as the
+    largest NAC, with the inputs' worst parallel multiplicity: on those
+    hosts the oracle is exact too, so the verdicts must agree."""
+    verdicts = []
+    for root, first, second in _nac_set_pairs(3030, 60):
+        graphs = [root, *(n.forbidden for n in (*first, *second))]
+        max_nodes = max(len(g.nodes) for g in graphs)
+        max_parallel = max(
+            (len(ids) for g in graphs for ids in g.edge_classes.values()), default=1
+        )
+        expected = bounded_nac_sets_equivalent(
+            root, first, second, _loopy_hosts(max_nodes, max_parallel)
+        )
+        assert nac_sets_equivalent(root, first, second) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 15
 
 
 def test_subrule_embedding_by_inclusion_checks_out():
@@ -318,7 +462,7 @@ def test_subrule_embedding_rejects_nac_mismatch():
     small_guarded = Rule(small.lhs, small.interface, small.rhs, (Nac(forbidden),))
     big = Rule(small.lhs, small.interface, small.rhs)  # drops the NAC
     assert not check_subrule_embedding(
-        SubruleEmbedding.by_inclusion(small_guarded, big), max_equiv_nodes=3
+        SubruleEmbedding.by_inclusion(small_guarded, big)
     )
 
 
