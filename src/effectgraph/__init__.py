@@ -52,13 +52,13 @@ from .matching import (
     MatchResult,
     MatchStats,
     PreMatch,
+    find_all_locally_complete,
     find_base_prematches,
     find_globally_maximal,
     find_locally_complete,
     find_locally_maximal,
     is_compatible,
     is_locally_complete,
-    oracle_locally_complete,
 )
 from .semantics import (
     AuditEntry,

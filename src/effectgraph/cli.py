@@ -39,10 +39,10 @@ from .effect import SELECTION_FILTERS, count_bounds, enumerate_selections
 from .fixtures import builtin_type_graphs, fixture_path
 from .matching import (
     MatchResult,
+    find_all_locally_complete,
     find_locally_complete,
     find_locally_maximal,
     find_globally_maximal,
-    oracle_locally_complete,
 )
 from .semantics import (
     GLOBALLY_MAXIMAL,
@@ -141,7 +141,7 @@ def _find_results(args, eor, host) -> list[MatchResult]:
         return find_globally_maximal(eor, host)
     if strategy == LOCALLY_COMPLETE:
         if getattr(args, "all", False):
-            return oracle_locally_complete(eor, host, pm)
+            return find_all_locally_complete(eor, host, pm)
         mr = find_locally_complete(eor, host, pm)
         return [mr] if mr else []
     return find_locally_maximal(eor, host, pm)

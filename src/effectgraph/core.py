@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 
 class EffectGraphError(Exception):
@@ -422,14 +422,13 @@ def is_id_subgraph(sub: TypedGraph, sup: TypedGraph) -> bool:
     return True
 
 
-def fresh_id(base: str, taken: set[str]) -> str:
-    """``base`` if unused, otherwise the first free ``base~k`` with k >= 1."""
-    if base not in taken:
-        return base
+def fresh_id(base: str, taken: Callable[[str], bool]) -> str:
+    """The first ``base#k`` with k >= 1 that is not ``taken``: the engine's
+    one fresh-id scheme.  Probes ``k`` ids, by design."""
     k = 1
-    while f"{base}~{k}" in taken:
+    while taken(f"{base}#{k}"):
         k += 1
-    return f"{base}~{k}"
+    return f"{base}#{k}"
 
 
 def validate_graph(g: TypedGraph, tg: TypeGraph) -> list[Diagnostic]:

@@ -3,19 +3,15 @@
 Starting from a pre-match of the base rule, the matcher binds potential
 actions to host elements: a potential deletion that is bound will be
 deleted, a potential creation that is bound is reused from the host instead
-of being created.  :func:`find_locally_complete` implements the depth-first
-search over the unbound potential nodes; edges are then included maximally.
-A result is locally complete: no further potential element could have been
-bound without either having no host candidate or forcing a non-injective
-overall match.  :func:`oracle_locally_complete` recovers the same notion by
-brute force over all selections and serves as the exhaustive cross-check.
+of being created.  One search, :func:`_leaves`, serves every strategy; the
+public ``find_*`` functions drive it, and none enumerates the selections.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     EffectGraphError,
@@ -31,9 +27,8 @@ from .effect import (
     InducedRule,
     InducedSelection,
     build_induced_rule,
-    enumerate_selections,
 )
-from .rules import Rule, satisfies_nacs
+from .rules import satisfies_nacs
 
 
 class InvalidPreMatch(EffectGraphError):
@@ -67,7 +62,11 @@ class MatchResult:
 
 @dataclass
 class MatchStats:
-    """Counters filled in by :func:`find_locally_complete`."""
+    """Counters filled in by :func:`find_locally_complete`.
+
+    ``backtracks`` counts rejected candidates: host elements given up for a
+    potential element, either up front (a node whose incident edges the
+    deletion could never all remove) or after the search below them failed."""
 
     backtracks: int = 0
 
@@ -106,89 +105,165 @@ def is_compatible(eor: EffectOrientedRule, pm: PreMatch, mr: MatchResult) -> boo
     return True
 
 
-def _infer_edge_maps(
+class _Leaf(NamedTuple):
+    """An accepted match whose induced rule is not built yet."""
+
+    pm: PreMatch
+    selection: InducedSelection
+    node_map: dict[str, str]
+    edge_map: dict[str, str]
+
+    def sort_key(self) -> tuple:
+        """The :meth:`MatchResult.sort_key` of the built result."""
+        maps = self.node_map.items(), self.edge_map.items()
+        return self.selection.sort_key() + tuple(tuple(sorted(m)) for m in maps)
+
+
+def _profile(g: TypedGraph, node: str) -> Counter:
+    """The edges incident to ``node``, counted by type and direction."""
+    edges = map(g.edges.__getitem__, g.incidence[node])
+    return Counter((e.type, e.src == node, e.tgt == node) for e in edges)
+
+
+def _leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
     pm: PreMatch,
-    node_assign: Mapping[str, str],
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Maximal injective edge binding for the given node binding.
+    stats: MatchStats,
+    greedy: bool = False,
+    best: list[_Leaf] | None = None,
+) -> Iterator[_Leaf]:
+    """The effect-matching search: lazily, every locally complete match
+    extending ``pm`` that admits a transformation.
 
-    Potential deletion edges claim host edges first, then potential creation
-    edges; within each side ascending rule-edge ids take the smallest unused
-    host edge id."""
-    claimed = set(pm.morphism.edge_map.values())
-    deletions = eor.potential_deletions
-    creations = eor.potential_creations
-    lg, rg = eor.maximal.lhs, eor.maximal.rhs
+    Potential deletion nodes, creation nodes, deletion edges and creation
+    edges are visited in that order, by ascending id.  Each binds a free
+    host element of its type or edge class (in ``nodes_by_type`` or
+    ``edge_classes`` order) or is skipped; an edge with an unbound endpoint
+    is skipped.  Only necessary conditions prune:
 
-    def claim(rule_graph: TypedGraph, eids: list[str]) -> dict[str, str]:
-        taken: dict[str, str] = {}
-        for eid in eids:
-            e = rule_graph.edges[eid]
-            src = node_assign.get(e.src)
-            tgt = node_assign.get(e.tgt)
-            if src is None or tgt is None:
-                continue
-            for h in host.edge_classes.get((e.type, src, tgt), ()):
-                if h not in claimed:
-                    claimed.add(h)
-                    taken[eid] = h
-                    break
-        return taken
+    * a deletion-node candidate with more incident host edges, by type and
+      direction, than the rule node is rejected (it still counts as free);
+    * a skip needs no more free candidates than same-typed nodes or
+      same-class edges still to come, so every leaf is locally complete;
+    * once the deletions are decided, :func:`dangling_node` checks them;
+    * with a non-empty ``best``, a branch whose size plus what it can still
+      bind is below the size of ``best`` is cut, so ties survive.
 
-    del_edges = claim(lg, sorted(deletions.edges))
-    pres_edges = claim(rg, sorted(creations.edges))
-    return del_edges, pres_edges
+    With ``greedy`` an element is skipped only when no candidate is free."""
+    base, lg, rg = eor.base, eor.maximal.lhs, eor.maximal.rhs
+    pd, pc = eor.potential_deletions, eor.potential_creations
+    elements = [(n, lg.nodes[n], True, True) for n in sorted(pd.nodes)]
+    elements += [(n, rg.nodes[n], False, True) for n in sorted(pc.nodes)]
+    n_nodes = len(elements)
+    elements += [(e, lg.edges[e], True, False) for e in sorted(pd.edges)]
+    boundary = len(elements)
+    elements += [(e, rg.edges[e], False, False) for e in sorted(pc.edges)]
 
-
-def _dangling_ok(
-    eor: EffectOrientedRule,
-    host: TypedGraph,
-    pm: PreMatch,
-    node_assign: Mapping[str, str],
-    del_edge_map: Mapping[str, str],
-) -> bool:
-    base = eor.base
-    deleted_hosts = {
-        node_assign[v] for v in base.lhs.nodes.keys() - base.interface.nodes.keys()
-    }
-    deleted_hosts.update(
-        node_assign[v] for v in eor.potential_deletions.nodes if v in node_assign
-    )
-    deleted_edges = {
-        pm.morphism.edge_map[e]
-        for e in base.lhs.edges.keys() - base.interface.edges.keys()
-    }
-    deleted_edges.update(del_edge_map.values())
-    return dangling_node(host, deleted_hosts, deleted_edges) is None
-
-
-def _assemble_result(
-    eor: EffectOrientedRule,
-    host: TypedGraph,
-    pm: PreMatch,
-    node_assign: Mapping[str, str],
-) -> MatchResult:
-    del_edge_map, pres_edge_map = _infer_edge_maps(eor, host, pm, node_assign)
-    selection = InducedSelection(
-        ElementSet(
-            frozenset(v for v in eor.potential_deletions.nodes if v in node_assign),
-            frozenset(del_edge_map),
-        ),
-        ElementSet(
-            frozenset(v for v in eor.potential_creations.nodes if v in node_assign),
-            frozenset(pres_edge_map),
-        ),
-    )
-    induced = build_induced_rule(eor, selection)
-    lhs = induced.rule.lhs
-    node_map = {v: node_assign[v] for v in lhs.nodes}
+    node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
-    edge_map.update(del_edge_map)
-    edge_map.update(pres_edge_map)
-    match = Morphism(lhs, host, node_map, edge_map)
-    return MatchResult(induced=induced, match=match, base_prematch=pm)
+    used_nodes, used_edges = set(node_map.values()), set(edge_map.values())
+    kept = base.interface
+    del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
+    del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
+    rule_profiles = {n: _profile(lg, n) for n in pd.nodes}
+
+    def key_of(i: int):
+        # A node's type, a bindable edge's host class, or None.  A valid rule's
+        # sides share only interface ids: mapped means bound on the edge's side.
+        _, item, _, is_node = elements[i]
+        if is_node:
+            return item
+        src, tgt = node_map.get(item.src), node_map.get(item.tgt)
+        return None if src is None or tgt is None else (item.type, src, tgt)
+
+    def can_grow(i: int) -> int:
+        """At most how many elements from ``i`` on can still be bound: all but
+        the bindable edges whose host class has no free edge left."""
+        count = len(elements) - i
+        for j in range(max(i, n_nodes), len(elements)):
+            key = key_of(j)
+            if key and used_edges.issuperset(host.edge_classes.get(key, ())):
+                count -= 1
+        return count
+
+    def place(place, i: int, size: int) -> Iterator[_Leaf]:
+        if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
+            return
+        if i == len(elements):
+            keys = node_map.keys(), edge_map.keys()
+            selection = InducedSelection(
+                ElementSet(pd.nodes & keys[0], pd.edges & keys[1]),
+                ElementSet(pc.nodes & keys[0], pc.edges & keys[1]),
+            )
+            yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
+            return
+        if best and size + can_grow(i) < best[0].selection.size:
+            return
+        xid, _, deleting, is_node = elements[i]
+        key = key_of(i)  # None has no candidates: the edge is skipped
+        index, images, used, deleted = (
+            (host.nodes_by_type, node_map, used_nodes, del_nodes)
+            if is_node
+            else (host.edge_classes, edge_map, used_edges, del_edges)
+        )
+        free = 0
+        for x in index.get(key, ()):
+            if x in used:
+                continue
+            free += 1
+            if deleting and is_node and not _profile(host, x) <= rule_profiles[xid]:
+                stats.backtracks += 1
+                continue
+            images[xid] = x
+            used.add(x)
+            if deleting:
+                deleted.add(x)
+            found = False
+            for leaf in place(place, i + 1, size + 1):
+                found = True
+                yield leaf
+            deleted.discard(x)
+            used.discard(x)
+            del images[xid]
+            if not found:
+                stats.backtracks += 1
+        later = range(i + 1, len(elements))
+        if free == 0 or (not greedy and free <= sum(key_of(j) == key for j in later)):
+            yield from place(place, i + 1, size)
+
+    # Recursing through an argument, not a closure cell, leaves no cycle, so
+    # the search state is freed as soon as the caller drops the generator.
+    return place(place, 0, 0)
+
+
+def _built(
+    eor: EffectOrientedRule, host: TypedGraph, leaves: Iterable[_Leaf]
+) -> list[MatchResult]:
+    """The results of ``leaves``, sorted; each induced rule is built once."""
+    rules: dict[InducedSelection, InducedRule] = {}
+    out = []
+    for leaf in leaves:
+        sel = leaf.selection
+        induced = rules.get(sel) or rules.setdefault(sel, build_induced_rule(eor, sel))
+        match = Morphism(induced.rule.lhs, host, leaf.node_map, leaf.edge_map)
+        out.append(MatchResult(induced, match, leaf.pm))
+    return sorted(out, key=MatchResult.sort_key)
+
+
+def _largest(
+    eor: EffectOrientedRule, host: TypedGraph, pms: Iterable[PreMatch]
+) -> list[MatchResult]:
+    """The largest matches over ``pms``, by branch and bound: one incumbent
+    prunes the searches of every pre-match."""
+    best: list[_Leaf] = []
+    for pm in pms:
+        for leaf in _leaves(eor, host, pm, MatchStats(), best=best):
+            if not best or leaf.selection.size > best[0].selection.size:
+                best[:] = [leaf]
+            elif leaf.selection.size == best[0].selection.size:
+                best.append(leaf)
+    return _built(eor, host, best)
 
 
 def find_locally_complete(
@@ -197,75 +272,29 @@ def find_locally_complete(
     pm: PreMatch,
     stats: MatchStats | None = None,
 ) -> MatchResult | None:
-    """Depth-first search for a locally complete match extending ``pm``.
+    """A locally complete match extending ``pm`` that admits a
+    transformation, or ``None`` when there is none.
 
-    Unbound potential deletion nodes are processed first, then potential
-    creation nodes, each side in ascending id order.  A candidate host node
-    must have the right type and be unused by the current binding.  A node
-    is skipped exactly when it has no candidate.  The dangling-edge check
-    runs once the last unbound node is resolved; on failure the current
-    candidate is undone (counted in ``stats.backtracks``) and the next one
-    is tried.  Exhaustion falls back to the brute-force search, so the
-    result is ``None`` exactly when no locally complete match compatible
-    with ``pm`` admits a transformation.
-    """
+    The first match of a pass that skips an element only when no candidate
+    is free is returned.  That pass misses matches that skip on purpose (a
+    deletion node whose candidates all dangle until a same-typed creation
+    node reuses one, say), so if it finds nothing the least match of the
+    full search by :meth:`MatchResult.sort_key` is returned."""
     validate_prematch(eor, host, pm)
-    if stats is None:
-        stats = MatchStats()
+    stats = MatchStats() if stats is None else stats
+    leaf = next(_leaves(eor, host, pm, stats, greedy=True), None)
+    if leaf is None:
+        leaf = min(_leaves(eor, host, pm, stats), key=_Leaf.sort_key, default=None)
+    return None if leaf is None else _built(eor, host, [leaf])[0]
 
-    del_nodes = sorted(eor.potential_deletions.nodes)
-    cre_nodes = sorted(eor.potential_creations.nodes)
-    unbound = del_nodes + cre_nodes
-    node_types = {
-        **{n: eor.maximal.lhs.nodes[n] for n in del_nodes},
-        **{n: eor.maximal.rhs.nodes[n] for n in cre_nodes},
-    }
 
-    node_assign: dict[str, str] = dict(pm.morphism.node_map)
-    used = set(node_assign.values())
-
-    def leaf_ok() -> bool:
-        del_edge_map, _ = _infer_edge_maps(eor, host, pm, node_assign)
-        return _dangling_ok(eor, host, pm, node_assign, del_edge_map)
-
-    def extend(position: int) -> bool:
-        n = unbound[position]
-        # Filtered lazily, so a success does not scan the whole type bucket;
-        # each failed branch restores ``used`` before the next candidate.
-        candidates = (
-            x for x in host.nodes_by_type.get(node_types[n], ()) if x not in used
-        )
-        first = next(candidates, None)
-        if first is not None:
-            for x in itertools.chain((first,), candidates):
-                node_assign[n] = x
-                used.add(x)
-                if position == len(unbound) - 1:
-                    if leaf_ok():
-                        return True
-                    del node_assign[n]
-                    used.discard(x)
-                    stats.backtracks += 1
-                else:
-                    if extend(position + 1):
-                        return True
-                    del node_assign[n]
-                    used.discard(x)
-                    stats.backtracks += 1
-            return False
-        if position == len(unbound) - 1:
-            return leaf_ok()
-        return extend(position + 1)
-
-    if (extend(0) if unbound else leaf_ok()):
-        return _assemble_result(eor, host, pm, node_assign)
-    # The depth-first search only skips a node while it has no candidate, so
-    # it can exhaust without noticing a completion whose reuse choices free
-    # the way (all of a deletion node's candidates dangle, say, until a
-    # same-typed creation node absorbs them).  Fall back to the exhaustive
-    # search so that an absent result really means no match exists.
-    complete = oracle_locally_complete(eor, host, pm)
-    return complete[0] if complete else None
+def find_all_locally_complete(
+    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch
+) -> list[MatchResult]:
+    """Every locally complete match extending ``pm`` that admits a
+    transformation, in :meth:`MatchResult.sort_key` order."""
+    validate_prematch(eor, host, pm)
+    return _built(eor, host, _leaves(eor, host, pm, MatchStats()))
 
 
 def is_locally_complete(
@@ -323,63 +352,18 @@ def is_locally_complete(
     return True
 
 
-def rule_applicable(rule: Rule, host: TypedGraph, match: Morphism) -> bool:
-    """Whether deleting along ``match`` leaves no dangling host edge.
-
-    Asks :func:`dangling_node` directly rather than catching the exception
-    of :func:`deleted_images`: the brute-force search calls this once per
-    candidate match, and most candidates dangle."""
-    kept_nodes, kept_edges = rule.interface.nodes, rule.interface.edges
-    nodes = [match.node_map[v] for v in rule.lhs.nodes if v not in kept_nodes]
-    edges = {match.edge_map[e] for e in rule.lhs.edges if e not in kept_edges}
-    return dangling_node(host, nodes, edges) is None
-
-
-def oracle_locally_complete(
-    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch
-) -> list[MatchResult]:
-    """Every locally complete match compatible with ``pm``, by brute force.
-
-    Enumerates all selections, all compatible matches of each induced rule,
-    and keeps exactly the applicable ones that pass
-    :func:`is_locally_complete`.  Exhaustive and deterministic; intended for
-    desk-scale hosts."""
-    validate_prematch(eor, host, pm)
-    results: list[MatchResult] = []
-    base_maps = (pm.morphism.node_map, pm.morphism.edge_map)
-    for sel in enumerate_selections(eor, "none"):
-        induced = build_induced_rule(eor, sel)
-        for m in find_injective_extensions(induced.rule.lhs, host, base_maps):
-            if not rule_applicable(induced.rule, host, m):
-                continue
-            mr = MatchResult(induced=induced, match=m, base_prematch=pm)
-            if is_locally_complete(eor, host, pm, mr):
-                results.append(mr)
-    results.sort(key=MatchResult.sort_key)
-    return results
-
-
 def find_locally_maximal(
     eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch
 ) -> list[MatchResult]:
-    """The locally complete matches of maximal induced-rule size for ``pm``."""
-    complete = oracle_locally_complete(eor, host, pm)
-    if not complete:
-        return []
-    best = max(mr.induced.size for mr in complete)
-    return [mr for mr in complete if mr.induced.size == best]
+    """The locally complete matches of maximal induced-rule size for ``pm``,
+    in :meth:`MatchResult.sort_key` order."""
+    validate_prematch(eor, host, pm)
+    return _largest(eor, host, [pm])
 
 
 def find_globally_maximal(
     eor: EffectOrientedRule, host: TypedGraph
 ) -> list[MatchResult]:
-    """The locally complete matches of maximal size over all pre-matches."""
-    collected: list[MatchResult] = []
-    for pm in find_base_prematches(eor, host):
-        collected.extend(oracle_locally_complete(eor, host, pm))
-    if not collected:
-        return []
-    best = max(mr.induced.size for mr in collected)
-    out = [mr for mr in collected if mr.induced.size == best]
-    out.sort(key=MatchResult.sort_key)
-    return out
+    """The locally complete matches of maximal size over all pre-matches,
+    in :meth:`MatchResult.sort_key` order."""
+    return _largest(eor, host, find_base_prematches(eor, host))

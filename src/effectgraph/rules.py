@@ -317,7 +317,7 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
                 if n in phi:
                     node_names[n] = phi[n]
                     continue
-                new = fresh_id(n, taken)
+                new = fresh_id(n, taken.__contains__)
                 taken.add(new)
                 nodes[new] = n_graph.nodes[n]
                 node_names[n] = new
@@ -332,7 +332,7 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
                 if src is None or tgt is None:
                     ok = False
                     break
-                new = fresh_id(eid, taken)
+                new = fresh_id(eid, taken.__contains__)
                 taken.add(new)
                 edges[new] = Edge(e.type, src, tgt)
             if not ok:
@@ -409,9 +409,8 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
 
     The match must be a total injective morphism from the rule's lhs that
     satisfies all NACs; deletion must not leave dangling edges.  Created
-    elements receive ids of the form ``ruleElementId#k`` with the smallest
-    ``k >= 1`` that is unused, so outputs are reproducible.  Finding ``k``
-    probes ``k`` ids, by design.
+    elements receive the :func:`fresh_id` ids ``ruleElementId#k`` (smallest
+    free ``k``, probing ``k`` ids), so outputs are reproducible.
 
     The output is derived from ``g`` as a delta, so a step costs
     O(|L| + |R|) plus C-level copies of the host's element dicts, however
@@ -445,20 +444,14 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
             or x in created_edges
         )
 
-    def fresh(rid: str) -> str:
-        k = 1
-        while taken(f"{rid}#{k}"):
-            k += 1
-        return f"{rid}#{k}"
-
     comatch_nodes = {n: m.node_map[n] for n in r.interface.nodes}
     for rid in sorted(r.rhs.nodes.keys() - r.interface.nodes.keys()):
-        new = fresh(rid)
+        new = fresh_id(rid, taken)
         created_nodes[new] = r.rhs.nodes[rid]
         comatch_nodes[rid] = new
     comatch_edges = {e: m.edge_map[e] for e in r.interface.edges}
     for rid in sorted(r.rhs.edges.keys() - r.interface.edges.keys()):
-        new = fresh(rid)
+        new = fresh_id(rid, taken)
         e = r.rhs.edges[rid]
         created_edges[new] = Edge(e.type, comatch_nodes[e.src], comatch_nodes[e.tgt])
         comatch_edges[rid] = new

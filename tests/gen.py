@@ -25,7 +25,8 @@ from effectgraph import (
     find_base_prematches,
     shift_nacs,
 )
-from effectgraph.matching import rule_applicable
+
+from oracles import rule_applicable
 
 
 def random_type_graph(

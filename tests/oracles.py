@@ -2,9 +2,11 @@
 
 None of these is used by the library itself.  ``pushout`` (with its ``~k``
 ids) is the independent gluing that ``apply_rule`` is round-tripped
-through, ``is_isomorphic`` compares graphs up to renaming, and
+through, ``is_isomorphic`` compares graphs up to renaming,
 ``enumerate_typed_graphs`` with ``bounded_nac_sets_equivalent`` decides
-application-condition questions by brute force over every small host.
+application-condition questions by brute force over every small host, and
+``oracle_locally_complete`` finds every locally complete match by brute
+force over every selection of an effect-oriented rule.
 """
 
 from __future__ import annotations
@@ -19,10 +21,21 @@ from effectgraph.core import (
     TypeGraph,
     TypedGraph,
     check_morphism,
+    dangling_node,
     find_injective_extensions,
-    fresh_id,
 )
-from effectgraph.rules import Nac, satisfies_nacs
+from effectgraph.effect import (
+    EffectOrientedRule,
+    build_induced_rule,
+    enumerate_selections,
+)
+from effectgraph.matching import (
+    MatchResult,
+    PreMatch,
+    is_locally_complete,
+    validate_prematch,
+)
+from effectgraph.rules import Nac, Rule, satisfies_nacs
 
 
 def induced(
@@ -87,6 +100,17 @@ def is_isomorphic(a: TypedGraph, b: TypedGraph) -> bool:
     return next(iter(find_injective_extensions(a, b)), None) is not None
 
 
+def _tilde_id(base: str, taken: set[str]) -> str:
+    """``base`` if unused, otherwise the first free ``base~k`` with k >= 1:
+    the pushout's own naming, independent of the engine's ``#k`` ids."""
+    if base not in taken:
+        return base
+    k = 1
+    while f"{base}~{k}" in taken:
+        k += 1
+    return f"{base}~{k}"
+
+
 def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
     """The pushout of injective ``f: A -> B`` and ``g: A -> C``.
 
@@ -115,7 +139,7 @@ def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
         if cid in g_node_inv:
             in_c_nodes[cid] = f.node_map[g_node_inv[cid]]
         else:
-            new = fresh_id(cid, taken)
+            new = _tilde_id(cid, taken)
             taken.add(new)
             nodes[new] = c.nodes[cid]
             in_c_nodes[cid] = new
@@ -124,7 +148,7 @@ def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
         if cid in g_edge_inv:
             in_c_edges[cid] = f.edge_map[g_edge_inv[cid]]
         else:
-            new = fresh_id(cid, taken)
+            new = _tilde_id(cid, taken)
             taken.add(new)
             e = c.edges[cid]
             edges[new] = Edge(e.type, in_c_nodes[e.src], in_c_nodes[e.tgt])
@@ -185,3 +209,39 @@ def bounded_nac_sets_equivalent(
             if satisfies_nacs(m, first) != satisfies_nacs(m, second):
                 return False
     return True
+
+
+def rule_applicable(rule: Rule, host: TypedGraph, match: Morphism) -> bool:
+    """Whether deleting along ``match`` leaves no dangling host edge.
+
+    Asks :func:`dangling_node` directly rather than catching the exception
+    of :func:`deleted_images`: the brute-force search calls this once per
+    candidate match, and most candidates dangle."""
+    kept_nodes, kept_edges = rule.interface.nodes, rule.interface.edges
+    nodes = [match.node_map[v] for v in rule.lhs.nodes if v not in kept_nodes]
+    edges = {match.edge_map[e] for e in rule.lhs.edges if e not in kept_edges}
+    return dangling_node(host, nodes, edges) is None
+
+
+def oracle_locally_complete(
+    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch
+) -> list[MatchResult]:
+    """Every locally complete match compatible with ``pm``, by brute force.
+
+    Enumerates all selections, all compatible matches of each induced rule,
+    and keeps exactly the applicable ones that pass
+    :func:`is_locally_complete`.  Exhaustive and deterministic; intended for
+    desk-scale hosts."""
+    validate_prematch(eor, host, pm)
+    results: list[MatchResult] = []
+    base_maps = (pm.morphism.node_map, pm.morphism.edge_map)
+    for sel in enumerate_selections(eor, "none"):
+        induced = build_induced_rule(eor, sel)
+        for m in find_injective_extensions(induced.rule.lhs, host, base_maps):
+            if not rule_applicable(induced.rule, host, m):
+                continue
+            mr = MatchResult(induced=induced, match=m, base_prematch=pm)
+            if is_locally_complete(eor, host, pm, mr):
+                results.append(mr)
+    results.sort(key=MatchResult.sort_key)
+    return results

@@ -32,7 +32,6 @@ from effectgraph import (
     find_injective_extensions,
     find_locally_complete,
     find_locally_maximal,
-    oracle_locally_complete,
     prematch_from_maps,
     satisfies_nacs,
     shift_nacs,
@@ -46,7 +45,12 @@ from effectgraph.fixtures import (
     ensure_no_account_rule,
     shared_accounts_graph,
 )
-from oracles import enumerate_typed_graphs, is_isomorphic, pushout
+from oracles import (
+    enumerate_typed_graphs,
+    is_isomorphic,
+    oracle_locally_complete,
+    pushout,
+)
 
 
 @contextmanager

@@ -307,9 +307,10 @@ def test_empty_pattern_has_exactly_the_empty_morphism():
 
 
 def test_fresh_id_picks_smallest_free_suffix():
-    assert fresh_id("x", set()) == "x"
-    assert fresh_id("x", {"x"}) == "x~1"
-    assert fresh_id("x", {"x", "x~1", "x~2"}) == "x~3"
+    assert fresh_id("x", set().__contains__) == "x#1"
+    assert fresh_id("x", {"x"}.__contains__) == "x#1"
+    assert fresh_id("x", {"x", "x#1", "x#2"}.__contains__) == "x#3"
+    assert fresh_id("x", {"x#2"}.__contains__) == "x#1"
 
 
 def test_graph_union_merges_overlapping_id_subgraphs():

@@ -10,6 +10,7 @@ from effectgraph import (
     Edge,
     EdgeType,
     EffectOrientedRule,
+    EffectTransformation,
     ElementSet,
     InducedSelection,
     MatchResult,
@@ -20,9 +21,11 @@ from effectgraph import (
     Rule,
     TypeGraph,
     TypedGraph,
+    audit_effect,
     build_induced_rule,
     compose,
     enumerate_selections,
+    find_all_locally_complete,
     find_base_prematches,
     find_globally_maximal,
     find_injective_extensions,
@@ -30,7 +33,6 @@ from effectgraph import (
     find_locally_maximal,
     is_compatible,
     is_locally_complete,
-    oracle_locally_complete,
     satisfies_nacs,
     validate_selection,
 )
@@ -42,11 +44,12 @@ from effectgraph.fixtures import (
     ensure_no_account_rule,
     shared_accounts_graph,
 )
-from effectgraph.matching import rule_applicable, validate_prematch
+from effectgraph.matching import validate_prematch
 from effectgraph.rules import apply_rule
+from effectgraph.semantics import GLOBALLY_MAXIMAL, LOCALLY_COMPLETE, LOCALLY_MAXIMAL
 
 from gen import instances, random_graph
-from oracles import induced, restricted
+from oracles import induced, oracle_locally_complete, restricted, rule_applicable
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -328,6 +331,31 @@ def test_backtracking_scenario_deletes_the_unshared_account():
     assert [r.match.node_map["a"] for r in results] == ["a4"]
 
 
+def test_teardown_backtracks_stay_linear_in_the_host():
+    """Every account of a 200-client bank is owned by the bank, so no
+    teardown can delete one; the search must see that from each account's
+    incident edges instead of trying its bindings one by one."""
+    n = 200
+    nodes = {"b": "Bank"}
+    edges = {}
+    for i in range(n):
+        c, a, p = f"c{i}", f"a{i}", f"p{i}"
+        nodes[c], nodes[a] = "Client", "Account"
+        edges[f"accounts_{c}_{a}"] = Edge("accounts", c, a)
+        edges[f"owns_account_b_{a}"] = Edge("owns_account", "b", a)
+        if i % 2 == 0:
+            nodes[p] = "Portfolio"
+            edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
+            edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
+            edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
+    host = TypedGraph(banking_type_graph(), nodes, edges)
+    teardown = ensure_no_account_rule()
+    stats = MatchStats()
+    pm = prematch_at(teardown, host, "c0")
+    assert find_locally_complete(teardown, host, pm, stats) is None
+    assert stats.backtracks <= 4 * n
+
+
 ABSORB_TG = TypeGraph(
     "absorb",
     frozenset({"Client", "Account"}),
@@ -540,6 +568,63 @@ def test_no_deletion_nodes_means_no_backtracking(seed):
         mr = find_locally_complete(eor, host, pm, stats)
         assert stats.backtracks == 0
         assert mr is not None
+
+
+def _keys(results) -> list[tuple]:
+    return [mr.sort_key() for mr in results]
+
+
+def test_every_strategy_equals_the_brute_force_oracle():
+    """List for list: all locally complete matches and the locally maximal
+    ones (the oracle's of the best size) on 100 instances per seed, and the
+    globally maximal ones (the best size over the oracle's lists of every
+    pre-match) on the first 30, whose pre-matches number in the hundreds."""
+    parallel = 0
+    for seed in (1105, 1010, 4711, 5150):
+        for k, (eor, host, pm) in enumerate(instances(seed, 100)):
+            oracle = oracle_locally_complete(eor, host, pm)
+            assert _keys(find_all_locally_complete(eor, host, pm)) == _keys(oracle)
+            best = max((mr.induced.size for mr in oracle), default=None)
+            assert _keys(find_locally_maximal(eor, host, pm)) == _keys(
+                mr for mr in oracle if mr.induced.size == best
+            )
+            for mr in oracle:
+                for eid, h in mr.match.edge_map.items():
+                    e = host.edges[h]
+                    siblings = host.edge_classes[(e.type, e.src, e.tgt)]
+                    parallel += eid not in pm.morphism.edge_map and len(siblings) > 1
+            if k >= 30:
+                continue
+            union = [
+                mr
+                for other in find_base_prematches(eor, host)
+                for mr in oracle_locally_complete(eor, host, other)
+            ]
+            top = max((mr.induced.size for mr in union), default=None)
+            assert _keys(find_globally_maximal(eor, host)) == sorted(
+                _keys(mr for mr in union if mr.induced.size == top)
+            )
+    # Some matches bind a potential edge among parallel host edges.
+    assert parallel > 0
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6))
+def test_every_strategy_result_passes_the_audit(seed):
+    for eor, host, pm in instances(seed, 2):
+        found = find_locally_complete(eor, host, pm)
+        for strategy, results in (
+            (LOCALLY_COMPLETE, [found] if found is not None else []),
+            (LOCALLY_MAXIMAL, find_locally_maximal(eor, host, pm)),
+            (GLOBALLY_MAXIMAL, find_globally_maximal(eor, host)),
+        ):
+            for mr in results:
+                record = apply_rule(mr.induced.rule, host, mr.match)
+                audit_effect(
+                    EffectTransformation(
+                        eor, strategy, record, mr.induced.selection, mr.base_prematch
+                    )
+                )
 
 
 def test_search_results_are_deterministic():
