@@ -634,7 +634,9 @@ def find_injective_extensions(
         classes = sorted(pattern_classes)
         claimed = set(edge_map.values())
 
-        def per_class(idx: int, acc: dict[str, str]) -> Iterator[dict[str, str]]:
+        def per_class(
+            per_class, idx: int, acc: dict[str, str]
+        ) -> Iterator[dict[str, str]]:
             if idx == len(classes):
                 yield dict(acc)
                 return
@@ -642,7 +644,7 @@ def find_injective_extensions(
             etype, ps, pt = cls
             remaining = [e for e in pattern_classes[cls] if e not in edge_map]
             if not remaining:
-                yield from per_class(idx + 1, acc)
+                yield from per_class(per_class, idx + 1, acc)
                 return
             candidates = [
                 h
@@ -657,14 +659,17 @@ def find_injective_extensions(
                 for e, h in zip(remaining, combo):
                     acc[e] = h
                     claimed.add(h)
-                yield from per_class(idx + 1, acc)
+                yield from per_class(per_class, idx + 1, acc)
                 for e, h in zip(remaining, combo):
                     del acc[e]
                     claimed.discard(h)
 
-        yield from per_class(0, dict(edge_map))
+        yield from per_class(per_class, 0, dict(edge_map))
 
-    def assign_nodes(pos: int) -> Iterator[Morphism]:
+    # ``assign_nodes`` and ``per_class`` call themselves through an argument,
+    # not a closure cell, so a finished or dropped stream leaves no cycle for
+    # the collector.
+    def assign_nodes(assign_nodes, pos: int) -> Iterator[Morphism]:
         if pos == len(free_nodes):
             for emap in assign_edges():
                 yield Morphism(pattern, host, dict(node_map), emap)
@@ -676,11 +681,11 @@ def find_injective_extensions(
             node_map[v] = x
             used.add(x)
             if all(class_feasible(cls) for cls in touching[v]):
-                yield from assign_nodes(pos + 1)
+                yield from assign_nodes(assign_nodes, pos + 1)
             del node_map[v]
             used.discard(x)
 
-    return assign_nodes(0)
+    return assign_nodes(assign_nodes, 0)
 
 
 def dangling_node(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
+    Edge,
     EffectGraphError,
     ElementSet,
     Morphism,
@@ -62,11 +63,14 @@ class MatchResult:
 
 @dataclass
 class MatchStats:
-    """Counters filled in by :func:`find_locally_complete`.
+    """Counters filled in by :func:`find_locally_complete`,
+    :func:`find_locally_maximal` and :func:`find_globally_maximal`.
 
     ``backtracks`` counts rejected candidates: host elements given up for a
     potential element, either up front (a node whose incident edges the
-    deletion could never all remove) or after the search below them failed."""
+    deletion could never all remove) or after the search below them failed.
+    Candidates that a maximal search cuts by its bound without binding them
+    are not counted."""
 
     backtracks: int = 0
 
@@ -119,6 +123,22 @@ class _Leaf(NamedTuple):
         return self.selection.sort_key() + tuple(tuple(sorted(m)) for m in maps)
 
 
+class _Best:
+    """The incumbent of a branch and bound: every leaf of the largest size
+    offered so far, and that size (-1 before the first leaf)."""
+
+    def __init__(self) -> None:
+        self.size = -1
+        self.leaves: list[_Leaf] = []
+
+    def offer(self, leaf: _Leaf) -> None:
+        size = leaf.selection.size
+        if size > self.size:
+            self.size, self.leaves = size, [leaf]
+        elif size == self.size:
+            self.leaves.append(leaf)
+
+
 def _profile(g: TypedGraph, node: str) -> Counter:
     """The edges incident to ``node``, counted by type and direction."""
     edges = map(g.edges.__getitem__, g.incidence[node])
@@ -131,7 +151,7 @@ def _leaves(
     pm: PreMatch,
     stats: MatchStats,
     greedy: bool = False,
-    best: list[_Leaf] | None = None,
+    best: _Best | None = None,
 ) -> Iterator[_Leaf]:
     """The effect-matching search: lazily, every locally complete match
     extending ``pm`` that admits a transformation.
@@ -147,8 +167,17 @@ def _leaves(
     * a skip needs no more free candidates than same-typed nodes or
       same-class edges still to come, so every leaf is locally complete;
     * once the deletions are decided, :func:`dangling_node` checks them;
-    * with a non-empty ``best``, a branch whose size plus what it can still
-      bind is below the size of ``best`` is cut, so ties survive.
+    * with an incumbent ``best``, a branch whose size plus what it can
+      still bind is below the incumbent's size is cut, so ties survive.
+
+    With an incumbent, a potential node ``v`` without a potential self-loop
+    first tries its supported candidates: those joined by a free host edge
+    to the image of an already bound node ``u``, with the type and
+    direction of a potential edge between ``v`` and ``u`` (an anchored
+    edge).  The other candidates leave every anchored edge without a free
+    host edge, so they share one bound, what ``v`` can bind unbound minus
+    the anchored edges; once it is below the incumbent they are cut
+    together, still counted as free.
 
     With ``greedy`` an element is skipped only when no candidate is free."""
     base, lg, rg = eor.base, eor.maximal.lhs, eor.maximal.rhs
@@ -167,6 +196,18 @@ def _leaves(
     del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
     del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
     rule_profiles = {n: _profile(lg, n) for n in pd.nodes}
+    # Each potential node's potential edges to other nodes, with the other
+    # end; a node with a potential self-loop has no entry.  A valid rule's
+    # sides share only interface ids, so the edges are on the node's side.
+    adjacent: dict[str, list[tuple[Edge, str]]] = {
+        v: [] for v, *_ in elements[:n_nodes]
+    }
+    for _, e, _, _ in elements[n_nodes:]:
+        if e.src == e.tgt:
+            adjacent.pop(e.src, None)
+        for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
+            if v in adjacent:
+                adjacent[v].append((e, u))
 
     def key_of(i: int):
         # A node's type, a bindable edge's host class, or None.  A valid rule's
@@ -187,6 +228,25 @@ def _leaves(
                 count -= 1
         return count
 
+    def supported_first(i: int, size: int) -> tuple[list[str], int, int]:
+        """The free candidates of node element ``i``, supported ones first,
+        how many are supported, and the bound the others share."""
+        v, ntype = elements[i][:2]
+        anchored = [(e, node_map[u]) for e, u in adjacent[v] if u in node_map]
+        supported = set()
+        for e, y in anchored:
+            outgoing = e.src == v
+            for h in host.incidence[y]:
+                he = host.edges[h]
+                if he.type == e.type and h not in used_edges:
+                    x, end = (he.src, he.tgt) if outgoing else (he.tgt, he.src)
+                    if end == y:
+                        supported.add(x)
+        bucket = host.nodes_by_type.get(ntype, ())
+        front = [x for x in bucket if x in supported and x not in used_nodes]
+        rest = [x for x in bucket if x not in supported and x not in used_nodes]
+        return front + rest, len(front), size + 1 + can_grow(i + 1) - len(anchored)
+
     def place(place, i: int, size: int) -> Iterator[_Leaf]:
         if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
             return
@@ -198,7 +258,7 @@ def _leaves(
             )
             yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
             return
-        if best and size + can_grow(i) < best[0].selection.size:
+        if best is not None and size + can_grow(i) < best.size:
             return
         xid, _, deleting, is_node = elements[i]
         key = key_of(i)  # None has no candidates: the edge is skipped
@@ -207,11 +267,17 @@ def _leaves(
             if is_node
             else (host.edge_classes, edge_map, used_edges, del_edges)
         )
+        candidates = index.get(key, ())
+        first, shared = len(candidates), 0  # from ``first`` on, bounded by ``shared``
+        if best is not None and is_node and xid in adjacent:
+            candidates, first, shared = supported_first(i, size)
         free = 0
-        for x in index.get(key, ()):
+        for k, x in enumerate(candidates):
             if x in used:
                 continue
             free += 1
+            if k >= first and shared < best.size:
+                continue  # cut untried, but free all the same
             if deleting and is_node and not _profile(host, x) <= rule_profiles[xid]:
                 stats.backtracks += 1
                 continue
@@ -252,18 +318,19 @@ def _built(
 
 
 def _largest(
-    eor: EffectOrientedRule, host: TypedGraph, pms: Iterable[PreMatch]
+    eor: EffectOrientedRule,
+    host: TypedGraph,
+    pms: Iterable[PreMatch],
+    stats: MatchStats | None,
 ) -> list[MatchResult]:
     """The largest matches over ``pms``, by branch and bound: one incumbent
     prunes the searches of every pre-match."""
-    best: list[_Leaf] = []
+    stats = MatchStats() if stats is None else stats
+    best = _Best()
     for pm in pms:
-        for leaf in _leaves(eor, host, pm, MatchStats(), best=best):
-            if not best or leaf.selection.size > best[0].selection.size:
-                best[:] = [leaf]
-            elif leaf.selection.size == best[0].selection.size:
-                best.append(leaf)
-    return _built(eor, host, best)
+        for leaf in _leaves(eor, host, pm, stats, best=best):
+            best.offer(leaf)
+    return _built(eor, host, best.leaves)
 
 
 def find_locally_complete(
@@ -353,17 +420,22 @@ def is_locally_complete(
 
 
 def find_locally_maximal(
-    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch
+    eor: EffectOrientedRule,
+    host: TypedGraph,
+    pm: PreMatch,
+    stats: MatchStats | None = None,
 ) -> list[MatchResult]:
     """The locally complete matches of maximal induced-rule size for ``pm``,
     in :meth:`MatchResult.sort_key` order."""
     validate_prematch(eor, host, pm)
-    return _largest(eor, host, [pm])
+    return _largest(eor, host, [pm], stats)
 
 
 def find_globally_maximal(
-    eor: EffectOrientedRule, host: TypedGraph
+    eor: EffectOrientedRule,
+    host: TypedGraph,
+    stats: MatchStats | None = None,
 ) -> list[MatchResult]:
     """The locally complete matches of maximal size over all pre-matches,
     in :meth:`MatchResult.sort_key` order."""
-    return _largest(eor, host, find_base_prematches(eor, host))
+    return _largest(eor, host, find_base_prematches(eor, host), stats)

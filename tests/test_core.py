@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -25,6 +26,7 @@ from effectgraph import (
     validate_graph,
 )
 from effectgraph.core import fresh_id, same_maps
+from effectgraph.fixtures import bank_graph, ensure_account_rule
 
 from gen import grow, random_graph, random_type_graph
 from oracles import enumerate_typed_graphs, graph_union, induced, is_isomorphic, pushout
@@ -238,6 +240,23 @@ def test_find_injective_extensions_is_deterministic():
     first = [(m.node_map, m.edge_map) for m in find_injective_extensions(pattern, host)]
     second = [(m.node_map, m.edge_map) for m in find_injective_extensions(pattern, host)]
     assert first == second
+
+
+def test_find_injective_extensions_leaves_no_garbage_cycles():
+    """Finished and dropped streams are freed by reference counting alone."""
+    client = ensure_account_rule().base.lhs
+    held = client.with_elements({"a": "Account"}, {"e": Edge("accounts", "c", "a")})
+    host = bank_graph()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            for pattern in (client, held):
+                assert list(find_injective_extensions(pattern, host))
+                next(find_injective_extensions(pattern, host))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _as_networkx(g: TypedGraph, nx):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,11 +332,9 @@ def test_backtracking_scenario_deletes_the_unshared_account():
     assert [r.match.node_map["a"] for r in results] == ["a4"]
 
 
-def test_teardown_backtracks_stay_linear_in_the_host():
-    """Every account of a 200-client bank is owned by the bank, so no
-    teardown can delete one; the search must see that from each account's
-    incident edges instead of trying its bindings one by one."""
-    n = 200
+def owned_bank(n: int) -> TypedGraph:
+    """A bank whose ``n`` clients each hold one account, owned by the bank;
+    the accounts of the even clients are backed by a portfolio."""
     nodes = {"b": "Bank"}
     edges = {}
     for i in range(n):
@@ -348,11 +347,51 @@ def test_teardown_backtracks_stay_linear_in_the_host():
             edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
             edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
             edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
-    host = TypedGraph(banking_type_graph(), nodes, edges)
+    return TypedGraph(banking_type_graph(), nodes, edges)
+
+
+def test_teardown_backtracks_stay_linear_in_the_host():
+    """Every account of a 200-client bank is owned by the bank, so no
+    teardown can delete one; the search must see that from each account's
+    incident edges instead of trying its bindings one by one."""
+    n = 200
+    host = owned_bank(n)
     teardown = ensure_no_account_rule()
     stats = MatchStats()
     pm = prematch_at(teardown, host, "c0")
     assert find_locally_complete(teardown, host, pm, stats) is None
+    assert stats.backtracks <= 4 * n
+
+
+def test_maximal_backtracks_follow_the_client_not_the_host():
+    """A maximal search binds the client's own account and portfolio
+    first; every other binding then shares one bound below the incumbent,
+    so it is cut without being tried."""
+    n = 200
+    host = owned_bank(n)
+    provision = ensure_account_rule()
+    stats = MatchStats()
+    backed = prematch_at(provision, host, "c0")
+    (mr,) = find_locally_maximal(provision, host, backed, stats)
+    assert mr.induced.size == 5
+    assert mr.match.node_map == {"c": "c0", "a": "a0", "p": "p0"}
+    assert stats.backtracks <= 10
+
+    # Without a portfolio of its own, the client ties over every account
+    # that can be reused with something: the search may give each account
+    # and portfolio up once.
+    stats = MatchStats()
+    unbacked = prematch_at(provision, host, "c1")
+    results = find_locally_maximal(provision, host, unbacked, stats)
+    assert {mr.induced.size for mr in results} == {3}
+    assert stats.backtracks <= len(host.nodes_by_type["Account"]) + len(
+        host.nodes_by_type["Portfolio"]
+    )
+
+    stats = MatchStats()
+    results = find_globally_maximal(provision, host, stats)
+    assert len(results) == n // 2
+    assert {mr.induced.size for mr in results} == {5}
     assert stats.backtracks <= 4 * n
 
 
@@ -606,6 +645,97 @@ def test_every_strategy_equals_the_brute_force_oracle():
             )
     # Some matches bind a potential edge among parallel host edges.
     assert parallel > 0
+
+
+LINKED_TG = TypeGraph(
+    "linked_banking",
+    banking_type_graph().node_types,
+    {**banking_type_graph().edge_types, "link": EdgeType("Account", "Account")},
+)
+
+
+def tie_bank(tg: TypeGraph, n: int, seed: int) -> TypedGraph:
+    """A seeded bank of ``n`` clients whose accounts and portfolios are
+    largely interchangeable, so maximal matches tie.
+
+    Each client holds up to two accounts.  Each account is, at random,
+    owned by the bank, held by a second client, backed by a portfolio (that
+    the client may or may not hold) and, over a type graph with ``link``,
+    linked to itself."""
+    rng = random.Random(seed)
+    nodes = {"b": "Bank"}
+    edges = {}
+    for i in range(n):
+        c = f"c{i}"
+        nodes[c] = "Client"
+        edges[f"owns_client_b_{c}"] = Edge("owns_client", "b", c)
+        for j in range(rng.randint(0, 2)):
+            a, p = f"a{i}_{j}", f"p{i}_{j}"
+            nodes[a] = "Account"
+            edges[f"accounts_{c}_{a}"] = Edge("accounts", c, a)
+            if rng.random() < 0.5:
+                edges[f"owns_account_b_{a}"] = Edge("owns_account", "b", a)
+            if i and rng.random() < 0.3:
+                other = f"c{rng.randrange(i)}"
+                edges[f"accounts_{other}_{a}"] = Edge("accounts", other, a)
+            if "link" in tg.edge_types and rng.random() < 0.5:
+                edges[f"link_{a}"] = Edge("link", a, a)
+            if rng.random() < 0.5:
+                nodes[p] = "Portfolio"
+                edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
+                if rng.random() < 0.7:
+                    edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
+    return TypedGraph(tg, nodes, edges)
+
+
+def linked_rules() -> tuple[EffectOrientedRule, EffectOrientedRule]:
+    """Two rules whose potential account has a potential self-loop: one
+    reuses or creates a linked account with a portfolio, the other deletes
+    a linked account where it can."""
+    client = TypedGraph(LINKED_TG, {"c": "Client"}, {})
+    linked = client.with_elements(
+        {"a": "Account"},
+        {"accounts_c_a": Edge("accounts", "c", "a"), "link_a": Edge("link", "a", "a")},
+    )
+    backed = linked.with_elements(
+        {"p": "Portfolio"},
+        {
+            "portfolio_a_p": Edge("portfolio", "a", "p"),
+            "portfolios_c_p": Edge("portfolios", "c", "p"),
+        },
+    )
+    identity = Rule(client, client, client)
+    return (
+        EffectOrientedRule.from_rules(identity, Rule(client, client, backed)),
+        EffectOrientedRule.from_rules(identity, Rule(linked, client, client)),
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_maximal_strategies_equal_the_oracle_on_tie_heavy_banks(seed):
+    """List for list against the brute-force oracle, for every client and
+    over all of them, on banks where many matches of the best size tie.
+    The rules cover reuse, deletion with the up-front rejection of
+    deletion candidates, and potential self-loops."""
+    rng = random.Random(seed)
+    rules = (ensure_account_rule(), ensure_no_account_rule(), *linked_rules())
+    ties = 0
+    for eor in rules:
+        n, bank_seed = rng.randint(6, 10), rng.randrange(1 << 30)
+        host = tie_bank(eor.base.lhs.type_graph, n, bank_seed)
+        union = []
+        for pm in find_base_prematches(eor, host):
+            oracle = oracle_locally_complete(eor, host, pm)
+            best = max((mr.induced.size for mr in oracle), default=None)
+            local = find_locally_maximal(eor, host, pm)
+            assert _keys(local) == _keys(mr for mr in oracle if mr.induced.size == best)
+            ties = max(ties, len(local))
+            union += oracle
+        top = max((mr.induced.size for mr in union), default=None)
+        assert _keys(find_globally_maximal(eor, host)) == sorted(
+            _keys(mr for mr in union if mr.induced.size == top)
+        )
+    assert ties > 1
 
 
 @settings(max_examples=40)
