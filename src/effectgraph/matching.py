@@ -170,14 +170,13 @@ def _leaves(
     * with an incumbent ``best``, a branch whose size plus what it can
       still bind is below the incumbent's size is cut, so ties survive.
 
-    With an incumbent, a potential node ``v`` without a potential self-loop
-    first tries its supported candidates: those joined by a free host edge
-    to the image of an already bound node ``u``, with the type and
-    direction of a potential edge between ``v`` and ``u`` (an anchored
-    edge).  The other candidates leave every anchored edge without a free
-    host edge, so they share one bound, what ``v`` can bind unbound minus
-    the anchored edges; once it is below the incumbent they are cut
-    together, still counted as free.
+    With an incumbent, a potential node ``v`` first tries its supported
+    candidates: those joined by a free host edge to the image of an already
+    bound node ``u``, with the type and direction of a potential edge
+    between ``v`` and ``u`` (an anchored edge).  The other candidates leave
+    every anchored edge without a free host edge, so they share one bound,
+    what ``v`` can bind unbound minus the anchored edges; once it is below
+    the incumbent they are cut together, still counted as free.
 
     With ``greedy`` an element is skipped only when no candidate is free."""
     base, lg, rg = eor.base, eor.maximal.lhs, eor.maximal.rhs
@@ -196,15 +195,13 @@ def _leaves(
     del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
     del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
     rule_profiles = {n: _profile(lg, n) for n in pd.nodes}
-    # Each potential node's potential edges to other nodes, with the other
-    # end; a node with a potential self-loop has no entry.  A valid rule's
-    # sides share only interface ids, so the edges are on the node's side.
+    # Each potential node's potential edges, with the other end.  A valid
+    # rule's sides share only interface ids, so the edges are on the node's
+    # side.
     adjacent: dict[str, list[tuple[Edge, str]]] = {
         v: [] for v, *_ in elements[:n_nodes]
     }
     for _, e, _, _ in elements[n_nodes:]:
-        if e.src == e.tgt:
-            adjacent.pop(e.src, None)
         for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
             if v in adjacent:
                 adjacent[v].append((e, u))
@@ -269,7 +266,7 @@ def _leaves(
         )
         candidates = index.get(key, ())
         first, shared = len(candidates), 0  # from ``first`` on, bounded by ``shared``
-        if best is not None and is_node and xid in adjacent:
+        if best is not None and is_node:
             candidates, first, shared = supported_first(i, size)
         free = 0
         for k, x in enumerate(candidates):
