@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NoReturn
 
 from .core import (
     Diagnostic,
@@ -169,67 +169,109 @@ def _resolve_type_graph(
 # graphs
 
 
+_quote = json.encoder.encode_basestring_ascii
+_NODE = '    {\n      "id": %s,\n      "type": %s\n    }'
+_EDGE = (
+    '    {\n      "id": %s,\n      "src": %s,\n      "tgt": %s,\n'
+    '      "type": %s\n    }'
+)
+
+
+def _list_text(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
 def encode_graph(g: TypedGraph) -> str:
-    return canonical_text(
-        {
-            "kind": "graph",
-            "type_graph": g.type_graph.name,
-            "nodes": [{"id": nid, "type": g.nodes[nid]} for nid in g.sorted_nodes],
-            "edges": [
-                {
-                    "id": eid,
-                    "type": g.edges[eid].type,
-                    "src": g.edges[eid].src,
-                    "tgt": g.edges[eid].tgt,
-                }
-                for eid in g.sorted_edges
-            ],
-        }
+    """The canonical text of ``g``, written directly rather than through
+    :func:`canonical_text`: keys in sorted order, elements by id, and every
+    id and type name (all strings) escaped by the same C routine
+    ``json.dumps`` uses, so the bytes are the same."""
+    nodes, edges = g.nodes, g.edges
+    node_entries = [_NODE % (_quote(n), _quote(nodes[n])) for n in g.sorted_nodes]
+    edge_entries = []
+    for eid in g.sorted_edges:
+        e = edges[eid]
+        edge_entries.append(
+            _EDGE % (_quote(eid), _quote(e.src), _quote(e.tgt), _quote(e.type))
+        )
+    return (
+        '{\n  "edges": ' + _list_text(edge_entries)
+        + ',\n  "kind": "graph",\n  "nodes": ' + _list_text(node_entries)
+        + ',\n  "type_graph": ' + _quote(g.type_graph.name) + "\n}\n"
     )
 
 
-def _element_lists(
-    doc: Mapping[str, Any]
-) -> tuple[dict[str, str], dict[str, Edge]]:
-    nodes: dict[str, str] = {}
-    edges: dict[str, Edge] = {}
-    raw_nodes = doc.get("nodes")
-    raw_edges = doc.get("edges")
-    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
-        raise ParseError("nodes and edges must be lists")
-    for entry in raw_nodes:
-        if not isinstance(entry, dict):
-            raise ParseError("a node entry must be an object")
-        nid = _str_field(entry, "id", "node")
-        if nid in nodes:
-            raise ParseError("duplicate id", nid)
-        nodes[nid] = _str_field(entry, "type", f"node {nid}")
-    for entry in raw_edges:
-        if not isinstance(entry, dict):
-            raise ParseError("an edge entry must be an object")
-        eid = _str_field(entry, "id", "edge")
-        if eid in nodes or eid in edges:
-            raise ParseError("duplicate id", eid)
-        edges[eid] = Edge(
-            _str_field(entry, "type", f"edge {eid}"),
-            _str_field(entry, "src", f"edge {eid}"),
-            _str_field(entry, "tgt", f"edge {eid}"),
-        )
-    return nodes, edges
+def _refuse_entry(
+    entry: Mapping[str, Any], what: str, keys: tuple[str, ...], *taken: Mapping
+) -> NoReturn:
+    """Raise the first fault of an element entry that the fast check of
+    :func:`decode_graph` refused, checking its fields in the document
+    format's order: ``id``, duplicate id, then ``keys``."""
+    xid = _str_field(entry, "id", what)
+    if any(xid in ids for ids in taken):
+        raise ParseError("duplicate id", xid)
+    for key in keys:
+        _str_field(entry, key, f"{what} {xid}")
+    raise AssertionError(f"entry {xid!r} has no fault")
 
 
 def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
+    """The graph encoded in ``text``, checked in one pass over its nodes and
+    then its edges.
+
+    Of several faults, the first structural one in entry order is
+    reported; failing that, the first edge with an undeclared endpoint;
+    failing that, a typing fault, as a ``ValidationError`` carrying the
+    diagnostics of :func:`validate_graph`, which runs only then."""
     doc = _load(text)
     _expect_kind(doc, "graph")
     tg = _resolve_type_graph(doc, types)
-    nodes, edges = _element_lists(doc)
-    for eid, e in edges.items():
-        if e.src not in nodes or e.tgt not in nodes:
-            raise ParseError("edge endpoint is not a declared node", eid)
+    raw_nodes, raw_edges = doc.get("nodes"), doc.get("edges")
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise ParseError("nodes and edges must be lists")
+    node_types = tg.node_types
+    ends = {name: (et.source, et.target) for name, et in tg.edge_types.items()}
+    nodes: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    typed = True
+    dangling = None
+    for entry in raw_nodes:
+        if not isinstance(entry, dict):
+            raise ParseError("a node entry must be an object")
+        nid, ntype = entry.get("id"), entry.get("type")
+        if (
+            not (isinstance(nid, str) and nid and isinstance(ntype, str) and ntype)
+            or nid in nodes
+        ):
+            _refuse_entry(entry, "node", ("type",), nodes)
+        nodes[nid] = ntype
+        if ntype not in node_types:
+            typed = False
+    for entry in raw_edges:
+        if not isinstance(entry, dict):
+            raise ParseError("an edge entry must be an object")
+        eid, etype = entry.get("id"), entry.get("type")
+        src, tgt = entry.get("src"), entry.get("tgt")
+        if (
+            not (
+                isinstance(eid, str) and eid and isinstance(etype, str) and etype
+                and isinstance(src, str) and src and isinstance(tgt, str) and tgt
+            )
+            or eid in nodes
+            or eid in edges
+        ):
+            _refuse_entry(entry, "edge", ("type", "src", "tgt"), nodes, edges)
+        edges[eid] = Edge(etype, src, tgt)
+        src_type, tgt_type = nodes.get(src), nodes.get(tgt)
+        if src_type is None or tgt_type is None:
+            dangling = dangling or eid
+        elif ends.get(etype) != (src_type, tgt_type):
+            typed = False
+    if dangling is not None:
+        raise ParseError("edge endpoint is not a declared node", dangling)
     g = TypedGraph(tg, nodes, edges)
-    problems = validate_graph(g, tg)
-    if problems:
-        raise ValidationError(problems)
+    if not typed:
+        raise ValidationError(validate_graph(g, tg))
     return g
 
 
@@ -607,8 +649,7 @@ def rebuild_transformation(
     ):
         raise ValidationError(["recorded comatch does not match the replay"])
     if output is not None and (
-        dict(output.nodes) != dict(record.output.nodes)
-        or dict(output.edges) != dict(record.output.edges)
+        output.nodes != record.output.nodes or output.edges != record.output.edges
     ):
         raise ValidationError(["recorded output graph does not match the replay"])
     return EffectTransformation(

@@ -314,20 +314,29 @@ def _built(
     return sorted(out, key=MatchResult.sort_key)
 
 
-def _largest(
+def _largest_leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
     pms: Iterable[PreMatch],
     stats: MatchStats | None,
-) -> list[MatchResult]:
-    """The largest matches over ``pms``, by branch and bound: one incumbent
-    prunes the searches of every pre-match."""
+) -> list[_Leaf]:
+    """The largest matches over ``pms``, unbuilt, by branch and bound: one
+    incumbent prunes the searches of every pre-match."""
     stats = MatchStats() if stats is None else stats
     best = _Best()
     for pm in pms:
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)
-    return _built(eor, host, best.leaves)
+    return best.leaves
+
+
+def _least_built(
+    eor: EffectOrientedRule, host: TypedGraph, leaves: Iterable[_Leaf]
+) -> MatchResult | None:
+    """The first result ``_built`` would return for ``leaves``, built alone;
+    ``None`` when there is no leaf."""
+    leaf = min(leaves, key=_Leaf.sort_key, default=None)
+    return None if leaf is None else _built(eor, host, [leaf])[0]
 
 
 def find_locally_complete(
@@ -348,8 +357,8 @@ def find_locally_complete(
     stats = MatchStats() if stats is None else stats
     leaf = next(_leaves(eor, host, pm, stats, greedy=True), None)
     if leaf is None:
-        leaf = min(_leaves(eor, host, pm, stats), key=_Leaf.sort_key, default=None)
-    return None if leaf is None else _built(eor, host, [leaf])[0]
+        return _least_built(eor, host, _leaves(eor, host, pm, stats))
+    return _built(eor, host, [leaf])[0]
 
 
 def find_all_locally_complete(
@@ -425,7 +434,7 @@ def find_locally_maximal(
     """The locally complete matches of maximal induced-rule size for ``pm``,
     in :meth:`MatchResult.sort_key` order."""
     validate_prematch(eor, host, pm)
-    return _largest(eor, host, [pm], stats)
+    return _built(eor, host, _largest_leaves(eor, host, [pm], stats))
 
 
 def find_globally_maximal(
@@ -435,4 +444,5 @@ def find_globally_maximal(
 ) -> list[MatchResult]:
     """The locally complete matches of maximal size over all pre-matches,
     in :meth:`MatchResult.sort_key` order."""
-    return _largest(eor, host, find_base_prematches(eor, host), stats)
+    leaves = _largest_leaves(eor, host, find_base_prematches(eor, host), stats)
+    return _built(eor, host, leaves)

@@ -23,9 +23,11 @@ from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
     MatchResult,
     PreMatch,
-    find_globally_maximal,
+    _largest_leaves,
+    _least_built,
+    find_base_prematches,
     find_locally_complete,
-    find_locally_maximal,
+    validate_prematch,
 )
 from .rules import TransformationRecord, apply_rule
 
@@ -102,21 +104,16 @@ def transform(
             raise StrategyArgumentMismatch(
                 "the globally maximal strategy searches all pre-matches itself"
             )
-        results = find_globally_maximal(eor, host)
-        if not results:
-            return None
-        return _from_match_result(eor, strategy, results[0], host)
-    if pm is None:
+        pms = find_base_prematches(eor, host)
+        mr = _least_built(eor, host, _largest_leaves(eor, host, pms, None))
+    elif pm is None:
         raise StrategyArgumentMismatch(f"strategy {strategy!r} needs a pre-match")
-    if strategy == LOCALLY_COMPLETE:
+    elif strategy == LOCALLY_COMPLETE:
         mr = find_locally_complete(eor, host, pm)
-        if mr is None:
-            return None
-        return _from_match_result(eor, strategy, mr, host)
-    results = find_locally_maximal(eor, host, pm)
-    if not results:
-        return None
-    return _from_match_result(eor, strategy, results[0], host)
+    else:
+        validate_prematch(eor, host, pm)
+        mr = _least_built(eor, host, _largest_leaves(eor, host, [pm], None))
+    return None if mr is None else _from_match_result(eor, strategy, mr, host)
 
 
 def _interface_plus_element(

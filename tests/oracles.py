@@ -7,13 +7,17 @@ through, ``is_isomorphic`` compares graphs up to renaming,
 application-condition questions by brute force over every small host, and
 ``oracle_locally_complete`` finds every locally complete match by brute
 force over every selection of an effect-oriented rule.
+``reference_encode_graph`` and ``reference_decode_graph`` are the graph
+codecs built on :func:`canonical_text` and on separate structure,
+endpoint and :func:`validate_graph` passes, which the direct emitter and
+the one-pass decoder must agree with byte for byte and error for error.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from effectgraph.core import (
     Edge,
@@ -23,6 +27,16 @@ from effectgraph.core import (
     check_morphism,
     dangling_node,
     find_injective_extensions,
+    validate_graph,
+)
+from effectgraph.documents import (
+    ParseError,
+    ValidationError,
+    _expect_kind,
+    _load,
+    _resolve_type_graph,
+    _str_field,
+    canonical_text,
 )
 from effectgraph.effect import (
     EffectOrientedRule,
@@ -245,3 +259,67 @@ def oracle_locally_complete(
                 results.append(mr)
     results.sort(key=MatchResult.sort_key)
     return results
+
+
+def reference_encode_graph(g: TypedGraph) -> str:
+    return canonical_text(
+        {
+            "kind": "graph",
+            "type_graph": g.type_graph.name,
+            "nodes": [{"id": nid, "type": g.nodes[nid]} for nid in g.sorted_nodes],
+            "edges": [
+                {
+                    "id": eid,
+                    "type": g.edges[eid].type,
+                    "src": g.edges[eid].src,
+                    "tgt": g.edges[eid].tgt,
+                }
+                for eid in g.sorted_edges
+            ],
+        }
+    )
+
+
+def _element_lists(
+    doc: Mapping[str, Any]
+) -> tuple[dict[str, str], dict[str, Edge]]:
+    nodes: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    raw_nodes = doc.get("nodes")
+    raw_edges = doc.get("edges")
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise ParseError("nodes and edges must be lists")
+    for entry in raw_nodes:
+        if not isinstance(entry, dict):
+            raise ParseError("a node entry must be an object")
+        nid = _str_field(entry, "id", "node")
+        if nid in nodes:
+            raise ParseError("duplicate id", nid)
+        nodes[nid] = _str_field(entry, "type", f"node {nid}")
+    for entry in raw_edges:
+        if not isinstance(entry, dict):
+            raise ParseError("an edge entry must be an object")
+        eid = _str_field(entry, "id", "edge")
+        if eid in nodes or eid in edges:
+            raise ParseError("duplicate id", eid)
+        edges[eid] = Edge(
+            _str_field(entry, "type", f"edge {eid}"),
+            _str_field(entry, "src", f"edge {eid}"),
+            _str_field(entry, "tgt", f"edge {eid}"),
+        )
+    return nodes, edges
+
+
+def reference_decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
+    doc = _load(text)
+    _expect_kind(doc, "graph")
+    tg = _resolve_type_graph(doc, types)
+    nodes, edges = _element_lists(doc)
+    for eid, e in edges.items():
+        if e.src not in nodes or e.tgt not in nodes:
+            raise ParseError("edge endpoint is not a declared node", eid)
+    g = TypedGraph(tg, nodes, edges)
+    problems = validate_graph(g, tg)
+    if problems:
+        raise ValidationError(problems)
+    return g

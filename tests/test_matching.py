@@ -35,6 +35,7 @@ from effectgraph import (
     is_compatible,
     is_locally_complete,
     satisfies_nacs,
+    transform,
     validate_selection,
 )
 from effectgraph.core import same_maps
@@ -645,6 +646,28 @@ def test_every_strategy_equals_the_brute_force_oracle():
             )
     # Some matches bind a potential edge among parallel host edges.
     assert parallel > 0
+
+
+def test_transform_applies_the_first_maximal_result():
+    """``transform`` builds only the least match of the best size; it is the
+    first result of the public maximal searches, which build every tie."""
+    applied = 0
+    for seed in (1105, 1010, 4711, 5150):
+        for eor, host, pm in instances(seed, 100):
+            for strategy, results, given in (
+                (LOCALLY_MAXIMAL, find_locally_maximal(eor, host, pm), pm),
+                (GLOBALLY_MAXIMAL, find_globally_maximal(eor, host), None),
+            ):
+                t = transform(eor, host, strategy, given)
+                if not results:
+                    assert t is None
+                    continue
+                first = results[0]
+                assert t.selection == first.induced.selection
+                assert same_maps(t.result.match, first.match)
+                assert t.base_prematch == first.base_prematch
+                applied += 1
+    assert applied > 400
 
 
 LINKED_TG = TypeGraph(
