@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -790,3 +791,42 @@ def test_search_results_are_deterministic():
         assert [result_key(r) for r in find_locally_maximal(eor, host, pm)] == [
             result_key(r) for r in find_locally_maximal(eor, host, pm)
         ]
+
+
+# The SHA-256 of ``repr`` of the result lists below, computed with the
+# search as it stood before it was made output-sensitive.  Any change to
+# the matcher must leave every result and its order as it is.
+RESULT_DIGEST = "93519d1a21aa8c33e2fb4ff430118f8709ece3c7ddfc615612f18ea2dabf074e"
+
+
+def test_result_digest_is_unchanged():
+    """Every strategy, list for list, on owned and tie-heavy banks and on
+    100 random instances of each of four seeds.  The recipe: for each
+    (rule, host, pre-match), the ``sort_key`` list of
+    ``find_locally_maximal``, that of ``find_all_locally_complete``, and the
+    ``sort_key`` of ``find_locally_complete`` or ``None``; after each host's
+    pre-matches (after each instance, for the random ones), the list of
+    ``find_globally_maximal``."""
+    parts: list = []
+
+    def record(eor: EffectOrientedRule, host: TypedGraph, pms) -> None:
+        for pm in pms:
+            found = find_locally_complete(eor, host, pm)
+            parts.append(_keys(find_locally_maximal(eor, host, pm)))
+            parts.append(_keys(find_all_locally_complete(eor, host, pm)))
+            parts.append(None if found is None else found.sort_key())
+        parts.append(_keys(find_globally_maximal(eor, host)))
+
+    for n in (7, 20):
+        host = owned_bank(n)
+        for eor in (ensure_account_rule(), ensure_no_account_rule()):
+            record(eor, host, find_base_prematches(eor, host))
+    for seed in (3, 17, 29):
+        for eor in (ensure_account_rule(), ensure_no_account_rule(), *linked_rules()):
+            host = tie_bank(eor.base.lhs.type_graph, 12, seed)
+            record(eor, host, find_base_prematches(eor, host))
+    for seed in (1105, 1010, 4711, 5150):
+        for eor, host, pm in instances(seed, 100):
+            record(eor, host, [pm])
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == RESULT_DIGEST
