@@ -70,9 +70,20 @@ class MatchStats:
     potential element, either up front (a node whose incident edges the
     deletion could never all remove) or after the search below them failed.
     Candidates that a maximal search cuts by its bound without binding them
-    are not counted."""
+    are not counted.
+
+    ``examined`` counts the host elements the search looked at to find
+    candidates: the incident edges a maximal search scans for supported
+    candidates, plus every element drawn from a type bucket or an edge
+    class, used or free.  A maximal search stops drawing from a bucket at
+    the first candidate that its bound cuts.
+
+    ``full_passes`` counts the times :func:`find_locally_complete` ran the
+    full search after its greedy pass found nothing."""
 
     backtracks: int = 0
+    examined: int = 0
+    full_passes: int = 0
 
 
 def find_base_prematches(
@@ -139,10 +150,21 @@ class _Best:
             self.leaves.append(leaf)
 
 
-def _profile(g: TypedGraph, node: str) -> Counter:
-    """The edges incident to ``node``, counted by type and direction."""
-    edges = map(g.edges.__getitem__, g.incidence[node])
-    return Counter((e.type, e.src == node, e.tgt == node) for e in edges)
+class _Greedy:
+    """The mark of a greedy pass, which skips an element only when no
+    candidate is free.  It records whether the pass visited a point where
+    the full search would also skip on purpose; if not, the two searches
+    visit the same tree."""
+
+    def __init__(self) -> None:
+        self.would_skip = False
+
+
+def _edge_kinds(g: TypedGraph, node: str) -> Iterator[tuple[str, bool, bool]]:
+    """The edges incident to ``node``, by type and direction."""
+    for h in g.incidence[node]:
+        e = g.edges[h]
+        yield e.type, e.src == node, e.tgt == node
 
 
 def _leaves(
@@ -150,7 +172,7 @@ def _leaves(
     host: TypedGraph,
     pm: PreMatch,
     stats: MatchStats,
-    greedy: bool = False,
+    greedy: _Greedy | None = None,
     best: _Best | None = None,
 ) -> Iterator[_Leaf]:
     """The effect-matching search: lazily, every locally complete match
@@ -164,21 +186,32 @@ def _leaves(
 
     * a deletion-node candidate with more incident host edges, by type and
       direction, than the rule node is rejected (it still counts as free);
+      the check stops at the first host edge the rule node has no room for;
     * a skip needs no more free candidates than same-typed nodes or
       same-class edges still to come, so every leaf is locally complete;
     * once the deletions are decided, :func:`dangling_node` checks them;
     * with an incumbent ``best``, a branch whose size plus what it can
       still bind is below the incumbent's size is cut, so ties survive.
 
+    The free candidates of a node are counted, not scanned: the bucket's
+    size minus the used nodes of its type.  The host classes of the edges
+    are looked up again only when a node binding changes.
+
     With an incumbent, a potential node ``v`` first tries its supported
     candidates: those joined by a free host edge to the image of an already
     bound node ``u``, with the type and direction of a potential edge
-    between ``v`` and ``u`` (an anchored edge).  The other candidates leave
-    every anchored edge without a free host edge, so they share one bound,
-    what ``v`` can bind unbound minus the anchored edges; once it is below
-    the incumbent they are cut together, still counted as free.
+    between ``v`` and ``u`` (an anchored edge).  They are found from the
+    incident edges of the images alone.  The other candidates leave every
+    anchored edge without a free host edge, so they share one bound, what
+    ``v`` can bind unbound minus the anchored edges.  They are drawn from
+    the bucket one at a time, and the drawing stops once that bound is
+    below the incumbent, which may have grown since the last draw.  A query
+    whose results all tie thus costs about its results plus the degree of
+    the nodes it binds, whatever the size of the buckets.
 
-    With ``greedy`` an element is skipped only when no candidate is free."""
+    With ``greedy`` an element is skipped only when no candidate is free,
+    and ``greedy.would_skip`` is set wherever the full search would skip
+    although a candidate is free."""
     base, lg, rg = eor.base, eor.maximal.lhs, eor.maximal.rhs
     pd, pc = eor.potential_deletions, eor.potential_creations
     elements = [(n, lg.nodes[n], True, True) for n in sorted(pd.nodes)]
@@ -191,20 +224,22 @@ def _leaves(
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
     used_nodes, used_edges = set(node_map.values()), set(edge_map.values())
+    used_types = Counter(map(host.nodes.__getitem__, used_nodes))
     kept = base.interface
     del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
     del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
-    rule_profiles = {n: _profile(lg, n) for n in pd.nodes}
-    # Each potential node's potential edges, with the other end.  A valid
-    # rule's sides share only interface ids, so the edges are on the node's
-    # side.
-    adjacent: dict[str, list[tuple[Edge, str]]] = {
+    room = {n: Counter(_edge_kinds(lg, n)) for n in pd.nodes}
+    # Each potential node's potential edges, with their position and the
+    # other end.  A valid rule's sides share only interface ids, so the
+    # edges are on the node's side.
+    adjacent: dict[str, list[tuple[int, Edge, str]]] = {
         v: [] for v, *_ in elements[:n_nodes]
     }
-    for _, e, _, _ in elements[n_nodes:]:
+    for j in range(n_nodes, len(elements)):
+        e = elements[j][1]
         for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
             if v in adjacent:
-                adjacent[v].append((e, u))
+                adjacent[v].append((j, e, u))
 
     def key_of(i: int):
         # A node's type, a bindable edge's host class, or None.  A valid rule's
@@ -215,73 +250,101 @@ def _leaves(
         src, tgt = node_map.get(item.src), node_map.get(item.tgt)
         return None if src is None or tgt is None else (item.type, src, tgt)
 
+    keys = [key_of(i) for i in range(len(elements))]
+
+    def rekey(v: str) -> None:
+        for j, _, _ in adjacent[v]:
+            keys[j] = key_of(j)
+
+    def deletable(x: str, v: str) -> bool:
+        """Whether deleting rule node ``v`` can remove every edge incident
+        to host node ``x``: no more of them, by type and direction."""
+        if len(host.incidence[x]) > len(lg.incidence[v]):
+            return False
+        left = dict(room[v])
+        for kind in _edge_kinds(host, x):
+            if not left.get(kind):
+                return False
+            left[kind] -= 1
+        return True
+
     def can_grow(i: int) -> int:
         """At most how many elements from ``i`` on can still be bound: all but
         the bindable edges whose host class has no free edge left."""
         count = len(elements) - i
-        for j in range(max(i, n_nodes), len(elements)):
-            key = key_of(j)
+        for key in keys[max(i, n_nodes) :]:
             if key and used_edges.issuperset(host.edge_classes.get(key, ())):
                 count -= 1
         return count
 
-    def supported_first(i: int, size: int) -> tuple[list[str], int, int]:
-        """The free candidates of node element ``i``, supported ones first,
-        how many are supported, and the bound the others share."""
-        v, ntype = elements[i][:2]
-        anchored = [(e, node_map[u]) for e, u in adjacent[v] if u in node_map]
-        supported = set()
-        for e, y in anchored:
-            outgoing = e.src == v
-            for h in host.incidence[y]:
-                he = host.edges[h]
-                if he.type == e.type and h not in used_edges:
-                    x, end = (he.src, he.tgt) if outgoing else (he.tgt, he.src)
-                    if end == y:
-                        supported.add(x)
-        bucket = host.nodes_by_type.get(ntype, ())
-        front = [x for x in bucket if x in supported and x not in used_nodes]
-        rest = [x for x in bucket if x not in supported and x not in used_nodes]
-        return front + rest, len(front), size + 1 + can_grow(i + 1) - len(anchored)
+    def tries(
+        i: int, size: int, candidates: tuple[str, ...], used: set[str]
+    ) -> Iterator[str]:
+        """The free candidates element ``i`` tries, in order: those of
+        ``candidates``, its bucket or class, or for a node with an
+        incumbent, the supported ones and then the others of the bucket
+        until the bound they share is below the incumbent."""
+        supported: set[str] = set()
+        shared = None  # the bound the unsupported candidates share, if any
+        if best is not None and i < n_nodes:
+            v = elements[i][0]
+            anchored = [(e, node_map[u]) for _, e, u in adjacent[v] if u in node_map]
+            for e, y in anchored:
+                outgoing = e.src == v
+                incident = host.incidence[y]
+                stats.examined += len(incident)
+                for h in incident:
+                    he = host.edges[h]
+                    if he.type == e.type and h not in used_edges:
+                        x, end = (he.src, he.tgt) if outgoing else (he.tgt, he.src)
+                        if end == y:
+                            supported.add(x)
+            supported -= used_nodes
+            shared = size + 1 + can_grow(i + 1) - len(anchored)
+            yield from sorted(supported)  # bucket order
+        for x in candidates:
+            stats.examined += 1
+            if shared is not None and shared < best.size:
+                return  # the rest are cut untried, but free all the same
+            if x not in used and x not in supported:
+                yield x
 
     def place(place, i: int, size: int) -> Iterator[_Leaf]:
         if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
             return
         if i == len(elements):
-            keys = node_map.keys(), edge_map.keys()
+            bound = node_map.keys(), edge_map.keys()
             selection = InducedSelection(
-                ElementSet(pd.nodes & keys[0], pd.edges & keys[1]),
-                ElementSet(pc.nodes & keys[0], pc.edges & keys[1]),
+                ElementSet(pd.nodes & bound[0], pd.edges & bound[1]),
+                ElementSet(pc.nodes & bound[0], pc.edges & bound[1]),
             )
             yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
             return
         if best is not None and size + can_grow(i) < best.size:
             return
         xid, _, deleting, is_node = elements[i]
-        key = key_of(i)  # None has no candidates: the edge is skipped
+        key = keys[i]  # None has no candidates: the edge is skipped
         index, images, used, deleted = (
             (host.nodes_by_type, node_map, used_nodes, del_nodes)
             if is_node
             else (host.edge_classes, edge_map, used_edges, del_edges)
         )
         candidates = index.get(key, ())
-        first, shared = len(candidates), 0  # from ``first`` on, bounded by ``shared``
-        if best is not None and is_node:
-            candidates, first, shared = supported_first(i, size)
-        free = 0
-        for k, x in enumerate(candidates):
-            if x in used:
-                continue
-            free += 1
-            if k >= first and shared < best.size:
-                continue  # cut untried, but free all the same
-            if deleting and is_node and not _profile(host, x) <= rule_profiles[xid]:
+        if is_node:
+            free = len(candidates) - used_types[key]
+        else:
+            free = sum(x not in used for x in candidates)
+        for x in tries(i, size, candidates, used):
+            if deleting and is_node and not deletable(x, xid):
                 stats.backtracks += 1
                 continue
             images[xid] = x
             used.add(x)
             if deleting:
                 deleted.add(x)
+            if is_node:
+                used_types[key] += 1
+                rekey(xid)
             found = False
             for leaf in place(place, i + 1, size + 1):
                 found = True
@@ -289,11 +352,18 @@ def _leaves(
             deleted.discard(x)
             used.discard(x)
             del images[xid]
+            if is_node:
+                used_types[key] -= 1
+                rekey(xid)
             if not found:
                 stats.backtracks += 1
-        later = range(i + 1, len(elements))
-        if free == 0 or (not greedy and free <= sum(key_of(j) == key for j in later)):
+        if free == 0:
             yield from place(place, i + 1, size)
+        elif free <= keys[i + 1 :].count(key):
+            if greedy is None:
+                yield from place(place, i + 1, size)
+            else:
+                greedy.would_skip = True
 
     # Recursing through an argument, not a closure cell, leaves no cycle, so
     # the search state is freed as soon as the caller drops the generator.
@@ -351,14 +421,21 @@ def find_locally_complete(
     The first match of a pass that skips an element only when no candidate
     is free is returned.  That pass misses matches that skip on purpose (a
     deletion node whose candidates all dangle until a same-typed creation
-    node reuses one, say), so if it finds nothing the least match of the
-    full search by :meth:`MatchResult.sort_key` is returned."""
+    node reuses one, say).  If it finds nothing, the full search runs only
+    when the pass came to a point where the full search would skip
+    although a candidate is free, and the least match of the full search by
+    :meth:`MatchResult.sort_key` is returned.  Otherwise the full search
+    would visit the very same tree, and the answer is ``None`` at once."""
     validate_prematch(eor, host, pm)
     stats = MatchStats() if stats is None else stats
-    leaf = next(_leaves(eor, host, pm, stats, greedy=True), None)
-    if leaf is None:
-        return _least_built(eor, host, _leaves(eor, host, pm, stats))
-    return _built(eor, host, [leaf])[0]
+    greedy = _Greedy()
+    leaf = next(_leaves(eor, host, pm, stats, greedy), None)
+    if leaf is not None:
+        return _built(eor, host, [leaf])[0]
+    if not greedy.would_skip:
+        return None
+    stats.full_passes += 1
+    return _least_built(eor, host, _leaves(eor, host, pm, stats))
 
 
 def find_all_locally_complete(

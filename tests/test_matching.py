@@ -397,6 +397,47 @@ def test_maximal_backtracks_follow_the_client_not_the_host():
     assert stats.backtracks <= 4 * n
 
 
+
+def test_teardown_answers_no_match_in_one_pass():
+    """No account of an owned bank can be deleted, and the greedy pass
+    never comes to a point where the full search would skip an account on
+    purpose, so the greedy pass alone answers: each account is rejected
+    once."""
+    n = 200
+    host = owned_bank(n)
+    teardown = ensure_no_account_rule()
+    stats = MatchStats()
+    pm = prematch_at(teardown, host, "c0")
+    assert find_locally_complete(teardown, host, pm, stats) is None
+    assert stats.backtracks == n
+    assert stats.full_passes == 0
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_maximal_work_per_result_does_not_grow_with_the_host(n):
+    """The host elements a maximal search examines stay under one constant
+    per result: an unbacked client ties over about every account and
+    portfolio, a backed client has one result, and over every client the
+    bank's backed ones tie."""
+    host = owned_bank(n)
+    provision = ensure_account_rule()
+    stats = MatchStats()
+    unbacked = prematch_at(provision, host, "c1")
+    results = find_locally_maximal(provision, host, unbacked, stats)
+    assert len(results) >= n
+    assert stats.examined <= 10 * len(results)
+
+    stats = MatchStats()
+    (mr,) = find_locally_maximal(provision, host, prematch_at(provision, host, "c0"), stats)
+    assert stats.examined <= 16
+
+    stats = MatchStats()
+    results = find_globally_maximal(provision, host, stats)
+    assert len(results) == n // 2
+    assert stats.examined <= 24 * len(results)
+    assert stats.full_passes == 0
+
+
 ABSORB_TG = TypeGraph(
     "absorb",
     frozenset({"Client", "Account"}),
@@ -433,6 +474,7 @@ def test_exhausted_search_still_finds_the_absorbing_completion():
     mr = find_locally_complete(eor, host, pm, stats)
     assert mr is not None
     assert stats.backtracks >= 1
+    assert stats.full_passes == 1
     assert selection_ids(mr) == ((), (), ("a_c",), ("e_c",))
     assert mr.match.node_map == {"c": "c1", "a_c": "x"}
     assert mr.match.edge_map == {"e_c": "e1"}
