@@ -224,7 +224,9 @@ def _leaves(
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
     used_nodes, used_edges = set(node_map.values()), set(edge_map.values())
-    used_types = Counter(map(host.nodes.__getitem__, used_nodes))
+    used_types: dict[str, int] = {}  # used nodes by type
+    for t in map(host.nodes.__getitem__, used_nodes):
+        used_types[t] = used_types.get(t, 0) + 1
     kept = base.interface
     del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
     del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
@@ -241,20 +243,18 @@ def _leaves(
             if v in adjacent:
                 adjacent[v].append((j, e, u))
 
-    def key_of(i: int):
-        # A node's type, a bindable edge's host class, or None.  A valid rule's
-        # sides share only interface ids: mapped means bound on the edge's side.
-        _, item, _, is_node = elements[i]
-        if is_node:
-            return item
-        src, tgt = node_map.get(item.src), node_map.get(item.tgt)
-        return None if src is None or tgt is None else (item.type, src, tgt)
+    def edge_key(e: Edge) -> tuple[str, str, str] | None:
+        # A bindable edge's host class, or None.  A valid rule's sides share
+        # only interface ids: mapped means bound on the edge's side.
+        src, tgt = node_map.get(e.src), node_map.get(e.tgt)
+        return None if src is None or tgt is None else (e.type, src, tgt)
 
-    keys = [key_of(i) for i in range(len(elements))]
+    # Each element's node type or edge class, kept up to date as nodes bind.
+    keys = [item if is_node else edge_key(item) for _, item, _, is_node in elements]
 
     def rekey(v: str) -> None:
-        for j, _, _ in adjacent[v]:
-            keys[j] = key_of(j)
+        for j, e, _ in adjacent[v]:
+            keys[j] = edge_key(e)
 
     def deletable(x: str, v: str) -> bool:
         """Whether deleting rule node ``v`` can remove every edge incident
@@ -331,7 +331,7 @@ def _leaves(
         )
         candidates = index.get(key, ())
         if is_node:
-            free = len(candidates) - used_types[key]
+            free = len(candidates) - used_types.get(key, 0)
         else:
             free = sum(x not in used for x in candidates)
         for x in tries(i, size, candidates, used):
@@ -343,7 +343,7 @@ def _leaves(
             if deleting:
                 deleted.add(x)
             if is_node:
-                used_types[key] += 1
+                used_types[key] = used_types.get(key, 0) + 1
                 rekey(xid)
             found = False
             for leaf in place(place, i + 1, size + 1):
