@@ -42,7 +42,6 @@ from .effect import (
     InducedSelection,
     InvalidSelection,
     build_induced_rule,
-    check_base_subrule,
     count_bounds,
     enumerate_selections,
     validate_selection,
@@ -57,8 +56,6 @@ from .matching import (
     find_globally_maximal,
     find_locally_complete,
     find_locally_maximal,
-    is_compatible,
-    is_locally_complete,
 )
 from .semantics import (
     AuditEntry,

@@ -254,7 +254,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             remaining.append((path, text, kind))
     for path, text, kind in remaining:
-        decoder = decoders.get(kind)
+        decoder = decoders.get(kind) if isinstance(kind, str) else None
         if decoder is None:
             report(path, [f"unknown document kind {kind!r}"])
             continue

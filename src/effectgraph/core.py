@@ -17,14 +17,14 @@ for commuting squares of injective morphisms (:func:`is_pullback_square`).
 Gluing lives in :func:`effectgraph.rules.apply_rule`; pushouts, isomorphism
 and host enumeration are test oracles, not library code.
 
-A graph's search indexes (``sorted_nodes``, ``sorted_edges``,
-``nodes_by_type``, ``edge_classes``, ``incidence``) are built on first use.
-A rewrite step does not rebuild them: the rewritten graph is derived from
-its input as a delta of deleted and created ids, which copies the two
-element dicts at C level and patches only the index entries the delta
-touches, so a step costs O(|L| + |R|) Python operations plus those copies,
-however large the host.  A derived graph holds no reference to the graph it
-came from.
+A graph's search indexes (``nodes_by_type``, ``edge_classes``,
+``incidence``) are built on first use; ``sorted_nodes`` and
+``sorted_edges`` are computed on each access.  A rewrite step does not
+rebuild the indexes: the rewritten graph is derived from its input as a
+delta of deleted and created ids, which copies the two element dicts at C
+level and patches only the index entries the delta touches, so a step costs
+O(|L| + |R|) Python operations plus those copies, however large the host.
+A derived graph holds no reference to the graph it came from.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ def _patched(
 ) -> tuple[str, ...]:
     """The sorted tuple ``ids`` without ``removed`` (all present) and with
     ``added``, still sorted."""
-    if not removed and not added:
-        return ids
     out = list(ids)
     for x in removed:
         del out[bisect_left(out, x)]
@@ -210,14 +208,6 @@ class TypedGraph:
         object.__setattr__(out, "edges", MappingProxyType(edges))
 
         built, patched = self.__dict__, out.__dict__
-        if "sorted_nodes" in built:
-            patched["sorted_nodes"] = _patched(
-                built["sorted_nodes"], gone_nodes, created_nodes
-            )
-        if "sorted_edges" in built:
-            patched["sorted_edges"] = _patched(
-                built["sorted_edges"], gone_edges, created_edges
-            )
         if "nodes_by_type" in built:
             patched["nodes_by_type"] = _patch_buckets(
                 built["nodes_by_type"].copy(),
@@ -248,11 +238,11 @@ class TypedGraph:
             )
         return out
 
-    @cached_property
+    @property
     def sorted_nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self.nodes))
 
-    @cached_property
+    @property
     def sorted_edges(self) -> tuple[str, ...]:
         return tuple(sorted(self.edges))
 
@@ -549,14 +539,11 @@ def check_morphism(f: Morphism, require_injective: bool = False) -> list[Diagnos
 def _normalise_partial(
     pattern: TypedGraph,
     host: TypedGraph,
-    partial: Morphism | tuple[Mapping[str, str], Mapping[str, str]] | None,
+    partial: tuple[Mapping[str, str], Mapping[str, str]] | None,
 ) -> tuple[dict[str, str], dict[str, str]]:
     if partial is None:
         return {}, {}
-    if isinstance(partial, Morphism):
-        node_map, edge_map = dict(partial.node_map), dict(partial.edge_map)
-    else:
-        node_map, edge_map = dict(partial[0]), dict(partial[1])
+    node_map, edge_map = dict(partial[0]), dict(partial[1])
     for nid, img in node_map.items():
         if nid not in pattern.nodes:
             raise ValueError(f"partial map mentions unknown pattern node {nid!r}")
@@ -589,9 +576,10 @@ def _normalise_partial(
 def find_injective_extensions(
     pattern: TypedGraph,
     host: TypedGraph,
-    partial: Morphism | tuple[Mapping[str, str], Mapping[str, str]] | None = None,
+    partial: tuple[Mapping[str, str], Mapping[str, str]] | None = None,
 ) -> Iterator[Morphism]:
-    """All injective morphisms ``pattern -> host`` extending ``partial``.
+    """All injective morphisms ``pattern -> host`` extending ``partial``, a
+    pair of node and edge id maps.
 
     The stream is deterministic: free pattern nodes are processed in
     ascending id order, host candidates are tried in ascending id order, and

@@ -301,41 +301,37 @@ def _actions_of(eor: EffectOrientedRule) -> dict[str, str]:
 
 
 def _element_entry(
-    xid: str, lhs: TypedGraph, rhs: TypedGraph, action: str
+    xid: str, g: TypedGraph, action: str | None = None
 ) -> dict[str, str]:
-    side = lhs if (xid in lhs.nodes or xid in lhs.edges) else rhs
-    if xid in side.nodes:
-        return {"action": action, "id": xid, "type": side.nodes[xid]}
-    e = side.edges[xid]
-    return {
-        "action": action,
-        "id": xid,
-        "type": e.type,
-        "src": e.src,
-        "tgt": e.tgt,
-    }
+    """The document entry of element ``xid`` of ``g``: an element-list entry
+    with its ``action`` tag, or a NAC entry without one."""
+    entry = {"id": xid}
+    if action is not None:
+        entry["action"] = action
+    if xid in g.nodes:
+        entry["type"] = g.nodes[xid]
+    else:
+        e = g.edges[xid]
+        entry.update(type=e.type, src=e.src, tgt=e.tgt)
+    return entry
 
 
 def encode_rule(name: str, eor: EffectOrientedRule) -> str:
-    tags = _actions_of(eor)
     lhs, rhs = eor.maximal.lhs, eor.maximal.rhs
     elements = [
-        _element_entry(xid, lhs, rhs, action) for xid, action in tags.items()
+        _element_entry(xid, lhs if xid in lhs.nodes or xid in lhs.edges else rhs, tag)
+        for xid, tag in _actions_of(eor).items()
     ]
     elements.sort(key=lambda entry: entry["id"])
     nac_blocks = []
     base_lhs = eor.base.lhs
     for nac in eor.base.nacs:
-        extra = []
-        for nid in sorted(nac.forbidden.nodes.keys() - base_lhs.nodes.keys()):
-            extra.append({"id": nid, "type": nac.forbidden.nodes[nid]})
-        for eid in sorted(nac.forbidden.edges.keys() - base_lhs.edges.keys()):
-            e = nac.forbidden.edges[eid]
-            extra.append(
-                {"id": eid, "type": e.type, "src": e.src, "tgt": e.tgt}
-            )
-        extra.sort(key=lambda entry: entry["id"])
-        nac_blocks.append({"elements": extra})
+        g = nac.forbidden
+        extra = sorted(g.nodes.keys() - base_lhs.nodes.keys())
+        extra += sorted(g.edges.keys() - base_lhs.edges.keys())
+        entries = [_element_entry(xid, g) for xid in extra]
+        entries.sort(key=lambda entry: entry["id"])
+        nac_blocks.append({"elements": entries})
     nac_blocks.sort(key=canonical_text)
     return canonical_text(
         {
@@ -359,6 +355,39 @@ _EDGE_ENDPOINT_ACTIONS = {
 }
 
 
+def _read_elements(
+    raw: list, *taken: Mapping[str, Any], nac: bool = False
+) -> tuple[dict[str, str], dict[str, Edge], dict[str, str]]:
+    """The nodes, edges and action tags of the element entries ``raw`` of a
+    rule document.  Entries of a ``nac`` block carry no action tag and say
+    ``nac`` in their messages.  An id in one of ``taken`` is a duplicate."""
+    prefix, article = ("nac ", "a nac") if nac else ("", "an")
+    nodes: dict[str, str] = {}
+    edges: dict[str, Edge] = {}
+    actions: dict[str, str] = {}
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise ParseError(f"{article} element entry must be an object")
+        xid = _str_field(entry, "id", f"{prefix}element")
+        if xid in nodes or xid in edges or any(xid in ids for ids in taken):
+            raise ParseError("duplicate id", xid)
+        if not nac:
+            action = _str_field(entry, "action", f"element {xid}")
+            if action not in ACTIONS:
+                raise ParseError(f"unknown action tag {action!r}", xid)
+            actions[xid] = action
+        if "src" in entry or "tgt" in entry:
+            where = f"{prefix}edge {xid}"
+            edges[xid] = Edge(
+                _str_field(entry, "type", where),
+                _str_field(entry, "src", where),
+                _str_field(entry, "tgt", where),
+            )
+        else:
+            nodes[xid] = _str_field(entry, "type", f"{prefix}node {xid}")
+    return nodes, edges, actions
+
+
 def decode_rule(
     text: str, types: Mapping[str, TypeGraph]
 ) -> tuple[str, EffectOrientedRule]:
@@ -371,27 +400,7 @@ def decode_rule(
     if not isinstance(raw, list):
         raise ParseError("elements must be a list")
 
-    node_types: dict[str, str] = {}
-    edge_data: dict[str, Edge] = {}
-    action_of: dict[str, str] = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ParseError("an element entry must be an object")
-        xid = _str_field(entry, "id", "element")
-        if xid in action_of:
-            raise ParseError("duplicate id", xid)
-        action = _str_field(entry, "action", f"element {xid}")
-        if action not in ACTIONS:
-            raise ParseError(f"unknown action tag {action!r}", xid)
-        action_of[xid] = action
-        if "src" in entry or "tgt" in entry:
-            edge_data[xid] = Edge(
-                _str_field(entry, "type", f"edge {xid}"),
-                _str_field(entry, "src", f"edge {xid}"),
-                _str_field(entry, "tgt", f"edge {xid}"),
-            )
-        else:
-            node_types[xid] = _str_field(entry, "type", f"node {xid}")
+    node_types, edge_data, action_of = _read_elements(raw)
 
     problems: list[Diagnostic] = []
     for eid, e in edge_data.items():
@@ -429,30 +438,11 @@ def decode_rule(
     for block in raw_nacs:
         if not isinstance(block, dict) or not isinstance(block.get("elements"), list):
             raise ParseError("a nac must be an object with an element list")
-        extra_nodes: dict[str, str] = {}
-        extra_edges: dict[str, Edge] = {}
-        for entry in block["elements"]:
-            if not isinstance(entry, dict):
-                raise ParseError("a nac element entry must be an object")
-            xid = _str_field(entry, "id", "nac element")
-            if (
-                xid in action_of
-                or xid in extra_nodes
-                or xid in extra_edges
-            ):
-                raise ParseError("duplicate id", xid)
-            if "src" in entry or "tgt" in entry:
-                extra_edges[xid] = Edge(
-                    _str_field(entry, "type", f"nac edge {xid}"),
-                    _str_field(entry, "src", f"nac edge {xid}"),
-                    _str_field(entry, "tgt", f"nac edge {xid}"),
-                )
-            else:
-                extra_nodes[xid] = _str_field(entry, "type", f"nac node {xid}")
+        nac_nodes, nac_edges, _ = _read_elements(block["elements"], action_of, nac=True)
         forbidden = TypedGraph(
             tg,
-            {**base_lhs.nodes, **extra_nodes},
-            {**base_lhs.edges, **extra_edges},
+            {**base_lhs.nodes, **nac_nodes},
+            {**base_lhs.edges, **nac_edges},
         )
         bad = validate_graph(forbidden, tg)
         if bad:
@@ -522,7 +512,7 @@ def prematch_from_maps(
         edge_map[eid] = candidates[0]
     morphism = Morphism(eor.base.lhs, host, node_map, edge_map)
     try:
-        pm = PreMatch.create(eor, morphism)
+        pm = PreMatch(morphism)
         validate_prematch(eor, host, pm)
     except (InvalidPreMatch, ValueError) as exc:
         raise ValidationError([str(exc)]) from None
@@ -697,7 +687,11 @@ def decode_audit_report(text: str) -> AuditReport:
         witness = entry.get("witness")
         if witness is not None:
             if not isinstance(witness, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in witness
+                isinstance(p, list)
+                and len(p) == 2
+                and isinstance(p[0], str)
+                and isinstance(p[1], str)
+                for p in witness
             ):
                 raise ParseError("witness must be a list of pairs")
             witness = tuple((p[0], p[1]) for p in witness)

@@ -56,10 +56,6 @@ class EffectOrientedRule:
     def potential_creations(self) -> ElementSet:
         return element_difference(self.maximal.rhs, self.base.rhs)
 
-    @property
-    def is_plain(self) -> bool:
-        return not self.potential_deletions and not self.potential_creations
-
 
 def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
@@ -295,8 +291,3 @@ def count_bounds(eor: EffectOrientedRule) -> tuple[int, int]:
     upper = 2 ** (len(deletions) + len(creations))
     return lower, upper
 
-
-def check_base_subrule(eor: EffectOrientedRule, induced: InducedRule) -> bool:
-    """Whether the base rule embeds into the induced rule as a subrule."""
-    embedding = SubruleEmbedding.by_inclusion(eor.base, induced.rule)
-    return check_subrule_embedding(embedding)

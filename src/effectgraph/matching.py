@@ -39,14 +39,10 @@ class InvalidPreMatch(EffectGraphError):
 
 @dataclass(frozen=True)
 class PreMatch:
-    """An injective morphism from the base lhs with its NAC verdict."""
+    """A morphism from the base lhs; :func:`validate_prematch` checks that
+    it is injective and satisfies the base NACs."""
 
     morphism: Morphism
-    nac_ok: bool
-
-    @classmethod
-    def create(cls, eor: EffectOrientedRule, morphism: Morphism) -> PreMatch:
-        return cls(morphism, satisfies_nacs(morphism, eor.base.nacs))
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def find_base_prematches(
     deterministic search order."""
     for m in find_injective_extensions(eor.base.lhs, host):
         if satisfies_nacs(m, eor.base.nacs):
-            yield PreMatch(m, True)
+            yield PreMatch(m)
 
 
 def validate_prematch(
@@ -104,20 +100,8 @@ def validate_prematch(
     problems = check_morphism(pm.morphism, require_injective=True)
     if problems:
         raise InvalidPreMatch(f"pre-match is not a valid injection: {problems[0]}")
-    if not pm.nac_ok or not satisfies_nacs(pm.morphism, eor.base.nacs):
+    if not satisfies_nacs(pm.morphism, eor.base.nacs):
         raise InvalidPreMatch("pre-match violates a base NAC")
-
-
-def is_compatible(eor: EffectOrientedRule, pm: PreMatch, mr: MatchResult) -> bool:
-    """Whether the result's match restricts to the pre-match on the base lhs."""
-    m, base = mr.match, pm.morphism
-    for nid in eor.base.lhs.nodes:
-        if m.node_map.get(nid) != base.node_map[nid]:
-            return False
-    for eid in eor.base.lhs.edges:
-        if m.edge_map.get(eid) != base.edge_map[eid]:
-            return False
-    return True
 
 
 class _Leaf(NamedTuple):
@@ -445,61 +429,6 @@ def find_all_locally_complete(
     transformation, in :meth:`MatchResult.sort_key` order."""
     validate_prematch(eor, host, pm)
     return _built(eor, host, _leaves(eor, host, pm, MatchStats()))
-
-
-def is_locally_complete(
-    eor: EffectOrientedRule,
-    host: TypedGraph,
-    pm: PreMatch,
-    mr: MatchResult,
-) -> bool:
-    """The one-step completeness check behind the matcher's guarantee.
-
-    For every unselected potential element, the factorisation that
-    additionally binds it on top of ``mr`` must be either not matchable (no
-    injective extension of the existing match covers it) or not applicable
-    (every candidate host element is already an image of the match, so the
-    combined morphism would not be injective).  The existing bindings stay
-    fixed and only the added element is free, which reduces both clauses to
-    one question: does the host still hold a free element of the right type
-    — and, for edges, between the right endpoint images?"""
-    if not is_compatible(eor, pm, mr):
-        raise ValueError("match result is not compatible with the pre-match")
-    sel = mr.induced.selection
-    m = mr.match
-    lg, rg = eor.maximal.lhs, eor.maximal.rhs
-    lhs_nodes = eor.base.lhs.nodes.keys() | sel.del_extra.nodes
-    kept_nodes = eor.interface.nodes.keys() | sel.preserve_extra.nodes
-
-    free_node_types = set()
-    for nid in eor.potential_deletions.nodes - sel.del_extra.nodes:
-        free_node_types.add(lg.nodes[nid])
-    for nid in eor.potential_creations.nodes - sel.preserve_extra.nodes:
-        free_node_types.add(rg.nodes[nid])
-    for ntype in free_node_types:
-        if any(
-            x not in m.node_images for x in host.nodes_by_type.get(ntype, ())
-        ):
-            return False
-
-    def edge_blocked(side: TypedGraph, eid: str, bound: set[str]) -> bool:
-        e = side.edges[eid]
-        if e.src not in bound or e.tgt not in bound:
-            # One element at a time this is not a graph; adding the edge
-            # together with an endpoint is caught through the endpoint.
-            return False
-        cls = (e.type, m.node_map[e.src], m.node_map[e.tgt])
-        return any(
-            x not in m.edge_images for x in host.edge_classes.get(cls, ())
-        )
-
-    for eid in eor.potential_deletions.edges - sel.del_extra.edges:
-        if edge_blocked(lg, eid, lhs_nodes):
-            return False
-    for eid in eor.potential_creations.edges - sel.preserve_extra.edges:
-        if edge_blocked(rg, eid, kept_nodes):
-            return False
-    return True
 
 
 def find_locally_maximal(

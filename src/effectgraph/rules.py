@@ -106,10 +106,10 @@ class TransformationRecord:
 
     The record keeps the delta of the step: the host ids it ``deleted`` and
     the output ids it ``created`` (a deleted id can be created again).  The
-    context is the host minus the deleted image; it embeds into both the
-    input and the output, and the interface embeds into the context.  The
-    context and these three morphisms are computed on first access and
-    then cached, so a step that never asks for them does not pay for them.
+    ``context``, the input minus the deleted ids, is computed on first
+    access and cached.  :func:`~effectgraph.core.pushout_complement` of
+    ``rule.left_inclusion`` and ``match`` builds the same context together
+    with its morphisms.
     """
 
     rule: Rule
@@ -123,24 +123,6 @@ class TransformationRecord:
     @cached_property
     def context(self) -> TypedGraph:
         return self.input._derive(self.deleted.nodes, self.deleted.edges)
-
-    @cached_property
-    def interface_to_context(self) -> Morphism:
-        k, m = self.rule.interface, self.match
-        return Morphism(
-            k,
-            self.context,
-            {n: m.node_map[n] for n in k.nodes},
-            {e: m.edge_map[e] for e in k.edges},
-        )
-
-    @cached_property
-    def context_to_input(self) -> Morphism:
-        return Morphism._trusted_inclusion(self.context, self.input)
-
-    @cached_property
-    def context_to_output(self) -> Morphism:
-        return Morphism._trusted_inclusion(self.context, self.output)
 
 
 def validate_rule(r: Rule) -> list[Diagnostic]:

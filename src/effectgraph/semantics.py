@@ -17,8 +17,15 @@ effective as claimed and raises :class:`AuditFailure`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import EffectGraphError, Morphism, TypedGraph, find_injective_extensions
+from .core import (
+    EffectGraphError,
+    ElementSet,
+    Morphism,
+    TypedGraph,
+    find_injective_extensions,
+)
 from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
     MatchResult,
@@ -129,17 +136,46 @@ def _interface_plus_element(
     return interface.with_elements(edges={element: edge})
 
 
-def _image_of(m: Morphism, element: str) -> str:
-    if element in m.node_map:
-        return m.node_map[element]
-    return m.edge_map[element]
-
-
-def _witness(ext: Morphism, base_keys: tuple[set[str], set[str]]) -> tuple:
-    pairs = [
-        (k, v) for k, v in ext.node_map.items() if k not in base_keys[0]
-    ] + [(k, v) for k, v in ext.edge_map.items() if k not in base_keys[1]]
-    return tuple(sorted(pairs))
+def _justify(
+    kind: str,
+    elements: ElementSet,
+    acted: ElementSet,
+    side: TypedGraph,
+    target: TypedGraph,
+    m: Morphism,
+    interface: TypedGraph,
+    clause: str,
+    failure: str,
+) -> Iterator[AuditEntry]:
+    """The audit entries of ``elements`` of ``side``, nodes then edges by
+    id.  An element in ``acted`` was acted on after all.  For any other,
+    every way of extending ``m`` on the interface onto it in ``target``
+    must land on an image of ``m``: each is recorded under ``clause`` with
+    the element and its image as witness, and the first that does not
+    raises :class:`AuditFailure` with ``failure``."""
+    on_interface = (
+        {n: m.node_map[n] for n in interface.nodes},
+        {e: m.edge_map[e] for e in interface.edges},
+    )
+    for element in sorted(elements.nodes) + sorted(elements.edges):
+        is_node = element in side.nodes
+        if element in (acted.nodes if is_node else acted.edges):
+            yield AuditEntry(kind, element, "alternative-action")
+            continue
+        extended = _interface_plus_element(interface, side, element)
+        if extended is None:
+            yield AuditEntry(kind, element, "skipped:not-a-graph")
+            continue
+        extensions = list(find_injective_extensions(extended, target, on_interface))
+        if not extensions:
+            yield AuditEntry(kind, element, "no-extension")
+            continue
+        images = m.node_images if is_node else m.edge_images
+        for ext in extensions:
+            image = (ext.node_map if is_node else ext.edge_map)[element]
+            if image not in images:
+                raise AuditFailure(element, f"host element {image!r} {failure}")
+            yield AuditEntry(kind, element, clause, ((element, image),))
 
 
 def audit_effect(t: EffectTransformation) -> AuditReport:
@@ -149,87 +185,27 @@ def audit_effect(t: EffectTransformation) -> AuditReport:
     comatch; performed potential creations are checked against the input
     through the match.  Elements whose interface extension is not a graph
     are recorded as skipped."""
-    eor = t.eor
-    interface = eor.interface
-    record = t.result
-    entries: list[AuditEntry] = []
-    base_keys = (set(interface.nodes), set(interface.edges))
-
-    comatch_on_interface = (
-        {n: record.comatch.node_map[n] for n in interface.nodes},
-        {e: record.comatch.edge_map[e] for e in interface.edges},
+    eor, record, sel = t.eor, t.result, t.selection
+    deletions = _justify(
+        "deletion",
+        eor.potential_deletions,
+        sel.del_extra,
+        eor.maximal.lhs,
+        record.output,
+        record.comatch,
+        eor.interface,
+        "alternative-creation",
+        "was neither deleted nor reused",
     )
-    reused_nodes = frozenset(record.comatch.node_map.values())
-    reused_edges = frozenset(record.comatch.edge_map.values())
-    acted = t.selection.del_extra
-    for element in sorted(eor.potential_deletions.nodes) + sorted(
-        eor.potential_deletions.edges
-    ):
-        is_node = element in eor.maximal.lhs.nodes
-        if element in (acted.nodes if is_node else acted.edges):
-            # The deletion was carried out; nothing left to justify.
-            entries.append(AuditEntry("deletion", element, "alternative-action"))
-            continue
-        extended = _interface_plus_element(interface, eor.maximal.lhs, element)
-        if extended is None:
-            entries.append(AuditEntry("deletion", element, "skipped:not-a-graph"))
-            continue
-        extensions = list(
-            find_injective_extensions(extended, record.output, comatch_on_interface)
-        )
-        if not extensions:
-            entries.append(AuditEntry("deletion", element, "no-extension"))
-            continue
-        for ext in extensions:
-            image = _image_of(ext, element)
-            if image in (reused_nodes if is_node else reused_edges):
-                entries.append(
-                    AuditEntry(
-                        "deletion",
-                        element,
-                        "alternative-creation",
-                        _witness(ext, base_keys),
-                    )
-                )
-            else:
-                raise AuditFailure(
-                    element,
-                    f"host element {image!r} was neither deleted nor reused",
-                )
-
-    match_on_interface = (
-        {n: record.match.node_map[n] for n in interface.nodes},
-        {e: record.match.edge_map[e] for e in interface.edges},
+    creations = _justify(
+        "creation",
+        eor.potential_creations - sel.preserve_extra,
+        ElementSet(),
+        eor.maximal.rhs,
+        record.input,
+        record.match,
+        eor.interface,
+        "alternative-action",
+        "could have been reused instead of creating",
     )
-    matched_nodes = frozenset(record.match.node_map.values())
-    matched_edges = frozenset(record.match.edge_map.values())
-    performed = eor.potential_creations - t.selection.preserve_extra
-    for element in sorted(performed.nodes) + sorted(performed.edges):
-        extended = _interface_plus_element(interface, eor.maximal.rhs, element)
-        if extended is None:
-            entries.append(AuditEntry("creation", element, "skipped:not-a-graph"))
-            continue
-        extensions = list(
-            find_injective_extensions(extended, record.input, match_on_interface)
-        )
-        if not extensions:
-            entries.append(AuditEntry("creation", element, "no-extension"))
-            continue
-        is_node = element in eor.maximal.rhs.nodes
-        for ext in extensions:
-            image = _image_of(ext, element)
-            if image in (matched_nodes if is_node else matched_edges):
-                entries.append(
-                    AuditEntry(
-                        "creation",
-                        element,
-                        "alternative-action",
-                        _witness(ext, base_keys),
-                    )
-                )
-            else:
-                raise AuditFailure(
-                    element,
-                    f"host element {image!r} could have been reused instead of creating",
-                )
-    return AuditReport(tuple(entries))
+    return AuditReport((*deletions, *creations))

@@ -6,7 +6,9 @@ through, ``is_isomorphic`` compares graphs up to renaming,
 ``enumerate_typed_graphs`` with ``bounded_nac_sets_equivalent`` decides
 application-condition questions by brute force over every small host, and
 ``oracle_locally_complete`` finds every locally complete match by brute
-force over every selection of an effect-oriented rule.
+force over every selection of an effect-oriented rule, as judged by
+``is_locally_complete``; ``is_compatible``, ``check_base_subrule`` and
+``is_plain`` are further checks on results and rules.
 ``reference_encode_graph`` and ``reference_decode_graph`` are the graph
 codecs built on :func:`canonical_text` and on separate structure,
 endpoint and :func:`validate_graph` passes, which the direct emitter and
@@ -40,16 +42,18 @@ from effectgraph.documents import (
 )
 from effectgraph.effect import (
     EffectOrientedRule,
+    InducedRule,
     build_induced_rule,
     enumerate_selections,
 )
-from effectgraph.matching import (
-    MatchResult,
-    PreMatch,
-    is_locally_complete,
-    validate_prematch,
+from effectgraph.matching import MatchResult, PreMatch, validate_prematch
+from effectgraph.rules import (
+    Nac,
+    Rule,
+    SubruleEmbedding,
+    check_subrule_embedding,
+    satisfies_nacs,
 )
-from effectgraph.rules import Nac, Rule, satisfies_nacs
 
 
 def induced(
@@ -235,6 +239,84 @@ def rule_applicable(rule: Rule, host: TypedGraph, match: Morphism) -> bool:
     nodes = [match.node_map[v] for v in rule.lhs.nodes if v not in kept_nodes]
     edges = {match.edge_map[e] for e in rule.lhs.edges if e not in kept_edges}
     return dangling_node(host, nodes, edges) is None
+
+
+def is_plain(eor: EffectOrientedRule) -> bool:
+    """Whether ``eor`` has no potential action at all."""
+    return not eor.potential_deletions and not eor.potential_creations
+
+
+def check_base_subrule(eor: EffectOrientedRule, induced: InducedRule) -> bool:
+    """Whether the base rule embeds into the induced rule as a subrule."""
+    embedding = SubruleEmbedding.by_inclusion(eor.base, induced.rule)
+    return check_subrule_embedding(embedding)
+
+
+def is_compatible(eor: EffectOrientedRule, pm: PreMatch, mr: MatchResult) -> bool:
+    """Whether the result's match restricts to the pre-match on the base lhs."""
+    m, base = mr.match, pm.morphism
+    for nid in eor.base.lhs.nodes:
+        if m.node_map.get(nid) != base.node_map[nid]:
+            return False
+    for eid in eor.base.lhs.edges:
+        if m.edge_map.get(eid) != base.edge_map[eid]:
+            return False
+    return True
+
+
+def is_locally_complete(
+    eor: EffectOrientedRule,
+    host: TypedGraph,
+    pm: PreMatch,
+    mr: MatchResult,
+) -> bool:
+    """The one-step completeness check behind the matcher's guarantee.
+
+    For every unselected potential element, the factorisation that
+    additionally binds it on top of ``mr`` must be either not matchable (no
+    injective extension of the existing match covers it) or not applicable
+    (every candidate host element is already an image of the match, so the
+    combined morphism would not be injective).  The existing bindings stay
+    fixed and only the added element is free, which reduces both clauses to
+    one question: does the host still hold a free element of the right type
+    — and, for edges, between the right endpoint images?"""
+    if not is_compatible(eor, pm, mr):
+        raise ValueError("match result is not compatible with the pre-match")
+    sel = mr.induced.selection
+    m = mr.match
+    lg, rg = eor.maximal.lhs, eor.maximal.rhs
+    lhs_nodes = eor.base.lhs.nodes.keys() | sel.del_extra.nodes
+    kept_nodes = eor.interface.nodes.keys() | sel.preserve_extra.nodes
+
+    free_node_types = set()
+    for nid in eor.potential_deletions.nodes - sel.del_extra.nodes:
+        free_node_types.add(lg.nodes[nid])
+    for nid in eor.potential_creations.nodes - sel.preserve_extra.nodes:
+        free_node_types.add(rg.nodes[nid])
+    for ntype in free_node_types:
+        if any(
+            x not in m.node_images for x in host.nodes_by_type.get(ntype, ())
+        ):
+            return False
+
+    def edge_blocked(side: TypedGraph, eid: str, bound: set[str]) -> bool:
+        e = side.edges[eid]
+        if e.src not in bound or e.tgt not in bound:
+            # One element at a time this is not a graph; adding the edge
+            # together with an endpoint is caught through the endpoint.
+            return False
+        cls = (e.type, m.node_map[e.src], m.node_map[e.tgt])
+        return any(
+            x not in m.edge_images for x in host.edge_classes.get(cls, ())
+        )
+
+    for eid in eor.potential_deletions.edges - sel.del_extra.edges:
+        if edge_blocked(lg, eid, lhs_nodes):
+            return False
+    for eid in eor.potential_creations.edges - sel.preserve_extra.edges:
+        if edge_blocked(rg, eid, kept_nodes):
+            return False
+    return True
 
 
 def oracle_locally_complete(

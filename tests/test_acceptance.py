@@ -23,7 +23,6 @@ from effectgraph import (
     TypeGraph,
     apply_rule,
     build_induced_rule,
-    check_base_subrule,
     audit_effect,
     count_bounds,
     enumerate_selections,
@@ -33,11 +32,12 @@ from effectgraph import (
     find_locally_complete,
     find_locally_maximal,
     prematch_from_maps,
+    pushout_complement,
     satisfies_nacs,
     shift_nacs,
 )
 from effectgraph.core import DanglingViolation, compose
-from effectgraph.matching import MatchStats, is_compatible, is_locally_complete
+from effectgraph.matching import MatchStats
 from effectgraph.fixtures import (
     bank_graph,
     client_match,
@@ -46,8 +46,11 @@ from effectgraph.fixtures import (
     shared_accounts_graph,
 )
 from oracles import (
+    check_base_subrule,
     enumerate_typed_graphs,
+    is_compatible,
     is_isomorphic,
+    is_locally_complete,
     oracle_locally_complete,
     pushout,
 )
@@ -318,8 +321,11 @@ def test_criterion_08_dpo_round_trips(request):
             applications += 1
             left = Morphism.inclusion(rule.interface, rule.lhs)
             right = Morphism.inclusion(rule.interface, rule.rhs)
-            rebuilt_input, _, _ = pushout(left, record.interface_to_context)
-            rebuilt_output, _, _ = pushout(right, record.interface_to_context)
+            context, k_to_context, _ = pushout_complement(left, m)
+            assert dict(context.nodes) == dict(record.context.nodes)
+            assert dict(context.edges) == dict(record.context.edges)
+            rebuilt_input, _, _ = pushout(left, k_to_context)
+            rebuilt_output, _, _ = pushout(right, k_to_context)
             assert is_isomorphic(rebuilt_input, host)
             assert is_isomorphic(rebuilt_output, record.output)
         assert dangling_seen > 0

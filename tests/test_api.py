@@ -1,8 +1,14 @@
-"""The public surface of the package."""
+"""The public surface of the package and the README's tour of it."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import effectgraph
+from effectgraph import AuditReport, audit_effect
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "AuditEntry",
@@ -45,7 +51,6 @@ PUBLIC_NAMES = [
     "build_induced_rule",
     "builtin_type_graphs",
     "canonical_text",
-    "check_base_subrule",
     "check_morphism",
     "check_subrule_embedding",
     "client_match",
@@ -78,8 +83,6 @@ PUBLIC_NAMES = [
     "fixture_path",
     "fixture_text",
     "fixtures",
-    "is_compatible",
-    "is_locally_complete",
     "is_pullback_square",
     "matching",
     "nac_sets_equivalent",
@@ -100,3 +103,14 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert effectgraph.__all__ == PUBLIC_NAMES
+
+
+def test_readme_library_tour_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour") :]
+    snippet = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(snippet, str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "['accounts_c_a#1', 'portfolios_c_p#1']\n"
+    report = audit_effect(namespace["t"])
+    assert isinstance(report, AuditReport) and report.entries

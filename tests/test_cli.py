@@ -197,8 +197,7 @@ def test_apply_writes_output_and_trace(tmp_path, capsys):
         ensure_account_rule(),
         bank_graph(),
         "locally_maximal",
-        PreMatch.create(
-            ensure_account_rule(),
+        PreMatch(
             Morphism(ensure_account_rule().base.lhs, bank_graph(), {"c": "c2"}, {}),
         ),
     )
@@ -254,6 +253,18 @@ def test_validate_flags_broken_files(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert f"ok {BANK_GRAPH_FILE}" in out
+
+
+@pytest.mark.parametrize("kind", [["graph"], {"graph": "rule"}])
+def test_validate_reports_a_kind_that_is_not_a_string(tmp_path, capsys, kind):
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"kind": kind}))
+    code, out, _ = run(capsys, "validate", str(odd), ENSURE_ACCOUNT_FILE)
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL {odd}: unknown document kind {kind!r}",
+        f"ok {ENSURE_ACCOUNT_FILE}",
+    ]
 
 
 def test_validate_registers_type_graph_files_first(tmp_path, capsys):
@@ -359,7 +370,7 @@ def test_audit_failure_exits_3(tmp_path, capsys):
         strategy="locally_complete",
         result=record,
         selection=InducedSelection.empty(),
-        base_prematch=PreMatch.create(eor, match),
+        base_prematch=PreMatch(match),
     )
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(encode_trace(t, "ensure_account"))

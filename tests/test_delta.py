@@ -2,9 +2,11 @@
 
 An output graph copies its input's element dicts and patches whichever
 indexes the input had built; every patched index must equal the one built
-from scratch.  The record's context and its three morphisms are computed on
-first access, created ids follow the ``rid#k`` scheme computed from the
-materialised context, and an output keeps no reference to its input.
+from scratch, and the sorted id tuples are computed on access, never
+stored.  The record's context is computed on first access and equals the
+one :func:`pushout_complement` builds, created ids follow the ``rid#k``
+scheme computed from the materialised context, and an output keeps no
+reference to its input.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from effectgraph.core import same_maps
 
 from gen import instances, random_graph, random_plain_rule, random_type_graph
 
-INDEXES = ("sorted_nodes", "sorted_edges", "nodes_by_type", "edge_classes", "incidence")
+INDEXES = ("nodes_by_type", "edge_classes", "incidence")
 
 CHAIN = TypeGraph(
     "chain",
@@ -89,6 +91,10 @@ def check_step(r: Rule, record, seen: Counter) -> None:
     assert "context" not in record.__dict__
     assert built(out) == built(host)
     assert_indexes_match_rebuild(out)
+    for g in (host, out):
+        assert g.sorted_nodes == tuple(sorted(g.nodes))
+        assert g.sorted_edges == tuple(sorted(g.edges))
+        assert "sorted_nodes" not in g.__dict__ and "sorted_edges" not in g.__dict__
 
     created = expected_created_ids(r, record.context)
     comatch = {**record.comatch.node_map, **record.comatch.edge_map}
@@ -111,21 +117,28 @@ def check_step(r: Rule, record, seen: Counter) -> None:
     } == dict(context.edges)
     assert_indexes_match_rebuild(context)
 
-    # The lazy context and inclusions close both squares of the derivation.
-    assert not check_morphism(record.interface_to_context, require_injective=True)
+    # The pushout complement's span through the lazy context closes both
+    # squares of the derivation.
+    complement, k_to_context, context_to_input = pushout_complement(
+        r.left_inclusion, record.match
+    )
+    assert dict(complement.nodes) == dict(context.nodes)
+    assert dict(complement.edges) == dict(context.edges)
+    context_to_output = Morphism.inclusion(complement, out)
+    assert not check_morphism(k_to_context, require_injective=True)
     assert same_maps(
         compose(r.left_inclusion, record.match),
-        compose(record.interface_to_context, record.context_to_input),
+        compose(k_to_context, context_to_input),
     )
     assert same_maps(
         compose(r.right_inclusion, record.comatch),
-        compose(record.interface_to_context, record.context_to_output),
+        compose(k_to_context, context_to_output),
     )
     assert is_pullback_square(
-        record.interface_to_context, r.left_inclusion, record.context_to_input, record.match
+        k_to_context, r.left_inclusion, context_to_input, record.match
     )
     assert is_pullback_square(
-        record.interface_to_context, r.right_inclusion, record.context_to_output, record.comatch
+        k_to_context, r.right_inclusion, context_to_output, record.comatch
     )
 
     fresh = TypedGraph(out.type_graph, out.nodes, out.edges)
@@ -217,7 +230,7 @@ def test_output_does_not_keep_its_input_alive():
     alive = weakref.ref(host)
     m = Morphism(r.lhs, host, {"k": "b1", "d": "a1"}, {"de": "f1"})
     record = apply_rule(r, host, m)
-    record.context_to_input  # the cached context and inclusions go with the record
+    record.context  # the cached context goes with the record
     out = record.output
     del record, m, host
     gc.collect()

@@ -282,6 +282,17 @@ def test_prematch_edge_inference():
         prematch_from_maps(
             eor, host, {"c": "c1", "a": "a2"}, {"ea": "portfolio_a2_p"}
         )
+    # With a base NAC a bad map is reported the same way: the NAC search
+    # runs once, on a valid injection.
+    second = lhs.with_elements(
+        nodes={"b": "Account"}, edges={"eb": Edge("accounts", "c", "b")}
+    )
+    guarded = Rule(lhs, interface, interface, (Nac(second),))
+    guarded_eor = EffectOrientedRule.from_rules(guarded, guarded)
+    with pytest.raises(ValidationError, match="type-not-preserved"):
+        prematch_from_maps(
+            guarded_eor, host, {"c": "a1", "a": "a2"}, {"ea": "accounts_c1_a1"}
+        )
 
 
 def _provision_at_c2():
@@ -353,22 +364,24 @@ def test_audit_report_round_trip():
     report = audit_effect(t)
     assert decode_audit_report(encode_audit_report(report)) == report
 
-    with pytest.raises(ParseError, match="witness must be a list of pairs"):
-        decode_audit_report(
-            canonical_text(
-                {
-                    "kind": "audit_report",
-                    "entries": [
-                        {
-                            "kind": "creation",
-                            "element": "a",
-                            "clause": "alternative-action",
-                            "witness": [["a"]],
-                        }
-                    ],
-                }
+    # Short pairs and pairs with a member that is not a string.
+    for witness in ([["a"]], [[1, {}]], [["a", 1]], [[["a"], "x"]]):
+        with pytest.raises(ParseError, match="witness must be a list of pairs"):
+            decode_audit_report(
+                canonical_text(
+                    {
+                        "kind": "audit_report",
+                        "entries": [
+                            {
+                                "kind": "creation",
+                                "element": "a",
+                                "clause": "alternative-action",
+                                "witness": witness,
+                            }
+                        ],
+                    }
+                )
             )
-        )
 
 
 def test_audit_report_round_trip_with_witness_pairs():

@@ -15,7 +15,6 @@ from effectgraph import (
     Rule,
     TypedGraph,
     build_induced_rule,
-    check_base_subrule,
     count_bounds,
     enumerate_selections,
     validate_rule,
@@ -25,6 +24,7 @@ from effectgraph.effect import validate_effect_rule
 from effectgraph.fixtures import ensure_account_rule, ensure_no_account_rule
 
 from gen import random_effect_rule, random_type_graph
+from oracles import check_base_subrule, is_plain
 
 
 def test_fixture_rules_have_the_expected_potential_actions():
@@ -45,7 +45,7 @@ def test_fixture_rules_validate_cleanly():
     for loader in (ensure_account_rule, ensure_no_account_rule):
         eor = loader()
         assert not validate_effect_rule(eor)
-        assert not eor.is_plain
+        assert not is_plain(eor)
 
 
 def test_selection_counts_per_filter():
@@ -207,6 +207,6 @@ def test_effect_rule_validation_flags_interface_mismatch():
 def test_is_plain_for_degenerate_effect_rule():
     provision = ensure_account_rule()
     plain = EffectOrientedRule.from_rules(provision.base, provision.base)
-    assert plain.is_plain
+    assert is_plain(plain)
     assert enumerate_selections(plain) == [InducedSelection.empty()]
     assert count_bounds(plain) == (1, 1)

@@ -33,8 +33,6 @@ from effectgraph import (
     find_injective_extensions,
     find_locally_complete,
     find_locally_maximal,
-    is_compatible,
-    is_locally_complete,
     satisfies_nacs,
     transform,
     validate_selection,
@@ -52,16 +50,21 @@ from effectgraph.rules import apply_rule
 from effectgraph.semantics import GLOBALLY_MAXIMAL, LOCALLY_COMPLETE, LOCALLY_MAXIMAL
 
 from gen import instances, random_graph
-from oracles import induced, oracle_locally_complete, restricted, rule_applicable
+from oracles import (
+    induced,
+    is_compatible,
+    is_locally_complete,
+    oracle_locally_complete,
+    restricted,
+    rule_applicable,
+)
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
 def prematch_at(eor: EffectOrientedRule, host: TypedGraph, client: str) -> PreMatch:
-    return PreMatch.create(
-        eor, Morphism(eor.base.lhs, host, {"c": client}, {})
-    )
+    return PreMatch(Morphism(eor.base.lhs, host, {"c": client}, {}))
 
 
 def selection_ids(mr) -> tuple:
@@ -169,7 +172,7 @@ def test_find_base_prematches_respects_nacs():
     clients = [pm.morphism.node_map["c"] for pm in find_base_prematches(guarded, host)]
     assert clients == ["c2"]
     bad = prematch_at(guarded, host, "c1")
-    assert not bad.nac_ok
+    assert not satisfies_nacs(bad.morphism, guarded.base.nacs)
     with pytest.raises(Exception, match="violates a base NAC"):
         validate_prematch(guarded, host, bad)
 
@@ -181,17 +184,13 @@ def test_validate_prematch_rejects_malformed_maps():
         validate_prematch(
             provision,
             host,
-            PreMatch.create(
-                provision, Morphism(provision.maximal.rhs, host, {}, {})
-            ),
+            PreMatch(Morphism(provision.maximal.rhs, host, {}, {})),
         )
     with pytest.raises(Exception, match="not a valid injection"):
         validate_prematch(
             provision,
             host,
-            PreMatch.create(
-                provision, Morphism(provision.base.lhs, host, {"c": "a1"}, {})
-            ),
+            PreMatch(Morphism(provision.base.lhs, host, {"c": "a1"}, {})),
         )
 
 
@@ -469,7 +468,7 @@ def test_exhausted_search_still_finds_the_absorbing_completion():
         {"c1": "Client", "z": "Client", "x": "Account"},
         {"e1": Edge("accounts", "c1", "x"), "ez": Edge("accounts", "z", "x")},
     )
-    pm = PreMatch.create(eor, Morphism(eor.base.lhs, host, {"c": "c1"}, {}))
+    pm = PreMatch(Morphism(eor.base.lhs, host, {"c": "c1"}, {}))
     stats = MatchStats()
     mr = find_locally_complete(eor, host, pm, stats)
     assert mr is not None
@@ -498,7 +497,7 @@ def test_no_free_candidate_anywhere_means_no_match():
         {"c1": "Client", "z": "Client", "x": "Account"},
         {"e1": Edge("accounts", "c1", "x"), "ez": Edge("accounts", "z", "x")},
     )
-    pm = PreMatch.create(eor, Morphism(eor.base.lhs, host, {"c": "c1"}, {}))
+    pm = PreMatch(Morphism(eor.base.lhs, host, {"c": "c1"}, {}))
     assert oracle_locally_complete(eor, host, pm) == []
     assert find_locally_complete(eor, host, pm) is None
 

@@ -27,6 +27,7 @@ from effectgraph import (
     find_injective_extensions,
     is_pullback_square,
     nac_sets_equivalent,
+    pushout_complement,
     satisfies_nacs,
     shift_nacs,
     validate_rule,
@@ -185,21 +186,27 @@ def test_apply_rule_record_is_coherent(seed):
         except DanglingViolation:
             continue
         assert not check_morphism(t.comatch, require_injective=True)
-        assert not check_morphism(t.interface_to_context, require_injective=True)
+        context, k_to_context, context_to_input = pushout_complement(
+            r.left_inclusion, t.match
+        )
+        assert dict(context.nodes) == dict(t.context.nodes)
+        assert dict(context.edges) == dict(t.context.edges)
+        context_to_output = Morphism.inclusion(context, t.output)
+        assert not check_morphism(k_to_context, require_injective=True)
         # Both squares of the derivation commute and are pullbacks.
         assert same_maps(
             compose(r.left_inclusion, t.match),
-            compose(t.interface_to_context, t.context_to_input),
+            compose(k_to_context, context_to_input),
         )
         assert same_maps(
             compose(r.right_inclusion, t.comatch),
-            compose(t.interface_to_context, t.context_to_output),
+            compose(k_to_context, context_to_output),
         )
         assert is_pullback_square(
-            t.interface_to_context, r.left_inclusion, t.context_to_input, t.match
+            k_to_context, r.left_inclusion, context_to_input, t.match
         )
         assert is_pullback_square(
-            t.interface_to_context, r.right_inclusion, t.context_to_output, t.comatch
+            k_to_context, r.right_inclusion, context_to_output, t.comatch
         )
         break
 

@@ -33,7 +33,7 @@ from effectgraph.fixtures import (
 
 
 def prematch_at(eor, host, client) -> PreMatch:
-    return PreMatch.create(eor, Morphism(eor.base.lhs, host, {"c": client}, {}))
+    return PreMatch(Morphism(eor.base.lhs, host, {"c": client}, {}))
 
 
 def test_transform_validates_strategy_arguments():
@@ -159,7 +159,7 @@ def test_audit_records_reuse_witness_for_skipped_deletion():
         eor,
         host,
         "locally_complete",
-        PreMatch.create(eor, Morphism(eor.base.lhs, host, {"c": "c1"}, {})),
+        PreMatch(Morphism(eor.base.lhs, host, {"c": "c1"}, {})),
     )
     report = audit_effect(t)
     by_element = {e.element: e for e in report.entries}
