@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NoReturn
+from typing import Any, Collection, Iterable, Mapping, NoReturn
 
 from .core import (
     Diagnostic,
@@ -356,11 +356,11 @@ _EDGE_ENDPOINT_ACTIONS = {
 
 
 def _read_elements(
-    raw: list, *taken: Mapping[str, Any], nac: bool = False
+    raw: list, taken: Collection[str] = (), nac: bool = False
 ) -> tuple[dict[str, str], dict[str, Edge], dict[str, str]]:
     """The nodes, edges and action tags of the element entries ``raw`` of a
     rule document.  Entries of a ``nac`` block carry no action tag and say
-    ``nac`` in their messages.  An id in one of ``taken`` is a duplicate."""
+    ``nac`` in their messages.  An id in ``taken`` is a duplicate."""
     prefix, article = ("nac ", "a nac") if nac else ("", "an")
     nodes: dict[str, str] = {}
     edges: dict[str, Edge] = {}
@@ -369,7 +369,7 @@ def _read_elements(
         if not isinstance(entry, dict):
             raise ParseError(f"{article} element entry must be an object")
         xid = _str_field(entry, "id", f"{prefix}element")
-        if xid in nodes or xid in edges or any(xid in ids for ids in taken):
+        if xid in nodes or xid in edges or xid in taken:
             raise ParseError("duplicate id", xid)
         if not nac:
             action = _str_field(entry, "action", f"element {xid}")
