@@ -1,6 +1,6 @@
 """Typed-graph double-pushout rewriting with effect-oriented rules."""
 
-from __future__ import annotations
+from types import ModuleType as _Module
 
 __version__ = "0.1.0"
 
@@ -12,13 +12,10 @@ from .core import (
     EffectGraphError,
     ElementSet,
     Morphism,
-    NonCommuting,
     TypeGraph,
     TypedGraph,
     check_morphism,
-    compose,
     find_injective_extensions,
-    is_pullback_square,
     pushout_complement,
     validate_graph,
 )
@@ -27,10 +24,8 @@ from .rules import (
     NacViolated,
     NotInjective,
     Rule,
-    SubruleEmbedding,
     TransformationRecord,
     apply_rule,
-    check_subrule_embedding,
     nac_sets_equivalent,
     satisfies_nacs,
     shift_nacs,
@@ -98,4 +93,4 @@ from .fixtures import (
     shared_accounts_graph,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _Module)]

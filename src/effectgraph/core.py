@@ -11,11 +11,10 @@ type between the same nodes are permitted throughout.
 The module provides validation (:func:`validate_graph`,
 :func:`check_morphism`), deterministic injective-morphism search
 (:func:`find_injective_extensions`), the one dangling-edge check
-(:func:`dangling_node`), pushout complements built on it
-(:func:`pushout_complement`, :func:`deleted_images`), and a pullback test
-for commuting squares of injective morphisms (:func:`is_pullback_square`).
-Gluing lives in :func:`effectgraph.rules.apply_rule`; pushouts, isomorphism
-and host enumeration are test oracles, not library code.
+(:func:`dangling_node`), and pushout complements built on it
+(:func:`pushout_complement`, :func:`deleted_images`).  Gluing lives in
+:func:`effectgraph.rules.apply_rule`; pushouts, pullback squares,
+isomorphism and host enumeration are test oracles, not library code.
 
 A graph's search indexes (``nodes_by_type``, ``edge_classes``,
 ``incidence``) are built on first use; ``sorted_nodes`` and
@@ -50,10 +49,6 @@ class DanglingViolation(EffectGraphError):
             f"deleting host node {node_id!r} would leave a dangling edge"
         )
         self.node_id = node_id
-
-
-class NonCommuting(EffectGraphError):
-    """A square of morphisms that must commute does not."""
 
 
 @dataclass(frozen=True)
@@ -249,30 +244,28 @@ class TypedGraph:
     @cached_property
     def nodes_by_type(self) -> Mapping[str, tuple[str, ...]]:
         buckets: dict[str, list[str]] = {}
-        for nid in self.sorted_nodes:
-            buckets.setdefault(self.nodes[nid], []).append(nid)
-        return {t: tuple(ids) for t, ids in buckets.items()}
+        for nid, ntype in self.nodes.items():
+            buckets.setdefault(ntype, []).append(nid)
+        return {t: tuple(sorted(ids)) for t, ids in buckets.items()}
 
     @cached_property
     def edge_classes(self) -> Mapping[tuple[str, str, str], tuple[str, ...]]:
         """Edge ids grouped by (type, src, tgt); parallel edges share a class."""
         buckets: dict[tuple[str, str, str], list[str]] = {}
-        for eid in self.sorted_edges:
-            e = self.edges[eid]
+        for eid, e in self.edges.items():
             buckets.setdefault((e.type, e.src, e.tgt), []).append(eid)
-        return {k: tuple(v) for k, v in buckets.items()}
+        return {k: tuple(sorted(v)) for k, v in buckets.items()}
 
     @cached_property
     def incidence(self) -> Mapping[str, tuple[str, ...]]:
         """Node id to the sorted ids of its incident edges."""
         buckets: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for eid in self.sorted_edges:
-            e = self.edges[eid]
+        for eid, e in self.edges.items():
             if e.src in buckets:
                 buckets[e.src].append(eid)
             if e.tgt in buckets and e.tgt != e.src:
                 buckets[e.tgt].append(eid)
-        return {k: tuple(v) for k, v in buckets.items()}
+        return {k: tuple(sorted(v)) for k, v in buckets.items()}
 
     def with_elements(
         self,
@@ -387,20 +380,6 @@ class Morphism:
         return f"Morphism({dict(self.node_map)!r}, {dict(self.edge_map)!r})"
 
 
-def compose(first: Morphism, second: Morphism) -> Morphism:
-    """The composite that applies ``first`` and then ``second``."""
-    return Morphism(
-        first.src_graph,
-        second.dst_graph,
-        {n: second.node_map[v] for n, v in first.node_map.items()},
-        {e: second.edge_map[v] for e, v in first.edge_map.items()},
-    )
-
-
-def same_maps(a: Morphism, b: Morphism) -> bool:
-    return dict(a.node_map) == dict(b.node_map) and dict(a.edge_map) == dict(b.edge_map)
-
-
 def is_id_subgraph(sub: TypedGraph, sup: TypedGraph) -> bool:
     """Whether every element of ``sub`` occurs identically in ``sup``."""
     for nid, ntype in sub.nodes.items():
@@ -472,9 +451,9 @@ def validate_graph(g: TypedGraph, tg: TypeGraph) -> list[Diagnostic]:
     return out
 
 
-def check_morphism(f: Morphism, require_injective: bool = False) -> list[Diagnostic]:
-    """All violations of totality, commutation, typing, and (optionally)
-    injectivity for ``f``."""
+def check_morphism(f: Morphism) -> list[Diagnostic]:
+    """All violations of totality, commutation, typing, and injectivity
+    for ``f``; injectivity findings come last."""
     out: list[Diagnostic] = []
     src, dst = f.src_graph, f.dst_graph
     for nid in src.sorted_nodes:
@@ -520,19 +499,18 @@ def check_morphism(f: Morphism, require_injective: bool = False) -> list[Diagnos
             )
     for eid in sorted(f.edge_map.keys() - src.edges.keys()):
         out.append(Diagnostic("spurious-mapping", eid, "mapped edge not in source"))
-    if require_injective:
-        for kind, mapping in (("node", f.node_map), ("edge", f.edge_map)):
-            hits = Counter(mapping.values())
-            for img, count in sorted(hits.items()):
-                if count > 1:
-                    culprits = sorted(k for k, v in mapping.items() if v == img)
-                    out.append(
-                        Diagnostic(
-                            "not-injective",
-                            culprits[1],
-                            f"{kind}s {culprits} share image {img!r}",
-                        )
+    for kind, mapping in (("node", f.node_map), ("edge", f.edge_map)):
+        hits = Counter(mapping.values())
+        for img, count in sorted(hits.items()):
+            if count > 1:
+                culprits = sorted(k for k, v in mapping.items() if v == img)
+                out.append(
+                    Diagnostic(
+                        "not-injective",
+                        culprits[1],
+                        f"{kind}s {culprits} share image {img!r}",
                     )
+                )
     return out
 
 
@@ -717,7 +695,7 @@ def pushout_complement(
     that is not itself deleted.
     """
     for leg, name in ((l, "interface inclusion"), (m, "match")):
-        problems = check_morphism(leg, require_injective=True)
+        problems = check_morphism(leg)
         if problems:
             raise ValueError(f"{name} is not a valid injection: {problems[0]}")
     if l.dst_graph != m.src_graph:
@@ -733,41 +711,3 @@ def pushout_complement(
     )
     return context, k_to_context, Morphism._trusted_inclusion(context, host)
 
-
-def is_pullback_square(
-    top: Morphism, left: Morphism, right: Morphism, bottom: Morphism
-) -> bool:
-    """Whether a commuting square of injective morphisms is a pullback.
-
-    ``top: A -> B``, ``left: A -> C``, ``right: B -> D``, ``bottom: C -> D``.
-    Raises :class:`NonCommuting` when the square does not commute.  For
-    injective legs the square is a pullback exactly when ``A`` covers the
-    whole intersection of the images of ``right`` and ``bottom``.
-    """
-    for leg, name in (
-        (top, "top"),
-        (left, "left"),
-        (right, "right"),
-        (bottom, "bottom"),
-    ):
-        problems = check_morphism(leg, require_injective=True)
-        if problems:
-            raise ValueError(f"{name} leg is not a valid injection: {problems[0]}")
-    if top.dst_graph != right.src_graph or left.dst_graph != bottom.src_graph:
-        raise ValueError("square legs do not compose")
-    if right.dst_graph != bottom.dst_graph:
-        raise ValueError("square legs do not land in a common graph")
-    if not same_maps(compose(top, right), compose(left, bottom)):
-        raise NonCommuting("the square does not commute")
-
-    for b_map, c_map, a_top, a_left in (
-        (right.node_map, bottom.node_map, top.node_map, left.node_map),
-        (right.edge_map, bottom.edge_map, top.edge_map, left.edge_map),
-    ):
-        c_inv = {v: k for k, v in c_map.items()}
-        covered = {(a_top[a], a_left[a]) for a in a_top}
-        for bid, d_img in b_map.items():
-            cid = c_inv.get(d_img)
-            if cid is not None and (bid, cid) not in covered:
-                return False
-    return True

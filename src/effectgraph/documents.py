@@ -461,7 +461,7 @@ def decode_rule(
         maximal_rhs,
         nacs=shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), tuple(nacs)),
     )
-    eor = EffectOrientedRule.from_rules(base, maximal)
+    eor = EffectOrientedRule(base, maximal)
     bad = validate_effect_rule(eor)
     if bad:
         raise ValidationError(bad)
@@ -625,7 +625,7 @@ def rebuild_transformation(
     except InvalidSelection as exc:
         raise ValidationError([str(exc)]) from None
     match = Morphism(induced.rule.lhs, host, trace.match[0], trace.match[1])
-    problems = check_morphism(match, require_injective=True)
+    problems = check_morphism(match)
     if problems:
         raise ValidationError(problems)
     pm = prematch_from_maps(eor, host, trace.base_match[0], trace.base_match[1])

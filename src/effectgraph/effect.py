@@ -1,13 +1,14 @@
 """Effect-oriented rules and their induced rules.
 
-An :class:`EffectOrientedRule` pairs a base rule with a maximal rule that
-embeds it while sharing the interface exactly.  Elements of the maximal
-left-hand side beyond the base are potential deletions; elements of the
-maximal right-hand side beyond the base are potential creations.  Choosing
-any closed subset of each (:class:`InducedSelection`) yields an induced
-rule: selected potential deletions are actually deleted, selected potential
-creations are matched in the host instead of created, and everything else
-keeps the base behaviour.
+An :class:`EffectOrientedRule` is two rules: a base rule and a maximal rule
+whose graphs contain the base graphs by id, with the interface shared
+exactly, so the base embeds into the maximal rule by inclusion.  Elements
+of the maximal left-hand side beyond the base are potential deletions;
+elements of the maximal right-hand side beyond the base are potential
+creations.  Choosing any closed subset of each (:class:`InducedSelection`)
+yields an induced rule: selected potential deletions are actually deleted,
+selected potential creations are matched in the host instead of created,
+and everything else keeps the base behaviour.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .core import (
     Morphism,
     TypedGraph,
     element_difference,
+    is_id_subgraph,
 )
-from .rules import Rule, SubruleEmbedding, check_subrule_embedding, shift_nacs, validate_rule
+from .rules import Rule, nac_sets_equivalent, shift_nacs, validate_rule
 
 SELECTION_FILTERS = ("none", "weak_left", "left", "weak_right", "right")
 
@@ -34,15 +36,16 @@ class InvalidSelection(EffectGraphError):
 
 @dataclass(frozen=True)
 class EffectOrientedRule:
-    """A base rule embedded in a maximal rule over the same interface."""
+    """A base rule and a maximal rule containing it by id, else ``ValueError``."""
 
     base: Rule
     maximal: Rule
-    embedding: SubruleEmbedding
 
-    @classmethod
-    def from_rules(cls, base: Rule, maximal: Rule) -> EffectOrientedRule:
-        return cls(base, maximal, SubruleEmbedding.by_inclusion(base, maximal))
+    def __post_init__(self) -> None:
+        b, m = self.base, self.maximal
+        for sub, sup in ((b.lhs, m.lhs), (b.interface, m.interface), (b.rhs, m.rhs)):
+            if not is_id_subgraph(sub, sup):
+                raise ValueError("not an id-subgraph; no inclusion exists")
 
     @property
     def interface(self) -> TypedGraph:
@@ -59,14 +62,14 @@ class EffectOrientedRule:
 
 def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
-    interfaces identical, and the embedding a genuine subrule embedding."""
+    interfaces identical, and the maximal NACs equivalent to the base NACs
+    shifted to the maximal lhs."""
     out: list[Diagnostic] = []
     for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
         for d in validate_rule(rule):
             out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
-    if dict(eor.base.interface.nodes) != dict(eor.maximal.interface.nodes) or dict(
-        eor.base.interface.edges
-    ) != dict(eor.maximal.interface.edges):
+    # The base interface is already included in the maximal one.
+    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
         out.append(
             Diagnostic(
                 "interface-mismatch",
@@ -74,20 +77,20 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
                 "base and maximal rule must share the interface exactly",
             )
         )
-    if not out:
-        try:
-            ok = check_subrule_embedding(eor.embedding)
-        except (ValueError, EffectGraphError) as exc:
-            out.append(Diagnostic("embedding-invalid", None, str(exc)))
-        else:
-            if not ok:
-                out.append(
-                    Diagnostic(
-                        "embedding-invalid",
-                        None,
-                        "base rule does not embed into the maximal rule",
-                    )
-                )
+    # Inclusions and identical interfaces K make both squares commute, and
+    # L_base ∩ K = K = R_base ∩ K makes them pullbacks: only NACs are left.
+    if not out and not nac_sets_equivalent(
+        eor.maximal.lhs,
+        eor.maximal.nacs,
+        shift_nacs(Morphism.inclusion(eor.base.lhs, eor.maximal.lhs), eor.base.nacs),
+    ):
+        out.append(
+            Diagnostic(
+                "embedding-invalid",
+                None,
+                "base rule does not embed into the maximal rule",
+            )
+        )
     return out
 
 

@@ -97,7 +97,7 @@ def validate_prematch(
 ) -> None:
     if pm.morphism.src_graph != eor.base.lhs or pm.morphism.dst_graph != host:
         raise InvalidPreMatch("pre-match does not map the base lhs into the host")
-    problems = check_morphism(pm.morphism, require_injective=True)
+    problems = check_morphism(pm.morphism)
     if problems:
         raise InvalidPreMatch(f"pre-match is not a valid injection: {problems[0]}")
     if not satisfies_nacs(pm.morphism, eor.base.nacs):

@@ -10,9 +10,8 @@ NACs can be shifted along an injective morphism of their root
 extended pattern.  Two NAC sets over one root are equivalent exactly when
 each NAC of either set receives a root-fixing injection from a NAC of the
 other (:func:`nac_sets_equivalent`); the test is exact for hosts of any
-size.  Subrule embeddings relate a smaller rule to a larger one
-componentwise and are checked structurally (commuting pullback squares) and
-semantically (equivalence of the application conditions).
+size.  A rule embeds into another by id inclusion; the general subrule
+embedding, with its pullback squares, is a test oracle.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ from .core import (
     EffectGraphError,
     ElementSet,
     Morphism,
-    NonCommuting,
     TypedGraph,
     check_morphism,
     deleted_images,
     find_injective_extensions,
     fresh_id,
     is_id_subgraph,
-    is_pullback_square,
     validate_graph,
 )
 
@@ -77,27 +74,6 @@ class Rule:
     @property
     def right_inclusion(self) -> Morphism:
         return Morphism.inclusion(self.interface, self.rhs)
-
-
-@dataclass(frozen=True)
-class SubruleEmbedding:
-    """Componentwise injections embedding ``sub`` into ``sup``."""
-
-    sub: Rule
-    sup: Rule
-    iota_lhs: Morphism
-    iota_interface: Morphism
-    iota_rhs: Morphism
-
-    @classmethod
-    def by_inclusion(cls, sub: Rule, sup: Rule) -> SubruleEmbedding:
-        return cls(
-            sub,
-            sup,
-            Morphism.inclusion(sub.lhs, sup.lhs),
-            Morphism.inclusion(sub.interface, sup.interface),
-            Morphism.inclusion(sub.rhs, sup.rhs),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,27 +184,30 @@ def _overlap_candidates(
     free_nodes = [n for n in target.sorted_nodes if n not in image_nodes]
     free_edges = [e for e in target.sorted_edges if e not in image_edges]
 
-    def node_choices(idx: int, phi: dict[str, str]) -> Iterator[dict[str, str]]:
+    # Recursing through an argument, not a closure cell, leaves no cycles.
+    def node_choices(
+        node_choices, idx: int, phi: dict[str, str]
+    ) -> Iterator[dict[str, str]]:
         if idx == len(extra_nodes):
             yield dict(phi)
             return
         n = extra_nodes[idx]
-        yield from node_choices(idx + 1, phi)
+        yield from node_choices(node_choices, idx + 1, phi)
         for x in free_nodes:
             if x in phi.values() or target.nodes[x] != nac_graph.nodes[n]:
                 continue
             phi[n] = x
-            yield from node_choices(idx + 1, phi)
+            yield from node_choices(node_choices, idx + 1, phi)
             del phi[n]
 
     def edge_choices(
-        phi: dict[str, str], idx: int, psi: dict[str, str]
+        edge_choices, phi: dict[str, str], idx: int, psi: dict[str, str]
     ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
         if idx == len(extra_edges):
             yield dict(phi), dict(psi)
             return
         eid = extra_edges[idx]
-        yield from edge_choices(phi, idx + 1, psi)
+        yield from edge_choices(edge_choices, phi, idx + 1, psi)
         e = nac_graph.edges[eid]
         src_img = b_nodes.get(e.src, phi.get(e.src))
         tgt_img = b_nodes.get(e.tgt, phi.get(e.tgt))
@@ -241,11 +220,11 @@ def _overlap_candidates(
             if te.type != e.type or te.src != src_img or te.tgt != tgt_img:
                 continue
             psi[eid] = x
-            yield from edge_choices(phi, idx + 1, psi)
+            yield from edge_choices(edge_choices, phi, idx + 1, psi)
             del psi[eid]
 
-    for phi in node_choices(0, {}):
-        yield from edge_choices(phi, 0, {})
+    for phi in node_choices(node_choices, 0, {}):
+        yield from edge_choices(edge_choices, phi, 0, {})
 
 
 def _rooted_injection_exists(
@@ -355,37 +334,6 @@ def nac_sets_equivalent(
     )
 
 
-def check_subrule_embedding(e: SubruleEmbedding) -> bool:
-    """Whether ``e`` embeds its small rule into its large rule.
-
-    Structurally both mediating squares must commute and be pullbacks;
-    semantically the large rule's NACs must be equivalent to the small
-    rule's NACs shifted along the left leg.
-    """
-    for leg, src, dst, name in (
-        (e.iota_lhs, e.sub.lhs, e.sup.lhs, "lhs"),
-        (e.iota_interface, e.sub.interface, e.sup.interface, "interface"),
-        (e.iota_rhs, e.sub.rhs, e.sup.rhs, "rhs"),
-    ):
-        if leg.src_graph != src or leg.dst_graph != dst:
-            raise ValueError(f"{name} leg does not connect the two rules")
-        problems = check_morphism(leg, require_injective=True)
-        if problems:
-            raise ValueError(f"{name} leg is not a valid injection: {problems[0]}")
-
-    try:
-        squares_ok = is_pullback_square(
-            e.sub.left_inclusion, e.iota_interface, e.iota_lhs, e.sup.left_inclusion
-        ) and is_pullback_square(
-            e.sub.right_inclusion, e.iota_interface, e.iota_rhs, e.sup.right_inclusion
-        )
-    except NonCommuting:
-        return False
-    return squares_ok and nac_sets_equivalent(
-        e.sup.lhs, e.sup.nacs, shift_nacs(e.iota_lhs, e.sub.nacs)
-    )
-
-
 def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     """Apply ``r`` to host ``g`` at match ``m``.
 
@@ -400,7 +348,7 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     """
     if m.src_graph != r.lhs or m.dst_graph != g:
         raise ValueError("match must map the rule's lhs into the host")
-    problems = check_morphism(m, require_injective=True)
+    problems = check_morphism(m)
     if problems:
         # Injectivity findings come last, so any other finding is first.
         if problems[0].code != "not-injective":

@@ -119,7 +119,7 @@ def random_effect_rule(
     maximal_nacs = shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), base_nacs)
     base = Rule(base_lhs, interface, base_rhs, base_nacs)
     maximal = Rule(maximal_lhs, interface, maximal_rhs, maximal_nacs)
-    return EffectOrientedRule.from_rules(base, maximal)
+    return EffectOrientedRule(base, maximal)
 
 
 def instances(

@@ -2,7 +2,10 @@
 
 None of these is used by the library itself.  ``pushout`` (with its ``~k``
 ids) is the independent gluing that ``apply_rule`` is round-tripped
-through, ``is_isomorphic`` compares graphs up to renaming,
+through, ``is_pullback_square`` (with ``compose`` and ``same_maps``)
+checks its squares, and ``check_subrule_embedding`` is the general subrule
+embedding that ``validate_effect_rule`` decides by id inclusion.
+``is_isomorphic`` compares graphs up to renaming,
 ``enumerate_typed_graphs`` with ``bounded_nac_sets_equivalent`` decides
 application-condition questions by brute force over every small host, and
 ``oracle_locally_complete`` finds every locally complete match by brute
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from effectgraph.core import (
     Edge,
+    EffectGraphError,
     Morphism,
     TypeGraph,
     TypedGraph,
@@ -50,10 +55,119 @@ from effectgraph.matching import MatchResult, PreMatch, validate_prematch
 from effectgraph.rules import (
     Nac,
     Rule,
-    SubruleEmbedding,
-    check_subrule_embedding,
+    nac_sets_equivalent,
     satisfies_nacs,
+    shift_nacs,
 )
+
+
+class NonCommuting(EffectGraphError):
+    """A square of morphisms that must commute does not."""
+
+
+def compose(first: Morphism, second: Morphism) -> Morphism:
+    """The composite that applies ``first`` and then ``second``."""
+    return Morphism(
+        first.src_graph,
+        second.dst_graph,
+        {n: second.node_map[v] for n, v in first.node_map.items()},
+        {e: second.edge_map[v] for e, v in first.edge_map.items()},
+    )
+
+
+def same_maps(a: Morphism, b: Morphism) -> bool:
+    return dict(a.node_map) == dict(b.node_map) and dict(a.edge_map) == dict(b.edge_map)
+
+
+def is_pullback_square(
+    top: Morphism, left: Morphism, right: Morphism, bottom: Morphism
+) -> bool:
+    """Whether a commuting square of injective morphisms is a pullback.
+
+    ``top: A -> B``, ``left: A -> C``, ``right: B -> D``, ``bottom: C -> D``.
+    Raises :class:`NonCommuting` when the square does not commute.  For
+    injective legs the square is a pullback exactly when ``A`` covers the
+    whole intersection of the images of ``right`` and ``bottom``.
+    """
+    for leg, name in (
+        (top, "top"),
+        (left, "left"),
+        (right, "right"),
+        (bottom, "bottom"),
+    ):
+        problems = check_morphism(leg)
+        if problems:
+            raise ValueError(f"{name} leg is not a valid injection: {problems[0]}")
+    if top.dst_graph != right.src_graph or left.dst_graph != bottom.src_graph:
+        raise ValueError("square legs do not compose")
+    if right.dst_graph != bottom.dst_graph:
+        raise ValueError("square legs do not land in a common graph")
+    if not same_maps(compose(top, right), compose(left, bottom)):
+        raise NonCommuting("the square does not commute")
+
+    for b_map, c_map, a_top, a_left in (
+        (right.node_map, bottom.node_map, top.node_map, left.node_map),
+        (right.edge_map, bottom.edge_map, top.edge_map, left.edge_map),
+    ):
+        c_inv = {v: k for k, v in c_map.items()}
+        covered = {(a_top[a], a_left[a]) for a in a_top}
+        for bid, d_img in b_map.items():
+            cid = c_inv.get(d_img)
+            if cid is not None and (bid, cid) not in covered:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class SubruleEmbedding:
+    """Componentwise injections embedding ``sub`` into ``sup``."""
+
+    sub: Rule
+    sup: Rule
+    iota_lhs: Morphism
+    iota_interface: Morphism
+    iota_rhs: Morphism
+
+    @classmethod
+    def by_inclusion(cls, sub: Rule, sup: Rule) -> SubruleEmbedding:
+        return cls(
+            sub,
+            sup,
+            Morphism.inclusion(sub.lhs, sup.lhs),
+            Morphism.inclusion(sub.interface, sup.interface),
+            Morphism.inclusion(sub.rhs, sup.rhs),
+        )
+
+
+def check_subrule_embedding(e: SubruleEmbedding) -> bool:
+    """Whether ``e`` embeds its small rule into its large rule.
+
+    Structurally both mediating squares must commute and be pullbacks;
+    semantically the large rule's NACs must be equivalent to the small
+    rule's NACs shifted along the left leg.
+    """
+    for leg, src, dst, name in (
+        (e.iota_lhs, e.sub.lhs, e.sup.lhs, "lhs"),
+        (e.iota_interface, e.sub.interface, e.sup.interface, "interface"),
+        (e.iota_rhs, e.sub.rhs, e.sup.rhs, "rhs"),
+    ):
+        if leg.src_graph != src or leg.dst_graph != dst:
+            raise ValueError(f"{name} leg does not connect the two rules")
+        problems = check_morphism(leg)
+        if problems:
+            raise ValueError(f"{name} leg is not a valid injection: {problems[0]}")
+
+    try:
+        squares_ok = is_pullback_square(
+            e.sub.left_inclusion, e.iota_interface, e.iota_lhs, e.sup.left_inclusion
+        ) and is_pullback_square(
+            e.sub.right_inclusion, e.iota_interface, e.iota_rhs, e.sup.right_inclusion
+        )
+    except NonCommuting:
+        return False
+    return squares_ok and nac_sets_equivalent(
+        e.sup.lhs, e.sup.nacs, shift_nacs(e.iota_lhs, e.sub.nacs)
+    )
 
 
 def induced(
@@ -139,7 +253,7 @@ def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
     if f.src_graph != g.src_graph:
         raise ValueError("pushout legs must share their source graph")
     for leg, name in ((f, "first"), (g, "second")):
-        problems = check_morphism(leg, require_injective=True)
+        problems = check_morphism(leg)
         if problems:
             raise ValueError(f"{name} pushout leg is not a valid injection: {problems[0]}")
     b, c = f.dst_graph, g.dst_graph

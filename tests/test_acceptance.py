@@ -36,7 +36,7 @@ from effectgraph import (
     satisfies_nacs,
     shift_nacs,
 )
-from effectgraph.core import DanglingViolation, compose
+from effectgraph.core import DanglingViolation
 from effectgraph.matching import MatchStats
 from effectgraph.fixtures import (
     bank_graph,
@@ -47,6 +47,7 @@ from effectgraph.fixtures import (
 )
 from oracles import (
     check_base_subrule,
+    compose,
     enumerate_typed_graphs,
     is_compatible,
     is_isomorphic,

@@ -31,19 +31,16 @@ PUBLIC_NAMES = [
     "Morphism",
     "Nac",
     "NacViolated",
-    "NonCommuting",
     "NotInjective",
     "ParseError",
     "PreMatch",
     "Rule",
     "StrategyArgumentMismatch",
-    "SubruleEmbedding",
     "TraceData",
     "TransformationRecord",
     "TypeGraph",
     "TypedGraph",
     "ValidationError",
-    "annotations",
     "apply_rule",
     "audit_effect",
     "bank_graph",
@@ -52,10 +49,7 @@ PUBLIC_NAMES = [
     "builtin_type_graphs",
     "canonical_text",
     "check_morphism",
-    "check_subrule_embedding",
     "client_match",
-    "compose",
-    "core",
     "count_bounds",
     "decode_audit_report",
     "decode_graph",
@@ -63,8 +57,6 @@ PUBLIC_NAMES = [
     "decode_rule",
     "decode_trace",
     "decode_type_graph",
-    "documents",
-    "effect",
     "encode_audit_report",
     "encode_graph",
     "encode_match",
@@ -82,16 +74,11 @@ PUBLIC_NAMES = [
     "find_locally_maximal",
     "fixture_path",
     "fixture_text",
-    "fixtures",
-    "is_pullback_square",
-    "matching",
     "nac_sets_equivalent",
     "prematch_from_maps",
     "pushout_complement",
     "rebuild_transformation",
-    "rules",
     "satisfies_nacs",
-    "semantics",
     "shared_accounts_graph",
     "shift_nacs",
     "transform",

@@ -297,7 +297,7 @@ def test_types_flag_extends_the_registry(tmp_path, capsys):
     maximal_rhs = interface.with_elements(
         nodes={"m": "N"}, edges={"em": Edge("e", "k", "m")}
     )
-    eor = EffectOrientedRule.from_rules(
+    eor = EffectOrientedRule(
         Rule(interface, interface, interface),
         Rule(interface, interface, maximal_rhs),
     )

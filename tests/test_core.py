@@ -15,21 +15,30 @@ from effectgraph import (
     Edge,
     EdgeType,
     Morphism,
-    NonCommuting,
+    Nac,
     TypeGraph,
     TypedGraph,
     check_morphism,
-    compose,
     find_injective_extensions,
-    is_pullback_square,
     pushout_complement,
+    shift_nacs,
     validate_graph,
 )
-from effectgraph.core import fresh_id, same_maps
+from effectgraph.core import fresh_id
 from effectgraph.fixtures import bank_graph, ensure_account_rule
 
 from gen import grow, random_graph, random_type_graph
-from oracles import enumerate_typed_graphs, graph_union, induced, is_isomorphic, pushout
+from oracles import (
+    NonCommuting,
+    compose,
+    enumerate_typed_graphs,
+    graph_union,
+    induced,
+    is_isomorphic,
+    is_pullback_square,
+    pushout,
+    same_maps,
+)
 
 PAIR = TypeGraph(
     "pair",
@@ -97,6 +106,35 @@ def test_cached_views_are_consistent():
     assert g.incidence == {"x": ("e1", "e2"), "y": ("e2",), "z": ("e1",)}
 
 
+def _indexes_by_global_sort(g: TypedGraph) -> tuple[dict, dict, dict]:
+    """The three indexes grouped from every id in ascending order."""
+    by_type: dict = {}
+    classes: dict = {}
+    incidence: dict = {nid: () for nid in g.nodes}
+    for nid in sorted(g.nodes):
+        by_type[g.nodes[nid]] = by_type.get(g.nodes[nid], ()) + (nid,)
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        key = (e.type, e.src, e.tgt)
+        classes[key] = classes.get(key, ()) + (eid,)
+        for n in {e.src, e.tgt} & incidence.keys():
+            incidence[n] += (eid,)
+    return by_type, classes, incidence
+
+
+def test_indexes_equal_a_global_sort():
+    rng = random.Random(41)
+    for _ in range(200):
+        tg = random_type_graph(rng)
+        g = random_graph(rng, tg, max_nodes=8, max_edges=12)
+        if g.nodes and tg.edge_types and rng.random() < 0.3:
+            # An edge whose source is missing gets no incidence bucket for it.
+            edge = Edge(rng.choice(sorted(tg.edge_types)), "ghost", rng.choice(g.sorted_nodes))
+            g = TypedGraph(tg, g.nodes, {**g.edges, "dangling": edge})
+        built = (g.nodes_by_type, g.edge_classes, g.incidence)
+        assert built == _indexes_by_global_sort(g)
+
+
 def test_incidence_counts_loops_once():
     g = TypedGraph(PAIR, {"x": "A"}, {"l": Edge("aa", "x", "x")})
     assert g.incidence == {"x": ("l",)}
@@ -111,7 +149,7 @@ def test_morphism_identity_and_composition_laws():
         c = grow(rng, b, rng.randint(0, 2), rng.randint(0, 2), "c")
         f = Morphism.inclusion(a, b)
         g = Morphism.inclusion(b, c)
-        assert not check_morphism(f, require_injective=True)
+        assert not check_morphism(f)
         assert same_maps(compose(Morphism.identity(a), f), f)
         assert same_maps(compose(f, Morphism.identity(b)), f)
         assert same_maps(compose(f, g), Morphism.inclusion(a, c))
@@ -139,10 +177,7 @@ def test_check_morphism_reports_each_violation_kind():
         {"x": "u", "y": "u"},
         {},
     )
-    assert not check_morphism(squash)
-    assert [d.code for d in check_morphism(squash, require_injective=True)] == [
-        "not-injective"
-    ]
+    assert [d.code for d in check_morphism(squash)] == ["not-injective"]
 
     askew = Morphism(
         TypedGraph(PAIR, {"x": "A", "y": "B"}, {"e": Edge("ab", "x", "y")}),
@@ -199,7 +234,7 @@ def test_find_injective_extensions_matches_brute_force(seed):
     host = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
     results = list(find_injective_extensions(pattern, host))
     for m in results:
-        assert not check_morphism(m, require_injective=True)
+        assert not check_morphism(m)
     got = {
         (frozenset(m.node_map.items()), frozenset(m.edge_map.items()))
         for m in results
@@ -254,6 +289,23 @@ def test_find_injective_extensions_leaves_no_garbage_cycles():
             for pattern in (client, held):
                 assert list(find_injective_extensions(pattern, host))
                 next(find_injective_extensions(pattern, host))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_shift_nacs_leaves_no_garbage_cycles():
+    """Shifting NACs, which enumerates overlaps recursively, is freed by
+    reference counting alone."""
+    root = TypedGraph(PAIR, {"k": "B"}, {})
+    forbidden = root.with_elements({"n": "A"}, {"ne": Edge("ab", "n", "k")})
+    wide = root.with_elements({"other": "A"})
+    inclusion = Morphism.inclusion(root, wide)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert len(shift_nacs(inclusion, [Nac(forbidden)])) == 2
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -371,8 +423,8 @@ def test_pushout_of_inclusions(seed):
     f = Morphism.inclusion(shared, left)
     g = Morphism.inclusion(shared, right)
     d, in_left, in_right = pushout(f, g)
-    assert not check_morphism(in_left, require_injective=True)
-    assert not check_morphism(in_right, require_injective=True)
+    assert not check_morphism(in_left)
+    assert not check_morphism(in_right)
     assert same_maps(compose(f, in_left), compose(g, in_right))
     assert len(d.nodes) == len(left.nodes) + len(right.nodes) - len(shared.nodes)
     assert len(d.edges) == len(left.edges) + len(right.edges) - len(shared.edges)
@@ -438,7 +490,7 @@ def test_pushout_complement_then_pushout_restores_host(seed):
             pushout_complement(l, m)
         return
     context, k_to_context, context_to_host = pushout_complement(l, m)
-    assert not check_morphism(k_to_context, require_injective=True)
+    assert not check_morphism(k_to_context)
     assert set(context.nodes) == host.nodes.keys() - deleted_nodes
     assert set(context.edges) == host.edges.keys() - deleted_edges
     rebuilt, _, _ = pushout(l, k_to_context)

@@ -30,16 +30,14 @@ from effectgraph import (
     TypedGraph,
     apply_rule,
     check_morphism,
-    compose,
     find_base_prematches,
     find_injective_extensions,
-    is_pullback_square,
     pushout_complement,
     transform,
 )
-from effectgraph.core import same_maps
 
 from gen import instances, random_graph, random_plain_rule, random_type_graph
+from oracles import compose, is_pullback_square, same_maps
 
 INDEXES = ("nodes_by_type", "edge_classes", "incidence")
 
@@ -125,7 +123,7 @@ def check_step(r: Rule, record, seen: Counter) -> None:
     assert dict(complement.nodes) == dict(context.nodes)
     assert dict(complement.edges) == dict(context.edges)
     context_to_output = Morphism.inclusion(complement, out)
-    assert not check_morphism(k_to_context, require_injective=True)
+    assert not check_morphism(k_to_context)
     assert same_maps(
         compose(r.left_inclusion, record.match),
         compose(k_to_context, context_to_input),

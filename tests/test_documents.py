@@ -270,7 +270,7 @@ def test_prematch_edge_inference():
         nodes={"a": "Account"}, edges={"ea": Edge("accounts", "c", "a")}
     )
     base = Rule(lhs, interface, interface)
-    eor = EffectOrientedRule.from_rules(base, base)
+    eor = EffectOrientedRule(base, base)
     host = bank_graph()
     pm = prematch_from_maps(eor, host, {"c": "c1", "a": "a1"}, {})
     assert pm.morphism.edge_map == {"ea": "accounts_c1_a1"}
@@ -288,7 +288,7 @@ def test_prematch_edge_inference():
         nodes={"b": "Account"}, edges={"eb": Edge("accounts", "c", "b")}
     )
     guarded = Rule(lhs, interface, interface, (Nac(second),))
-    guarded_eor = EffectOrientedRule.from_rules(guarded, guarded)
+    guarded_eor = EffectOrientedRule(guarded, guarded)
     with pytest.raises(ValidationError, match="type-not-preserved"):
         prematch_from_maps(
             guarded_eor, host, {"c": "a1", "a": "a2"}, {"ea": "accounts_c1_a1"}

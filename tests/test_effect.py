@@ -12,6 +12,7 @@ from effectgraph import (
     InducedSelection,
     InvalidSelection,
     Morphism,
+    Nac,
     Rule,
     TypedGraph,
     build_induced_rule,
@@ -21,10 +22,19 @@ from effectgraph import (
     validate_selection,
 )
 from effectgraph.effect import validate_effect_rule
-from effectgraph.fixtures import ensure_account_rule, ensure_no_account_rule
+from effectgraph.fixtures import (
+    banking_type_graph,
+    ensure_account_rule,
+    ensure_no_account_rule,
+)
 
-from gen import random_effect_rule, random_type_graph
-from oracles import check_base_subrule, is_plain
+from gen import grow, random_effect_rule, random_type_graph
+from oracles import (
+    SubruleEmbedding,
+    check_base_subrule,
+    check_subrule_embedding,
+    is_plain,
+)
 
 
 def test_fixture_rules_have_the_expected_potential_actions():
@@ -198,7 +208,7 @@ def test_effect_rule_validation_flags_interface_mismatch():
     empty = TypedGraph.empty(client.type_graph)
     deleting_base = Rule(client, empty, empty)
     preserving_maximal = Rule(client, client, client)
-    skewed = EffectOrientedRule.from_rules(deleting_base, preserving_maximal)
+    skewed = EffectOrientedRule(deleting_base, preserving_maximal)
     assert any(
         d.code == "interface-mismatch" for d in validate_effect_rule(skewed)
     )
@@ -206,7 +216,56 @@ def test_effect_rule_validation_flags_interface_mismatch():
 
 def test_is_plain_for_degenerate_effect_rule():
     provision = ensure_account_rule()
-    plain = EffectOrientedRule.from_rules(provision.base, provision.base)
+    plain = EffectOrientedRule(provision.base, provision.base)
     assert is_plain(plain)
     assert enumerate_selections(plain) == [InducedSelection.empty()]
     assert count_bounds(plain) == (1, 1)
+
+
+def _nac_variants(rng: random.Random, eor: EffectOrientedRule):
+    """The rule itself, the rule with its first maximal NAC dropped, and the
+    rule with one more maximal NAC grown from the maximal lhs."""
+    yield eor
+    m = eor.maximal
+    if m.nacs:
+        yield EffectOrientedRule(eor.base, Rule(m.lhs, m.interface, m.rhs, m.nacs[1:]))
+    extra = Nac(grow(rng, m.lhs, 1, rng.randint(0, 2), "y_"))
+    yield EffectOrientedRule(
+        eor.base, Rule(m.lhs, m.interface, m.rhs, (*m.nacs, extra))
+    )
+
+
+def test_validation_agrees_with_the_subrule_embedding_oracle():
+    """Deciding the embedding by id inclusion gives the verdict of the
+    general check of its pullback squares and NACs."""
+    rng = random.Random(909)
+    verdicts = []
+    for _ in range(400):
+        eor = random_effect_rule(rng, random_type_graph(rng))
+        for variant in _nac_variants(rng, eor):
+            expected = check_subrule_embedding(
+                SubruleEmbedding.by_inclusion(variant.base, variant.maximal)
+            )
+            assert (not validate_effect_rule(variant)) == expected
+            verdicts.append(expected)
+    assert len(verdicts) >= 800
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_effect_rule_whose_base_is_not_included_by_id_cannot_be_built():
+    # The base deletes x and the maximal rule deletes y.  An embedding that
+    # sends x to y passes the general check, but the effect-oriented rule is
+    # read by ids: the selection that performs y would delete both x and y.
+    k = TypedGraph(banking_type_graph(), {"k": "Client"}, {})
+    base = Rule(k.with_elements({"x": "Client"}), k, k)
+    maximal = Rule(k.with_elements({"y": "Client"}), k, k)
+    sent = SubruleEmbedding(
+        base,
+        maximal,
+        Morphism(base.lhs, maximal.lhs, {"k": "k", "x": "y"}, {}),
+        Morphism.identity(k),
+        Morphism.identity(k),
+    )
+    assert check_subrule_embedding(sent)
+    with pytest.raises(ValueError, match="not an id-subgraph"):
+        EffectOrientedRule(base, maximal)

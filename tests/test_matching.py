@@ -25,7 +25,6 @@ from effectgraph import (
     TypedGraph,
     audit_effect,
     build_induced_rule,
-    compose,
     enumerate_selections,
     find_all_locally_complete,
     find_base_prematches,
@@ -37,7 +36,6 @@ from effectgraph import (
     transform,
     validate_selection,
 )
-from effectgraph.core import same_maps
 from effectgraph.fixtures import (
     bank_graph,
     banking_type_graph,
@@ -51,12 +49,14 @@ from effectgraph.semantics import GLOBALLY_MAXIMAL, LOCALLY_COMPLETE, LOCALLY_MA
 
 from gen import instances, random_graph
 from oracles import (
+    compose,
     induced,
     is_compatible,
     is_locally_complete,
     oracle_locally_complete,
     restricted,
     rule_applicable,
+    same_maps,
 )
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_find_base_prematches_respects_nacs():
         provision.base.rhs,
         (Nac(forbidden),),
     )
-    guarded = EffectOrientedRule.from_rules(
+    guarded = EffectOrientedRule(
         guarded_base,
         Rule(
             provision.maximal.lhs,
@@ -455,7 +455,7 @@ def absorb_rule() -> EffectOrientedRule:
     )
     base = Rule(interface, interface, interface)
     maximal = Rule(maximal_lhs, interface, maximal_rhs)
-    return EffectOrientedRule.from_rules(base, maximal)
+    return EffectOrientedRule(base, maximal)
 
 
 def test_exhausted_search_still_finds_the_absorbing_completion():
@@ -488,7 +488,7 @@ def test_no_free_candidate_anywhere_means_no_match():
     maximal_lhs = interface.with_elements(
         nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
     )
-    eor = EffectOrientedRule.from_rules(
+    eor = EffectOrientedRule(
         Rule(interface, interface, interface),
         Rule(maximal_lhs, interface, interface),
     )
@@ -771,8 +771,8 @@ def linked_rules() -> tuple[EffectOrientedRule, EffectOrientedRule]:
     )
     identity = Rule(client, client, client)
     return (
-        EffectOrientedRule.from_rules(identity, Rule(client, client, backed)),
-        EffectOrientedRule.from_rules(identity, Rule(linked, client, client)),
+        EffectOrientedRule(identity, Rule(client, client, backed)),
+        EffectOrientedRule(identity, Rule(linked, client, client)),
     )
 
 

@@ -146,7 +146,7 @@ def test_audit_records_reuse_witness_for_skipped_deletion():
     maximal_rhs = interface.with_elements(
         nodes={"a_c": "Account"}, edges={"e_c": Edge("accounts", "c", "a_c")}
     )
-    eor = EffectOrientedRule.from_rules(
+    eor = EffectOrientedRule(
         Rule(interface, interface, interface),
         Rule(maximal_lhs, interface, maximal_rhs),
     )
