@@ -710,4 +710,3 @@ def pushout_complement(
         {k: m.edge_map[l.edge_map[k]] for k in l.src_graph.edges},
     )
     return context, k_to_context, Morphism._trusted_inclusion(context, host)
-
