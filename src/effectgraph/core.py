@@ -24,6 +24,13 @@ delta of deleted and created ids, which copies the two element dicts at C
 level and patches only the index entries the delta touches, so a step costs
 O(|L| + |R|) Python operations plus those copies, however large the host.
 A derived graph holds no reference to the graph it came from.
+
+Fresh ids follow one scheme, :func:`fresh_id`: ``base#k`` with the smallest
+free ``k >= 1``.  A graph made by :func:`effectgraph.rules.apply_rule`
+carries private floors, ``base -> j`` with ``base#1 … base#j`` all ids of
+the graph, which the next step lowers below its deletions and probes from,
+so a created element costs O(1) amortised probes however long the chain.
+Any other graph has no floors and probes from ``k = 1`` once.
 """
 
 from __future__ import annotations
@@ -182,6 +189,7 @@ class TypedGraph:
         deleted_edges: Collection[str],
         created_nodes: Mapping[str, str] = MappingProxyType({}),
         created_edges: Mapping[str, Edge] = MappingProxyType({}),
+        floors: dict[str, int] | None = None,
     ) -> TypedGraph:
         """This graph minus the deleted ids, plus the created elements.
 
@@ -189,8 +197,9 @@ class TypedGraph:
         present, no edge is left dangling, and created ids are fresh once
         the deletions are done (a deleted id may be created again).  The
         indexes this graph has already built are patched rather than
-        rebuilt; the others stay lazy.  The result keeps no reference to
-        this graph."""
+        rebuilt; the others stay lazy.  ``floors``, if given, must hold for
+        the result (see :meth:`_floors_without`) and is kept by it.  The
+        result keeps no reference to this graph."""
         nodes = self.nodes.copy()
         edges = self.edges.copy()
         gone_nodes = {n: nodes.pop(n) for n in deleted_nodes}
@@ -203,6 +212,8 @@ class TypedGraph:
         object.__setattr__(out, "edges", MappingProxyType(edges))
 
         built, patched = self.__dict__, out.__dict__
+        if floors is not None:
+            patched["_floors"] = floors
         if "nodes_by_type" in built:
             patched["nodes_by_type"] = _patch_buckets(
                 built["nodes_by_type"].copy(),
@@ -233,6 +244,28 @@ class TypedGraph:
             )
         return out
 
+    def _floors_without(self, deleted: Iterable[str]) -> dict[str, int]:
+        """A copy of this graph's fresh-id floors, lowered below every
+        ``deleted`` id of the form ``base#k``.
+
+        A floor ``base -> j`` states that ``base#1 … base#j`` are all ids
+        of the graph; the copy states it of what remains once the
+        ``deleted`` ids are gone.  Only graphs made by
+        :func:`effectgraph.rules.apply_rule` carry floors; any other graph
+        has none, which states nothing and so always holds."""
+        floors = dict(self.__dict__.get("_floors", ()))
+        for x in deleted:
+            base, sep, suffix = x.rpartition("#")
+            j = floors.get(base, 0)
+            # Only a suffix ``str(k)`` with 1 <= k <= j names ``base#k``, so
+            # ``x#0``, ``x#01``, ``x#`` and non-ASCII digits do not.  The
+            # length test keeps ``int`` off arbitrarily long digit strings.
+            if sep and j and suffix.isdecimal() and len(suffix) <= len(str(j)):
+                k = int(suffix)
+                if 1 <= k <= j and str(k) == suffix:
+                    floors[base] = k - 1
+        return floors
+
     @property
     def sorted_nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self.nodes))
@@ -250,11 +283,25 @@ class TypedGraph:
 
     @cached_property
     def edge_classes(self) -> Mapping[tuple[str, str, str], tuple[str, ...]]:
-        """Edge ids grouped by (type, src, tgt); parallel edges share a class."""
-        buckets: dict[tuple[str, str, str], list[str]] = {}
+        """Edge ids grouped by (type, src, tgt); parallel edges share a class.
+
+        Most classes hold one edge: such a class stays the 1-tuple it
+        started as, and only the classes that grew into lists are sorted."""
+        classes: dict = {}
+        shared: list[tuple[str, str, str]] = []
         for eid, e in self.edges.items():
-            buckets.setdefault((e.type, e.src, e.tgt), []).append(eid)
-        return {k: tuple(sorted(v)) for k, v in buckets.items()}
+            key = (e.type, e.src, e.tgt)
+            ids = classes.get(key)
+            if ids is None:
+                classes[key] = (eid,)
+            elif type(ids) is list:
+                ids.append(eid)
+            else:
+                classes[key] = [ids[0], eid]
+                shared.append(key)
+        for key in shared:
+            classes[key] = tuple(sorted(classes[key]))
+        return classes
 
     @cached_property
     def incidence(self) -> Mapping[str, tuple[str, ...]]:
@@ -391,12 +438,22 @@ def is_id_subgraph(sub: TypedGraph, sup: TypedGraph) -> bool:
     return True
 
 
-def fresh_id(base: str, taken: Callable[[str], bool]) -> str:
+def fresh_id(
+    base: str, taken: Callable[[str], bool], floors: dict[str, int] | None = None
+) -> str:
     """The first ``base#k`` with k >= 1 that is not ``taken``: the engine's
-    one fresh-id scheme.  Probes ``k`` ids, by design."""
-    k = 1
+    one fresh-id scheme.
+
+    Without ``floors`` the probe starts at ``k = 1`` and costs ``k`` calls
+    of ``taken``.  ``floors`` maps a base to a ``j`` such that ``base#1 …
+    base#j`` are all taken; the probe starts at ``j + 1``, and the entry
+    becomes the ``k`` found, so a chain of steps that carries its floors
+    probes O(1) amortised ids per call."""
+    k = floors.get(base, 0) + 1 if floors else 1
     while taken(f"{base}#{k}"):
         k += 1
+    if floors is not None:
+        floors[base] = k
     return f"{base}#{k}"
 
 
@@ -500,6 +557,8 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
     for eid in sorted(f.edge_map.keys() - src.edges.keys()):
         out.append(Diagnostic("spurious-mapping", eid, "mapped edge not in source"))
     for kind, mapping in (("node", f.node_map), ("edge", f.edge_map)):
+        if len(set(mapping.values())) == len(mapping):
+            continue
         hits = Counter(mapping.values())
         for img, count in sorted(hits.items()):
             if count > 1:

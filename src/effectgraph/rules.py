@@ -340,11 +340,14 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     The match must be a total injective morphism from the rule's lhs that
     satisfies all NACs; deletion must not leave dangling edges.  Created
     elements receive the :func:`fresh_id` ids ``ruleElementId#k`` (smallest
-    free ``k``, probing ``k`` ids), so outputs are reproducible.
+    free ``k``), so outputs are reproducible.
 
     The output is derived from ``g`` as a delta, so a step costs
     O(|L| + |R|) plus C-level copies of the host's element dicts, however
-    large ``g`` is.
+    large ``g`` is.  The output carries the fresh-id floors of ``g``, lowered
+    below the deleted ids and raised to the created ones, so a chain of
+    steps probes O(1) amortised ids per created element; a host that no
+    step made probes from ``k = 1`` once.
     """
     if m.src_graph != r.lhs or m.dst_graph != g:
         raise ValueError("match must map the rule's lhs into the host")
@@ -364,6 +367,7 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     )
     created_nodes: dict[str, str] = {}
     created_edges: dict[str, Edge] = {}
+    floors = g._floors_without([*deleted_nodes, *deleted_edges])
 
     def taken(x: str) -> bool:
         # The ids of the context, without building it, plus those created.
@@ -376,17 +380,19 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
 
     comatch_nodes = {n: m.node_map[n] for n in r.interface.nodes}
     for rid in sorted(r.rhs.nodes.keys() - r.interface.nodes.keys()):
-        new = fresh_id(rid, taken)
+        new = fresh_id(rid, taken, floors)
         created_nodes[new] = r.rhs.nodes[rid]
         comatch_nodes[rid] = new
     comatch_edges = {e: m.edge_map[e] for e in r.interface.edges}
     for rid in sorted(r.rhs.edges.keys() - r.interface.edges.keys()):
-        new = fresh_id(rid, taken)
+        new = fresh_id(rid, taken, floors)
         e = r.rhs.edges[rid]
         created_edges[new] = Edge(e.type, comatch_nodes[e.src], comatch_nodes[e.tgt])
         comatch_edges[rid] = new
 
-    output = g._derive(deleted_nodes, deleted_edges, created_nodes, created_edges)
+    output = g._derive(
+        deleted_nodes, deleted_edges, created_nodes, created_edges, floors
+    )
     return TransformationRecord(
         rule=r,
         input=g,

@@ -135,6 +135,19 @@ def test_indexes_equal_a_global_sort():
         assert built == _indexes_by_global_sort(g)
 
 
+def test_edge_classes_sort_a_large_class_and_keep_singletons():
+    # The 2,000 parallel edges arrive in descending id order, so their class
+    # must be sorted; the singletons and the self-loop stay one-edge classes.
+    edges = {f"p{i:04d}": Edge("aa", "x", "y") for i in reversed(range(2000))}
+    edges.update(s1=Edge("ab", "x", "z"), s0=Edge("ab", "y", "z"), loop=Edge("aa", "x", "x"))
+    g = TypedGraph(PAIR, {"x": "A", "y": "A", "z": "B"}, edges)
+    assert next(iter(g.edges)) == "p1999"
+    assert g.edge_classes == _indexes_by_global_sort(g)[1]
+    assert all(type(ids) is tuple for ids in g.edge_classes.values())
+    assert len(g.edge_classes[("aa", "x", "y")]) == 2000
+    assert g.edge_classes[("aa", "x", "x")] == ("loop",)
+
+
 def test_incidence_counts_loops_once():
     g = TypedGraph(PAIR, {"x": "A"}, {"l": Edge("aa", "x", "x")})
     assert g.incidence == {"x": ("l",)}
@@ -382,6 +395,25 @@ def test_fresh_id_picks_smallest_free_suffix():
     assert fresh_id("x", {"x"}.__contains__) == "x#1"
     assert fresh_id("x", {"x", "x#1", "x#2"}.__contains__) == "x#3"
     assert fresh_id("x", {"x#2"}.__contains__) == "x#1"
+
+
+def test_fresh_id_probes_from_a_floor_and_raises_it():
+    taken = {"x#1", "x#2", "x#3", "x#5"}
+    probed = []
+
+    def counted(x: str) -> bool:
+        probed.append(x)
+        return x in taken
+
+    floors = {"x": 2, "y": 7}
+    assert fresh_id("x", counted, floors) == "x#4"
+    assert probed == ["x#3", "x#4"]
+    assert floors == {"x": 4, "y": 7}
+    taken.add("x#4")
+    assert fresh_id("x", counted, floors) == "x#6"
+    assert floors == {"x": 6, "y": 7}
+    assert fresh_id("z", counted, floors) == "z#1"
+    assert floors == {"x": 6, "y": 7, "z": 1}
 
 
 def test_graph_union_merges_overlapping_id_subgraphs():

@@ -6,12 +6,15 @@ from scratch, and the sorted id tuples are computed on access, never
 stored.  The record's context is computed on first access and equals the
 one :func:`pushout_complement` builds, created ids follow the ``rid#k``
 scheme computed from the materialised context, and an output keeps no
-reference to its input.
+reference to its input.  An output carries fresh-id floors, ``base -> j``
+with ``base#1 … base#j`` all ids of the output, so a chain of steps probes
+a constant number of ids per created element however long it runs.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -35,6 +38,11 @@ from effectgraph import (
     pushout_complement,
     transform,
 )
+
+from effectgraph import rules
+from effectgraph.core import fresh_id
+from effectgraph.documents import prematch_from_maps
+from effectgraph.fixtures import banking_type_graph, ensure_account_rule
 
 from gen import instances, random_graph, random_plain_rule, random_type_graph
 from oracles import compose, is_pullback_square, same_maps
@@ -253,3 +261,153 @@ def test_match_validation_keeps_its_precedence():
         Morphism.inclusion(merge, host)
     with pytest.raises(ValueError, match="match is not a valid injection"):
         pushout_complement(Morphism.identity(merge), total)
+
+
+# ---------------------------------------------------------------------------
+# fresh ids probed from carried floors
+
+
+def floors(g: TypedGraph) -> dict[str, int]:
+    return g.__dict__.get("_floors", {})
+
+
+def assert_floors_hold(g: TypedGraph) -> None:
+    for base, j in floors(g).items():
+        for k in range(1, j + 1):
+            assert f"{base}#{k}" in g.nodes or f"{base}#{k}" in g.edges, (base, j, k)
+
+
+def count_probes(monkeypatch) -> list[int]:
+    """Make ``apply_rule`` record, per created element, how many ids its
+    ``fresh_id`` call probes; returns the list the counts go to."""
+    probes: list[int] = []
+
+    def counting_fresh_id(base, taken, *floors):
+        def counted(x: str) -> bool:
+            probes[-1] += 1
+            return taken(x)
+
+        probes.append(0)
+        return fresh_id(base, counted, *floors)
+
+    monkeypatch.setattr(rules, "fresh_id", counting_fresh_id)
+    return probes
+
+
+def swap_host(n: int) -> TypedGraph:
+    """``n`` A-nodes ``c#i`` hanging off one B-node by edges ``ce#i``: ids of
+    the form ``swap_rule`` creates, so its steps free ids below its floors."""
+    nodes = {"k0": "B", **{f"c#{i}": "A" for i in range(1, n + 1)}}
+    edges = {f"ce#{i}": Edge("ab", f"c#{i}", "k0") for i in range(1, n + 1)}
+    return TypedGraph(CHAIN, nodes, edges)
+
+
+def random_chain(rng: random.Random, r: Rule, host: TypedGraph, steps: int):
+    """Up to ``steps`` chained records of ``r`` from ``host``, each at a
+    match drawn at random from the first 20 the search yields."""
+    for _ in range(steps):
+        matches = list(itertools.islice(find_injective_extensions(r.lhs, host), 20))
+        rng.shuffle(matches)
+        for m in matches:
+            try:
+                record = apply_rule(r, host, m)
+            except (DanglingViolation, NacViolated):
+                continue
+            yield record
+            host = record.output
+            break
+        else:
+            return
+
+
+def below_floor(record) -> bool:
+    """Whether the step deletes some ``base#k`` with ``k`` at most the
+    input's floor for ``base``."""
+    for x in record.deleted.nodes | record.deleted.edges:
+        base, _, k = x.rpartition("#")
+        if k.isdigit() and 1 <= int(k) <= floors(record.input).get(base, 0):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_chained_steps_take_the_smallest_free_id(seed):
+    """Ids probed from the carried floors equal the scheme computed from
+    scratch on each step's materialised context, over chains of up to 25
+    steps, among them steps that free an id below a floor and take it
+    again."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    chains = [(swap_rule(), swap_host(40))]
+    for _ in range(150):
+        tg = random_type_graph(rng)
+        host = random_graph(rng, tg, max_nodes=8, max_edges=12)
+        chains.append((random_plain_rule(rng, tg, nac_chance=0.3), host))
+    for r, host in chains:
+        ever_created: set[str] = set()
+        length = 0
+        for record in random_chain(rng, r, host, 25):
+            created = expected_created_ids(r, record.context)
+            comatch = {**record.comatch.node_map, **record.comatch.edge_map}
+            assert {rid: comatch[rid] for rid in created} == created
+            assert_floors_hold(record.output)
+            ids = record.created.nodes | record.created.edges
+            seen["steps"] += 1
+            seen["below_floor"] += below_floor(record)
+            seen["taken_again"] += bool(ids & ever_created)
+            ever_created |= ids
+            length += 1
+        seen["long_chains"] += length >= 20
+    assert seen["steps"] > 500, seen
+    assert seen["long_chains"] >= 10, seen
+    assert seen["below_floor"] > 20 and seen["taken_again"] > 20, seen
+
+
+def test_look_alike_ids_leave_a_floor_alone(monkeypatch):
+    """Only ``x#`` followed by ``str(k)``, k >= 1, names ``x#k``: deleting a
+    look-alike keeps the floor, so the next ``x`` is found in one probe."""
+    probes = count_probes(monkeypatch)
+    empty = TypedGraph.empty(CHAIN)
+    r = Rule(TypedGraph(CHAIN, {"d": "A"}, {}), empty, TypedGraph(CHAIN, {"x": "B"}, {}))
+    look_alikes = ["x#0", "x#01", "x#", "x#1#1", "x#\u0663", "x#" + "1" * 5000]
+    host = TypedGraph(
+        CHAIN, {"x#1": "B", "x#2": "A", "a0": "A", **dict.fromkeys(look_alikes, "A")}, {}
+    )
+
+    def step(g: TypedGraph, victim: str) -> TypedGraph:
+        probes.clear()
+        record = apply_rule(r, g, Morphism(r.lhs, g, {"d": victim}, {}))
+        assert record.comatch.node_map["x"] == expected_created_ids(r, record.context)["x"]
+        assert_floors_hold(record.output)
+        return record.output
+
+    host = step(host, "a0")  # no floor yet: probes x#1, x#2, x#3
+    assert probes == [3] and floors(host) == {"x": 3}
+    for i, victim in enumerate(look_alikes, start=4):
+        host = step(host, victim)
+        assert probes == [1] and floors(host) == {"x": i}, victim
+        assert host.nodes[f"x#{i}"] == "B"
+    # The genuine ``x#2`` lowers the floor, and its id is taken again.
+    host = step(host, "x#2")
+    assert probes == [1] and floors(host) == {"x": 2} and host.nodes["x#2"] == "B"
+
+
+def test_a_long_chain_probes_a_constant_number_of_ids(monkeypatch):
+    """300 ``ensure_account`` steps on one bank without restarts: after the
+    first step, every created element is found within two probes."""
+    probes = count_probes(monkeypatch)
+    eor = ensure_account_rule()
+    nodes = {"b": "Bank", **{f"c{i}": "Client" for i in range(300)}}
+    edges = {f"owns_client_b_c{i}": Edge("owns_client", "b", f"c{i}") for i in range(300)}
+    host = TypedGraph(banking_type_graph(), nodes, edges)
+    per_step = []
+    for i in range(300):
+        probes.clear()
+        pm = prematch_from_maps(eor, host, {"c": f"c{i}"}, {})
+        t = transform(eor, host, "locally_complete", pm)
+        assert t is not None and t.result.created
+        host = t.result.output
+        per_step.append(list(probes))
+    assert all(per_step)
+    assert max(max(counts) for counts in per_step[1:]) <= 2
+    assert len(host.edges) > 600
