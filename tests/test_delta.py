@@ -36,10 +36,9 @@ from effectgraph import (
     find_base_prematches,
     find_injective_extensions,
     pushout_complement,
+    rules,
     transform,
 )
-
-from effectgraph import rules
 from effectgraph.core import fresh_id
 from effectgraph.documents import prematch_from_maps
 from effectgraph.fixtures import banking_type_graph, ensure_account_rule
