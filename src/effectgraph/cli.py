@@ -17,9 +17,8 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Mapping
 
-from .core import EffectGraphError, TypeGraph, TypedGraph
+from .core import EffectGraphError, TypeGraph
 from .documents import (
     ParseError,
     ValidationError,
@@ -86,14 +85,6 @@ def _registry(args: argparse.Namespace) -> dict[str, TypeGraph]:
     return registry
 
 
-def _load_rule(args: argparse.Namespace, registry: Mapping[str, TypeGraph]):
-    return decode_rule(_read(args.rule), registry)
-
-
-def _load_graph(args: argparse.Namespace, registry: Mapping[str, TypeGraph]) -> TypedGraph:
-    return decode_graph(_read(args.graph), registry)
-
-
 def _strategy(args: argparse.Namespace) -> str:
     return args.strategy.replace("-", "_")
 
@@ -149,8 +140,8 @@ def _find_results(args, eor, host) -> list[MatchResult]:
 
 def cmd_match(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    _, eor = _load_rule(args, registry)
-    host = _load_graph(args, registry)
+    _, eor = decode_rule(_read(args.rule), registry)
+    host = decode_graph(_read(args.graph), registry)
     results = _find_results(args, eor, host)
     if not results:
         print("no match")
@@ -166,8 +157,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    rule_name, eor = _load_rule(args, registry)
-    host = _load_graph(args, registry)
+    rule_name, eor = decode_rule(_read(args.rule), registry)
+    host = decode_graph(_read(args.graph), registry)
     strategy = _strategy(args)
     pm = _base_prematch(args, eor, host)
     t = transform(eor, host, strategy, pm)
@@ -194,7 +185,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_induced(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    _, eor = _load_rule(args, registry)
+    _, eor = decode_rule(_read(args.rule), registry)
     selections = enumerate_selections(eor, args.filter.replace("-", "_"))
     if args.count_only:
         print(len(selections))
@@ -208,7 +199,7 @@ def cmd_induced(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    _, eor = _load_rule(args, registry)
+    _, eor = decode_rule(_read(args.rule), registry)
     lower, upper = count_bounds(eor)
     print(lower, upper)
     return 0
@@ -218,8 +209,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     color = _color_enabled(args)
     registry = _registry(args)
     decoders = {
-        "graph": lambda text: decode_graph(text, registry),
-        "rule": lambda text: decode_rule(text, registry),
+        "graph": lambda doc: decode_graph(doc, registry),
+        "rule": lambda doc: decode_rule(doc, registry),
         "match": decode_match,
         "trace": decode_trace,
         "audit_report": decode_audit_report,
@@ -235,31 +226,32 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             print(f"{_paint('ok', '32', color)} {path}")
 
-    remaining: list[tuple[str, str, str]] = []
+    remaining: list[tuple[str, dict]] = []
     for path in args.files:
         try:
             text = _read(path)
-            kind = json.loads(text).get("kind") if text.lstrip().startswith("{") else None
+            doc = json.loads(text) if text.lstrip().startswith("{") else {}
         except (ParseError, json.JSONDecodeError) as exc:
             report(path, [str(exc)])
             continue
-        if kind == "type_graph":
+        if doc.get("kind") == "type_graph":
             # Register first so later files can refer to this type graph.
             try:
-                tg = decode_type_graph(text)
+                tg = decode_type_graph(doc)
                 registry[tg.name] = tg
                 report(path, [])
             except (ParseError, ValidationError) as exc:
                 report(path, [str(exc)])
         else:
-            remaining.append((path, text, kind))
-    for path, text, kind in remaining:
+            remaining.append((path, doc))
+    for path, doc in remaining:
+        kind = doc.get("kind")
         decoder = decoders.get(kind) if isinstance(kind, str) else None
         if decoder is None:
             report(path, [f"unknown document kind {kind!r}"])
             continue
         try:
-            decoder(text)
+            decoder(doc)
         except ValidationError as exc:
             report(path, [str(d) for d in exc.diagnostics])
         except ParseError as exc:
@@ -271,8 +263,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    rule_name, eor = _load_rule(args, registry)
-    host = _load_graph(args, registry)
+    rule_name, eor = decode_rule(_read(args.rule), registry)
+    host = decode_graph(_read(args.graph), registry)
     output = decode_graph(_read(args.out), registry)
     trace = decode_trace(_read(args.trace))
     if trace.rule != rule_name:
@@ -321,10 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_validate)
 
-    def add_match_args(p: argparse.ArgumentParser) -> None:
+    def add_rule(p: argparse.ArgumentParser, *graphs: str) -> None:
         add_types(p)
-        p.add_argument("--rule", required=True, metavar="FILE")
-        p.add_argument("--graph", required=True, metavar="FILE")
+        for flag in ("--rule", *graphs):
+            p.add_argument(flag, required=True, metavar="FILE")
+
+    def add_match_args(p: argparse.ArgumentParser) -> None:
+        add_rule(p, "--graph")
         p.add_argument(
             "--strategy",
             choices=_STRATEGY_CHOICES,
@@ -344,23 +339,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("induced", help="list or count induced selections")
-    add_types(p)
-    p.add_argument("--rule", required=True, metavar="FILE")
+    add_rule(p)
     p.add_argument("--filter", choices=_FILTER_CHOICES, default="none")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_induced)
 
     p = sub.add_parser("bounds", help="print selection-count bounds")
-    add_types(p)
-    p.add_argument("--rule", required=True, metavar="FILE")
+    add_rule(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("audit", help="verify a recorded transformation")
-    add_types(p)
-    p.add_argument("--rule", required=True, metavar="FILE")
-    p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--trace", required=True, metavar="FILE")
+    add_rule(p, "--graph", "--out", "--trace")
     p.add_argument("--report", metavar="FILE", help="write the audit report")
     p.set_defaults(func=cmd_audit)
 

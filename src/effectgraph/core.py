@@ -16,14 +16,25 @@ The module provides validation (:func:`validate_graph`,
 :func:`effectgraph.rules.apply_rule`; pushouts, pullback squares,
 isomorphism and host enumeration are test oracles, not library code.
 
-A graph's search indexes (``nodes_by_type``, ``edge_classes``,
-``incidence``) are built on first use; ``sorted_nodes`` and
-``sorted_edges`` are computed on each access.  A rewrite step does not
-rebuild the indexes: the rewritten graph is derived from its input as a
-delta of deleted and created ids, which copies the two element dicts at C
-level and patches only the index entries the delta touches, so a step costs
-O(|L| + |R|) Python operations plus those copies, however large the host.
-A derived graph holds no reference to the graph it came from.
+A rewrite step does not copy its host.  A built graph and the graphs
+derived from it form a lineage, which owns one mutable store: the node and
+edge dicts and the indexes (``nodes_by_type``, ``edge_classes``,
+``incidence``) built so far.  The store holds one version, the root; every
+other version keeps a link towards the root with the delta back to itself
+(Baker's shallow binding).  A step patches the store in place and makes
+its output the root, the input keeping the reverse delta; reading another
+version reroots the store, replaying the deltas on the way and flipping
+their links.  So:
+
+* a step costs O(|L| + |R|) however large the host is, and reading an
+  older version costs its delta distance from the root;
+* ``nodes``, ``edges`` and the indexes are read-only snapshots that never
+  change, built in O(|G|) on a version's first public read and cached;
+  library code reads the store, rerooted to the graph it was given;
+* a version holds its neighbour towards the root, never the reverse, so a
+  version is kept alive only by versions farther from the root;
+* reading moves the shared store: versions of one lineage must not be read
+  from several threads at once.
 
 Fresh ids follow one scheme, :func:`fresh_id`: ``base#k`` with the smallest
 free ``k >= 1``.  A graph made by :func:`effectgraph.rules.apply_rule`
@@ -38,7 +49,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping
@@ -114,74 +125,147 @@ class Edge:
     tgt: str
 
 
-def _frozen_copy(mapping: Mapping) -> MappingProxyType:
-    """A read-only private copy; ``dict(proxy)`` goes through the generic
-    mapping protocol, ``proxy.copy()`` copies the underlying dict in C."""
-    if type(mapping) is MappingProxyType:
-        mapping = mapping.copy()
-    return MappingProxyType(dict(mapping))
+def _copy(mapping: Mapping) -> dict:
+    """A private dict copy, made in C from a read-only proxy too."""
+    return mapping.copy() if type(mapping) is MappingProxyType else dict(mapping)
 
 
-def _patched(
-    ids: tuple[str, ...], removed: Collection[str], added: Collection[str]
-) -> tuple[str, ...]:
-    """The sorted tuple ``ids`` without ``removed`` (all present) and with
-    ``added``, still sorted."""
-    out = list(ids)
-    for x in removed:
-        del out[bisect_left(out, x)]
-    for x in added:
-        insort(out, x)
-    return tuple(out)
+class _Store:
+    """A lineage's root elements and the indexes built so far, patched by
+    every delta.  A type bucket stays when it empties: a suspended search
+    iterating it finds the same list when it resumes."""
+
+    def __init__(self, nodes: dict[str, str], edges: dict[str, Edge]) -> None:
+        self.nodes, self.edges = nodes, edges
+
+    @cached_property
+    def nodes_by_type(self) -> dict[str, list[str]]:
+        buckets: dict[str, list[str]] = {}
+        for nid, ntype in self.nodes.items():
+            buckets.setdefault(ntype, []).append(nid)
+        for ids in buckets.values():
+            ids.sort()
+        return buckets
+
+    @cached_property
+    def edge_classes(self) -> dict[tuple[str, str, str], tuple[str, ...]]:
+        """Classes are small: each is a sorted tuple, replaced when patched."""
+        classes: dict = {}
+        shared = []  # classes of parallel edges: lists until sorted
+        for eid, e in self.edges.items():
+            key = (e.type, e.src, e.tgt)
+            ids = classes.get(key)
+            if ids is None:
+                classes[key] = (eid,)
+            elif type(ids) is list:
+                ids.append(eid)
+            else:
+                classes[key] = [ids[0], eid]
+                shared.append(key)
+        for key in shared:
+            classes[key] = tuple(sorted(classes[key]))
+        return classes
+
+    @cached_property
+    def incidence(self) -> dict[str, list[str]]:
+        buckets: dict[str, list[str]] = {nid: [] for nid in self.nodes}
+        for eid, e in self.edges.items():
+            if e.src in buckets:
+                buckets[e.src].append(eid)
+            if e.tgt in buckets and e.tgt != e.src:
+                buckets[e.tgt].append(eid)
+        for ids in buckets.values():
+            ids.sort()
+        return buckets
+
+    def apply(self, *delta: Mapping) -> None:
+        """Remove the ``gone`` elements of ``delta``, then add the ``new``
+        ones (an id may be both), patching the built indexes in place."""
+        gone_nodes, gone_edges, new_nodes, new_edges = delta
+        for n in gone_nodes:
+            del self.nodes[n]
+        for e in gone_edges:
+            del self.edges[e]
+        self.nodes.update(new_nodes)
+        self.edges.update(new_edges)
+        if "nodes_by_type" in self.__dict__:
+            by_type = self.nodes_by_type
+            for n, t in gone_nodes.items():
+                del by_type[t][bisect_left(by_type[t], n)]
+            for n, t in new_nodes.items():
+                insort(by_type.setdefault(t, []), n)
+        if "edge_classes" in self.__dict__:
+            classes = self.edge_classes
+            for eid, e in gone_edges.items():
+                key = (e.type, e.src, e.tgt)
+                ids = tuple(x for x in classes.pop(key) if x != eid)
+                if ids:
+                    classes[key] = ids
+            for eid, e in new_edges.items():
+                key = (e.type, e.src, e.tgt)
+                classes[key] = tuple(sorted((*classes.get(key, ()), eid)))
+        if "incidence" in self.__dict__:
+            incidence = self.incidence
+            for eid, e in gone_edges.items():
+                for n in {e.src, e.tgt}:
+                    del incidence[n][bisect_left(incidence[n], eid)]
+            for n in gone_nodes:
+                del incidence[n]
+            incidence.update({n: [] for n in new_nodes})
+            for eid, e in new_edges.items():
+                for n in {e.src, e.tgt}:
+                    insort(incidence[n], eid)
 
 
-def _patch_buckets(
-    buckets: dict,
-    removed: Iterable[tuple],
-    added: Iterable[tuple],
-    drop_empty: bool = True,
-) -> dict:
-    """Patch, in place, an index of sorted id tuples by ``(key, id)`` pairs.
-
-    A bucket left empty is dropped unless ``drop_empty`` is false, so the
-    result equals the index built from scratch."""
-    changes: dict = {}
-    for key, x in removed:
-        changes.setdefault(key, ([], []))[0].append(x)
-    for key, x in added:
-        changes.setdefault(key, ([], []))[1].append(x)
-    for key, (rem, add) in changes.items():
-        ids = _patched(buckets.get(key, ()), rem, add)
-        if ids or not drop_empty:
-            buckets[key] = ids
-        else:
-            del buckets[key]
-    return buckets
-
-
-def _endpoints(e: Edge) -> tuple[str, ...]:
-    return (e.src,) if e.src == e.tgt else (e.src, e.tgt)
-
-
-@dataclass(frozen=True)
 class TypedGraph:
     """An immutable graph typed over a :class:`TypeGraph`.
 
     ``nodes`` maps node id to node type name; ``edges`` maps edge id to an
-    :class:`Edge`.  Node and edge ids share one namespace.
+    :class:`Edge`.  Node and edge ids share one namespace.  Graphs are
+    equal when their type graphs, nodes and edges are.
     """
 
-    type_graph: TypeGraph
-    nodes: Mapping[str, str]
-    edges: Mapping[str, Edge]
+    def __init__(
+        self, type_graph: TypeGraph, nodes: Mapping[str, str], edges: Mapping[str, Edge]
+    ) -> None:
+        own = _copy(nodes), _copy(edges)
+        self.__dict__.update(type_graph=type_graph, _own=own, _link=None)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", _frozen_copy(self.nodes))
-        object.__setattr__(self, "edges", _frozen_copy(self.edges))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    @classmethod
-    def empty(cls, type_graph: TypeGraph) -> TypedGraph:
-        return cls(type_graph, {}, {})
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TypedGraph):
+            return NotImplemented
+        return self is other or (self.type_graph, self.nodes, self.edges) == (
+            other.type_graph, other.nodes, other.edges
+        )
+
+    def __reduce__(self) -> tuple:  # copies start a lineage of their own
+        return TypedGraph, (self.type_graph, dict(self.nodes), dict(self.edges))
+
+    @cached_property
+    def _store(self) -> _Store:
+        """A built graph's store: its own copies, copied again if handed out."""
+        nodes, edges = self.__dict__.pop("_own")
+        if "nodes" in self.__dict__ or "edges" in self.__dict__:
+            nodes, edges = nodes.copy(), edges.copy()
+        return _Store(nodes, edges)
+
+    def _rooted(self) -> _Store:
+        """The lineage's store, rerooted to this graph: the deltas from the
+        root are replayed and their links flipped."""
+        if self._link is not None:
+            path, g = [], self
+            while g._link is not None:
+                path.append(g)
+                g = g._link[0]
+            for g in reversed(path):
+                newer, delta = g._link
+                self._store.apply(*delta)
+                newer.__dict__["_link"] = (g, delta[2:] + delta[:2])
+                g.__dict__["_link"] = None
+        return self._store
 
     def _derive(
         self,
@@ -191,57 +275,24 @@ class TypedGraph:
         created_edges: Mapping[str, Edge] = MappingProxyType({}),
         floors: dict[str, int] | None = None,
     ) -> TypedGraph:
-        """This graph minus the deleted ids, plus the created elements.
+        """This graph minus the deleted ids, plus the created elements: the
+        new root of this graph's lineage, made in O(delta).
 
         Trusted, for constructions that hold by design: every deleted id is
         present, no edge is left dangling, and created ids are fresh once
         the deletions are done (a deleted id may be created again).  The
-        indexes this graph has already built are patched rather than
-        rebuilt; the others stay lazy.  ``floors``, if given, must hold for
-        the result (see :meth:`_floors_without`) and is kept by it.  The
-        result keeps no reference to this graph."""
-        nodes = self.nodes.copy()
-        edges = self.edges.copy()
-        gone_nodes = {n: nodes.pop(n) for n in deleted_nodes}
-        gone_edges = {e: edges.pop(e) for e in deleted_edges}
-        nodes.update(created_nodes)
-        edges.update(created_edges)
+        created mappings become the delta and must not change.  ``floors``,
+        if given, must hold for the result and is kept by it."""
+        store = self._rooted()
+        gone_nodes = {n: store.nodes[n] for n in deleted_nodes}
+        gone_edges = {e: store.edges[e] for e in deleted_edges}
+        store.apply(gone_nodes, gone_edges, created_nodes, created_edges)
         out = object.__new__(TypedGraph)
-        object.__setattr__(out, "type_graph", self.type_graph)
-        object.__setattr__(out, "nodes", MappingProxyType(nodes))
-        object.__setattr__(out, "edges", MappingProxyType(edges))
-
-        built, patched = self.__dict__, out.__dict__
+        out.__dict__.update(type_graph=self.type_graph, _store=store, _link=None)
         if floors is not None:
-            patched["_floors"] = floors
-        if "nodes_by_type" in built:
-            patched["nodes_by_type"] = _patch_buckets(
-                built["nodes_by_type"].copy(),
-                [(t, n) for n, t in gone_nodes.items()],
-                [(t, n) for n, t in created_nodes.items()],
-            )
-        if "edge_classes" in built:
-            patched["edge_classes"] = _patch_buckets(
-                built["edge_classes"].copy(),
-                [((e.type, e.src, e.tgt), eid) for eid, e in gone_edges.items()],
-                [((e.type, e.src, e.tgt), eid) for eid, e in created_edges.items()],
-            )
-        if "incidence" in built:
-            incidence = built["incidence"].copy()
-            for n in gone_nodes:
-                del incidence[n]  # its incident edges are deleted with it
-            incidence.update(dict.fromkeys(created_nodes, ()))
-            patched["incidence"] = _patch_buckets(
-                incidence,
-                [
-                    (n, eid)
-                    for eid, e in gone_edges.items()
-                    for n in _endpoints(e)
-                    if n not in gone_nodes
-                ],
-                [(n, eid) for eid, e in created_edges.items() for n in _endpoints(e)],
-                drop_empty=False,
-            )
+            out.__dict__["_floors"] = floors
+        reverse = created_nodes, created_edges, gone_nodes, gone_edges
+        self.__dict__["_link"] = (out, reverse)
         return out
 
     def _floors_without(self, deleted: Iterable[str]) -> dict[str, int]:
@@ -266,6 +317,16 @@ class TypedGraph:
                     floors[base] = k - 1
         return floors
 
+    @cached_property
+    def nodes(self) -> Mapping[str, str]:
+        own = self.__dict__.get("_own")  # a built graph's, until a store takes them
+        return MappingProxyType(own[0] if own else self._rooted().nodes.copy())
+
+    @cached_property
+    def edges(self) -> Mapping[str, Edge]:
+        own = self.__dict__.get("_own")
+        return MappingProxyType(own[1] if own else self._rooted().edges.copy())
+
     @property
     def sorted_nodes(self) -> tuple[str, ...]:
         return tuple(sorted(self.nodes))
@@ -276,43 +337,20 @@ class TypedGraph:
 
     @cached_property
     def nodes_by_type(self) -> Mapping[str, tuple[str, ...]]:
-        buckets: dict[str, list[str]] = {}
-        for nid, ntype in self.nodes.items():
-            buckets.setdefault(ntype, []).append(nid)
-        return {t: tuple(sorted(ids)) for t, ids in buckets.items()}
+        """Node type to the sorted ids of its nodes."""
+        by_type = self._rooted().nodes_by_type
+        return MappingProxyType({t: tuple(ids) for t, ids in by_type.items() if ids})
 
     @cached_property
     def edge_classes(self) -> Mapping[tuple[str, str, str], tuple[str, ...]]:
-        """Edge ids grouped by (type, src, tgt); parallel edges share a class.
-
-        Most classes hold one edge: such a class stays the 1-tuple it
-        started as, and only the classes that grew into lists are sorted."""
-        classes: dict = {}
-        shared: list[tuple[str, str, str]] = []
-        for eid, e in self.edges.items():
-            key = (e.type, e.src, e.tgt)
-            ids = classes.get(key)
-            if ids is None:
-                classes[key] = (eid,)
-            elif type(ids) is list:
-                ids.append(eid)
-            else:
-                classes[key] = [ids[0], eid]
-                shared.append(key)
-        for key in shared:
-            classes[key] = tuple(sorted(classes[key]))
-        return classes
+        """Edge ids grouped by (type, src, tgt); parallel edges share a class."""
+        return MappingProxyType(self._rooted().edge_classes.copy())
 
     @cached_property
     def incidence(self) -> Mapping[str, tuple[str, ...]]:
         """Node id to the sorted ids of its incident edges."""
-        buckets: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for eid, e in self.edges.items():
-            if e.src in buckets:
-                buckets[e.src].append(eid)
-            if e.tgt in buckets and e.tgt != e.src:
-                buckets[e.tgt].append(eid)
-        return {k: tuple(sorted(v)) for k, v in buckets.items()}
+        incidence = self._rooted().incidence
+        return MappingProxyType({n: tuple(ids) for n, ids in incidence.items()})
 
     def with_elements(
         self,
@@ -336,8 +374,8 @@ class TypedGraph:
 
     def __repr__(self) -> str:
         return (
-            f"TypedGraph({len(self.nodes)} nodes, {len(self.edges)} edges "
-            f"over {self.type_graph.name!r})"
+            f"TypedGraph({len(self._rooted().nodes)} nodes, "
+            f"{len(self._rooted().edges)} edges over {self.type_graph.name!r})"
         )
 
 
@@ -351,10 +389,6 @@ class ElementSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "edges", frozenset(self.edges))
-
-    @classmethod
-    def empty(cls) -> ElementSet:
-        return cls(frozenset(), frozenset())
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -387,24 +421,14 @@ class Morphism:
     edge_map: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", _frozen_copy(self.node_map))
-        object.__setattr__(self, "edge_map", _frozen_copy(self.edge_map))
-
-    @classmethod
-    def identity(cls, g: TypedGraph) -> Morphism:
-        return cls._trusted_inclusion(g, g)
+        object.__setattr__(self, "node_map", MappingProxyType(_copy(self.node_map)))
+        object.__setattr__(self, "edge_map", MappingProxyType(_copy(self.edge_map)))
 
     @classmethod
     def inclusion(cls, sub: TypedGraph, sup: TypedGraph) -> Morphism:
         """The identity-on-ids inclusion of an id-subgraph."""
         if not is_id_subgraph(sub, sup):
             raise ValueError("not an id-subgraph; no inclusion exists")
-        return cls._trusted_inclusion(sub, sup)
-
-    @classmethod
-    def _trusted_inclusion(cls, sub: TypedGraph, sup: TypedGraph) -> Morphism:
-        """The identity-on-ids inclusion, unchecked: for inclusions that
-        hold by construction."""
         return cls(
             sub, sup, dict(zip(sub.nodes, sub.nodes)), dict(zip(sub.edges, sub.edges))
         )
@@ -512,32 +536,35 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
     """All violations of totality, commutation, typing, and injectivity
     for ``f``; injectivity findings come last."""
     out: list[Diagnostic] = []
-    src, dst = f.src_graph, f.dst_graph
-    for nid in src.sorted_nodes:
+    # The source's snapshots come first: both graphs may share one store.
+    src_nodes, src_edges = f.src_graph.nodes, f.src_graph.edges
+    store = f.dst_graph._rooted()
+    dst_nodes, dst_edges = store.nodes, store.edges
+    for nid in sorted(src_nodes):
         img = f.node_map.get(nid)
         if img is None:
             out.append(Diagnostic("not-total", nid, "node has no image"))
-        elif img not in dst.nodes:
+        elif img not in dst_nodes:
             out.append(Diagnostic("unknown-image", nid, f"image node {img!r} missing"))
-        elif dst.nodes[img] != src.nodes[nid]:
+        elif dst_nodes[img] != src_nodes[nid]:
             out.append(
                 Diagnostic(
                     "type-not-preserved",
                     nid,
-                    f"node of type {src.nodes[nid]!r} mapped to {dst.nodes[img]!r}",
+                    f"node of type {src_nodes[nid]!r} mapped to {dst_nodes[img]!r}",
                 )
             )
-    for nid in sorted(f.node_map.keys() - src.nodes.keys()):
+    for nid in sorted(f.node_map.keys() - src_nodes.keys()):
         out.append(Diagnostic("spurious-mapping", nid, "mapped node not in source"))
-    for eid in src.sorted_edges:
+    for eid in sorted(src_edges):
         img = f.edge_map.get(eid)
         if img is None:
             out.append(Diagnostic("not-total", eid, "edge has no image"))
             continue
-        if img not in dst.edges:
+        if img not in dst_edges:
             out.append(Diagnostic("unknown-image", eid, f"image edge {img!r} missing"))
             continue
-        se, de = src.edges[eid], dst.edges[img]
+        se, de = src_edges[eid], dst_edges[img]
         if se.type != de.type:
             out.append(
                 Diagnostic(
@@ -554,7 +581,7 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
                     "edge image endpoints disagree with node images",
                 )
             )
-    for eid in sorted(f.edge_map.keys() - src.edges.keys()):
+    for eid in sorted(f.edge_map.keys() - src_edges.keys()):
         out.append(Diagnostic("spurious-mapping", eid, "mapped edge not in source"))
     for kind, mapping in (("node", f.node_map), ("edge", f.edge_map)):
         if len(set(mapping.values())) == len(mapping):
@@ -575,7 +602,7 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
 
 def _normalise_partial(
     pattern: TypedGraph,
-    host: TypedGraph,
+    host: _Store,
     partial: tuple[Mapping[str, str], Mapping[str, str]] | None,
 ) -> tuple[dict[str, str], dict[str, str]]:
     if partial is None:
@@ -584,7 +611,7 @@ def _normalise_partial(
     for nid, img in node_map.items():
         if nid not in pattern.nodes:
             raise ValueError(f"partial map mentions unknown pattern node {nid!r}")
-        if img not in host.nodes or host.nodes[img] != pattern.nodes[nid]:
+        if host.nodes.get(img) != pattern.nodes[nid]:
             raise ValueError(f"partial map sends node {nid!r} to incompatible {img!r}")
     if len(set(node_map.values())) != len(node_map):
         raise ValueError("partial node map is not injective")
@@ -620,22 +647,26 @@ def find_injective_extensions(
 
     The stream is deterministic: free pattern nodes are processed in
     ascending id order, host candidates are tried in ascending id order, and
-    parallel-edge assignments follow ascending edge ids.
+    parallel-edge assignments follow ascending edge ids.  The stream
+    reroots the host's store each time it resumes.
     """
-    node_map, edge_map = _normalise_partial(pattern, host, partial)
-    free_nodes = [n for n in pattern.sorted_nodes if n not in node_map]
+    # The pattern's snapshots come first: both graphs may share one store.
+    p_nodes, p_edges = pattern.nodes, pattern.edges
+    store = host._rooted()
+    node_map, edge_map = _normalise_partial(pattern, store, partial)
+    free_nodes = [n for n in sorted(p_nodes) if n not in node_map]
     used = set(node_map.values())
 
     pattern_classes: dict[tuple[str, str, str], list[str]] = {}
-    for eid in pattern.sorted_edges:
-        e = pattern.edges[eid]
+    for eid in sorted(p_edges):
+        e = p_edges[eid]
         pattern_classes.setdefault((e.type, e.src, e.tgt), []).append(eid)
     preassigned_per_class: Counter = Counter()
     claimed_per_host_class: Counter = Counter()
     for eid, img in edge_map.items():
-        e = pattern.edges[eid]
+        e = p_edges[eid]
         preassigned_per_class[(e.type, e.src, e.tgt)] += 1
-        he = host.edges[img]
+        he = store.edges[img]
         claimed_per_host_class[(he.type, he.src, he.tgt)] += 1
 
     def class_feasible(cls: tuple[str, str, str]) -> bool:
@@ -645,10 +676,10 @@ def find_injective_extensions(
             return True
         need = len(pattern_classes[cls]) - preassigned_per_class[cls]
         host_cls = (etype, hs, ht)
-        have = len(host.edge_classes.get(host_cls, ())) - claimed_per_host_class[host_cls]
+        have = len(store.edge_classes.get(host_cls, ())) - claimed_per_host_class[host_cls]
         return have >= need
 
-    touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in pattern.nodes}
+    touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in p_nodes}
     for cls in pattern_classes:
         _, ps, pt = cls
         touching[ps].append(cls)
@@ -673,7 +704,7 @@ def find_injective_extensions(
                 return
             candidates = [
                 h
-                for h in host.edge_classes.get(
+                for h in store.edge_classes.get(
                     (etype, node_map[ps], node_map[pt]), ()
                 )
                 if h not in claimed
@@ -692,15 +723,19 @@ def find_injective_extensions(
         yield from per_class(per_class, 0, dict(edge_map))
 
     # ``assign_nodes`` and ``per_class`` call themselves through an argument,
-    # not a closure cell, so a finished or dropped stream leaves no cycle for
-    # the collector.
+    # not a closure cell, so a finished or dropped stream leaves no cycle.  A
+    # type bucket iterated across a yield is the same list once rerooted.
     def assign_nodes(assign_nodes, pos: int) -> Iterator[Morphism]:
+        if pos == 0:
+            host._rooted()
         if pos == len(free_nodes):
             for emap in assign_edges():
                 yield Morphism(pattern, host, dict(node_map), emap)
+                if host._link is not None:
+                    host._rooted()
             return
         v = free_nodes[pos]
-        for x in host.nodes_by_type.get(pattern.nodes[v], ()):
+        for x in store.nodes_by_type.get(p_nodes[v], ()):
             if x in used:
                 continue
             node_map[v] = x
@@ -721,7 +756,7 @@ def dangling_node(
     would leave that edge dangling.  ``None`` if there is no such node.
     Costs the incident edges of the nodes scanned."""
     for y in nodes:
-        for eid in host.incidence[y]:
+        for eid in host._rooted().incidence[y]:
             if eid not in edges:
                 return y
     return None
@@ -768,4 +803,4 @@ def pushout_complement(
         {k: m.node_map[l.node_map[k]] for k in l.src_graph.nodes},
         {k: m.edge_map[l.edge_map[k]] for k in l.src_graph.edges},
     )
-    return context, k_to_context, Morphism._trusted_inclusion(context, host)
+    return context, k_to_context, Morphism.inclusion(context, host)

@@ -35,8 +35,8 @@ from .effect import (
     EffectOrientedRule,
     InducedSelection,
     InvalidSelection,
+    _validate_rules,
     build_induced_rule,
-    validate_effect_rule,
 )
 from .matching import InvalidPreMatch, PreMatch, validate_prematch
 from .rules import Nac, Rule, apply_rule, shift_nacs
@@ -76,9 +76,10 @@ def canonical_text(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load(text: str) -> dict:
+def _load(text: str | dict) -> dict:
+    """``text`` parsed, or as it is if ``effectgraph validate`` parsed it."""
     try:
-        doc = json.loads(text)
+        doc = text if isinstance(text, dict) else json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -186,10 +187,10 @@ def encode_graph(g: TypedGraph) -> str:
     :func:`canonical_text`: keys in sorted order, elements by id, and every
     id and type name (all strings) escaped by the same C routine
     ``json.dumps`` uses, so the bytes are the same."""
-    nodes, edges = g.nodes, g.edges
-    node_entries = [_NODE % (_quote(n), _quote(nodes[n])) for n in g.sorted_nodes]
+    nodes, edges = g._rooted().nodes, g._rooted().edges
+    node_entries = [_NODE % (_quote(n), _quote(nodes[n])) for n in sorted(nodes)]
     edge_entries = []
-    for eid in g.sorted_edges:
+    for eid in sorted(edges):
         e = edges[eid]
         edge_entries.append(
             _EDGE % (_quote(eid), _quote(e.src), _quote(e.tgt), _quote(e.type))
@@ -284,11 +285,9 @@ def _actions_of(eor: EffectOrientedRule) -> dict[str, str]:
     interface = eor.interface
     tags: dict[str, str] = {}
     for xid in list(maximal.lhs.nodes) + list(maximal.lhs.edges):
-        in_interface = xid in interface.nodes or xid in interface.edges
-        in_base = xid in base.lhs.nodes or xid in base.lhs.edges
-        if in_interface:
+        if xid in interface.nodes or xid in interface.edges:
             tags[xid] = "preserve"
-        elif in_base:
+        elif xid in base.lhs.nodes or xid in base.lhs.edges:
             tags[xid] = "delete"
         else:
             tags[xid] = "delete_potential"
@@ -462,7 +461,7 @@ def decode_rule(
         nacs=shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), tuple(nacs)),
     )
     eor = EffectOrientedRule(base, maximal)
-    bad = validate_effect_rule(eor)
+    bad = _validate_rules(eor)  # the maximal NACs are the base NACs shifted
     if bad:
         raise ValidationError(bad)
     return name, eor
@@ -502,7 +501,7 @@ def prematch_from_maps(
         src, tgt = node_map.get(e.src), node_map.get(e.tgt)
         candidates = [
             h
-            for h in host.edge_classes.get((e.type, src, tgt), ())
+            for h in host._rooted().edge_classes.get((e.type, src, tgt), ())
             if h not in edge_map.values()
         ]
         if len(candidates) != 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .core import (
     Diagnostic,
@@ -64,19 +65,7 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
     interfaces identical, and the maximal NACs equivalent to the base NACs
     shifted to the maximal lhs."""
-    out: list[Diagnostic] = []
-    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
-        for d in validate_rule(rule):
-            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
-    # The base interface is already included in the maximal one.
-    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
-        out.append(
-            Diagnostic(
-                "interface-mismatch",
-                None,
-                "base and maximal rule must share the interface exactly",
-            )
-        )
+    out = _validate_rules(eor)
     # Inclusions and identical interfaces K make both squares commute, and
     # L_base ∩ K = K = R_base ∩ K makes them pullbacks: only NACs are left.
     if not out and not nac_sets_equivalent(
@@ -94,6 +83,24 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     return out
 
 
+def _validate_rules(eor: EffectOrientedRule) -> list[Diagnostic]:
+    """:func:`validate_effect_rule` short of the NACs: enough for decoded rules."""
+    out: list[Diagnostic] = []
+    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
+        for d in validate_rule(rule):
+            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
+    # The base interface is already included in the maximal one.
+    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
+        out.append(
+            Diagnostic(
+                "interface-mismatch",
+                None,
+                "base and maximal rule must share the interface exactly",
+            )
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class InducedSelection:
     """Which potential deletions to perform and which potential creations
@@ -101,10 +108,6 @@ class InducedSelection:
 
     del_extra: ElementSet
     preserve_extra: ElementSet
-
-    @classmethod
-    def empty(cls) -> InducedSelection:
-        return cls(ElementSet.empty(), ElementSet.empty())
 
     @property
     def size(self) -> int:
@@ -198,16 +201,10 @@ def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> Induce
     return InducedRule(selection=sel, rule=rule)
 
 
-def _closed_edge_subsets(
-    edges: list[str],
-    graph: TypedGraph,
-    allowed_nodes: set[str],
-) -> list[frozenset[str]]:
-    usable = [e for e in edges if graph.edges[e].src in allowed_nodes and graph.edges[e].tgt in allowed_nodes]
-    out = []
-    for mask in range(1 << len(usable)):
-        out.append(frozenset(e for i, e in enumerate(usable) if mask >> i & 1))
-    return out
+def _subsets(ids: list[str]) -> Iterator[frozenset[str]]:
+    """Every subset of ``ids``, in binary counting order."""
+    for mask in range(1 << len(ids)):
+        yield frozenset(x for i, x in enumerate(ids) if mask >> i & 1)
 
 
 def _connected_ok(
@@ -235,6 +232,21 @@ def _connected_ok(
     return True
 
 
+def _sides(
+    potential: ElementSet, graph: TypedGraph, anchor: set[str], weak: bool | None
+) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The closed choices of ``potential`` elements of ``graph`` around the
+    ``anchor`` nodes that pass the connectedness filter ``weak``, if any."""
+    out, ends = [], graph.edges
+    for nodes in _subsets(sorted(potential.nodes)):
+        closed = anchor | nodes
+        usable = [e for e in sorted(potential.edges) if {ends[e].src, ends[e].tgt} <= closed]
+        for edges in _subsets(usable):
+            if weak is None or _connected_ok(nodes, edges, graph, anchor, weak):
+                out.append((nodes, edges))
+    return out
+
+
 def enumerate_selections(
     eor: EffectOrientedRule, selection_filter: str = "none"
 ) -> list[InducedSelection]:
@@ -244,37 +256,11 @@ def enumerate_selections(
         raise ValueError(
             f"unknown filter {selection_filter!r}; expected one of {SELECTION_FILTERS}"
         )
-    deletions, creations = eor.potential_deletions, eor.potential_creations
+    side, weak = selection_filter.rpartition("_")[2], selection_filter.startswith("weak")
     lg, rg = eor.maximal.lhs, eor.maximal.rhs
-    base_lhs_nodes = set(eor.base.lhs.nodes)
-    interface_nodes = set(eor.interface.nodes)
-
-    del_sides: list[tuple[frozenset[str], frozenset[str]]] = []
-    del_nodes_sorted = sorted(deletions.nodes)
-    for mask in range(1 << len(del_nodes_sorted)):
-        nodes = frozenset(n for i, n in enumerate(del_nodes_sorted) if mask >> i & 1)
-        for edges in _closed_edge_subsets(
-            sorted(deletions.edges), lg, base_lhs_nodes | nodes
-        ):
-            if selection_filter in ("weak_left", "left") and not _connected_ok(
-                nodes, edges, lg, base_lhs_nodes, weak=selection_filter == "weak_left"
-            ):
-                continue
-            del_sides.append((nodes, edges))
-
-    pres_sides: list[tuple[frozenset[str], frozenset[str]]] = []
-    pres_nodes_sorted = sorted(creations.nodes)
-    for mask in range(1 << len(pres_nodes_sorted)):
-        nodes = frozenset(n for i, n in enumerate(pres_nodes_sorted) if mask >> i & 1)
-        for edges in _closed_edge_subsets(
-            sorted(creations.edges), rg, interface_nodes | nodes
-        ):
-            if selection_filter in ("weak_right", "right") and not _connected_ok(
-                nodes, edges, rg, interface_nodes, weak=selection_filter == "weak_right"
-            ):
-                continue
-            pres_sides.append((nodes, edges))
-
+    left, right = (weak if side == name else None for name in ("left", "right"))
+    del_sides = _sides(eor.potential_deletions, lg, set(eor.base.lhs.nodes), left)
+    pres_sides = _sides(eor.potential_creations, rg, set(eor.interface.nodes), right)
     selections = [
         InducedSelection(ElementSet(dn, de), ElementSet(pn, pe))
         for dn, de in del_sides

@@ -19,6 +19,7 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
+    _Store,
     check_morphism,
     dangling_node,
     find_injective_extensions,
@@ -102,6 +103,14 @@ def validate_prematch(
         raise InvalidPreMatch(f"pre-match is not a valid injection: {problems[0]}")
     if not satisfies_nacs(pm.morphism, eor.base.nacs):
         raise InvalidPreMatch("pre-match violates a base NAC")
+    object.__setattr__(pm, "_rule", eor)
+
+
+def _entered(eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch) -> None:
+    """:func:`validate_prematch` where a pre-match enters, unless ``pm``
+    was checked for ``eor`` and this very ``host`` already."""
+    if pm.__dict__.get("_rule") is not eor or pm.morphism.dst_graph is not host:
+        validate_prematch(eor, host, pm)
 
 
 class _Leaf(NamedTuple):
@@ -144,7 +153,7 @@ class _Greedy:
         self.would_skip = False
 
 
-def _edge_kinds(g: TypedGraph, node: str) -> Iterator[tuple[str, bool, bool]]:
+def _edge_kinds(g: TypedGraph | _Store, node: str) -> Iterator[tuple[str, bool, bool]]:
     """The edges incident to ``node``, by type and direction."""
     for h in g.incidence[node]:
         e = g.edges[h]
@@ -208,13 +217,16 @@ def _leaves(
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
     used_nodes, used_edges = set(node_map.values()), set(edge_map.values())
+    store = host._rooted()
+    edges = store.edges
     used_types: dict[str, int] = {}  # used nodes by type
-    for t in map(host.nodes.__getitem__, used_nodes):
+    for t in map(store.nodes.__getitem__, used_nodes):
         used_types[t] = used_types.get(t, 0) + 1
     kept = base.interface
     del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
     del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
     room = {n: Counter(_edge_kinds(lg, n)) for n in pd.nodes}
+    degree = {n: len(lg.incidence[n]) for n in pd.nodes}
     # Each potential node's potential edges, with their position and the
     # other end.  A valid rule's sides share only interface ids, so the
     # edges are on the node's side.
@@ -243,10 +255,10 @@ def _leaves(
     def deletable(x: str, v: str) -> bool:
         """Whether deleting rule node ``v`` can remove every edge incident
         to host node ``x``: no more of them, by type and direction."""
-        if len(host.incidence[x]) > len(lg.incidence[v]):
+        if len(store.incidence[x]) > degree[v]:
             return False
         left = dict(room[v])
-        for kind in _edge_kinds(host, x):
+        for kind in _edge_kinds(store, x):
             if not left.get(kind):
                 return False
             left[kind] -= 1
@@ -257,7 +269,7 @@ def _leaves(
         the bindable edges whose host class has no free edge left."""
         count = len(elements) - i
         for key in keys[max(i, n_nodes) :]:
-            if key and used_edges.issuperset(host.edge_classes.get(key, ())):
+            if key and used_edges.issuperset(store.edge_classes.get(key, ())):
                 count -= 1
         return count
 
@@ -275,10 +287,10 @@ def _leaves(
             anchored = [(e, node_map[u]) for _, e, u in adjacent[v] if u in node_map]
             for e, y in anchored:
                 outgoing = e.src == v
-                incident = host.incidence[y]
+                incident = store.incidence[y]
                 stats.examined += len(incident)
                 for h in incident:
-                    he = host.edges[h]
+                    he = edges[h]
                     if he.type == e.type and h not in used_edges:
                         x, end = (he.src, he.tgt) if outgoing else (he.tgt, he.src)
                         if end == y:
@@ -303,15 +315,19 @@ def _leaves(
                 ElementSet(pc.nodes & bound[0], pc.edges & bound[1]),
             )
             yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
+            if host._link is not None:  # before the frames above resume
+                host._rooted()
             return
         if best is not None and size + can_grow(i) < best.size:
             return
         xid, _, deleting, is_node = elements[i]
         key = keys[i]  # None has no candidates: the edge is skipped
+        # Iterated across yields: a type bucket is the same list, with the
+        # same content, once rerooted, and an edge class is a tuple.
         index, images, used, deleted = (
-            (host.nodes_by_type, node_map, used_nodes, del_nodes)
+            (store.nodes_by_type, node_map, used_nodes, del_nodes)
             if is_node
-            else (host.edge_classes, edge_map, used_edges, del_edges)
+            else (store.edge_classes, edge_map, used_edges, del_edges)
         )
         candidates = index.get(key, ())
         if is_node:
@@ -410,7 +426,7 @@ def find_locally_complete(
     although a candidate is free, and the least match of the full search by
     :meth:`MatchResult.sort_key` is returned.  Otherwise the full search
     would visit the very same tree, and the answer is ``None`` at once."""
-    validate_prematch(eor, host, pm)
+    _entered(eor, host, pm)
     stats = MatchStats() if stats is None else stats
     greedy = _Greedy()
     leaf = next(_leaves(eor, host, pm, stats, greedy), None)
@@ -427,7 +443,7 @@ def find_all_locally_complete(
 ) -> list[MatchResult]:
     """Every locally complete match extending ``pm`` that admits a
     transformation, in :meth:`MatchResult.sort_key` order."""
-    validate_prematch(eor, host, pm)
+    _entered(eor, host, pm)
     return _built(eor, host, _leaves(eor, host, pm, MatchStats()))
 
 
@@ -439,7 +455,7 @@ def find_locally_maximal(
 ) -> list[MatchResult]:
     """The locally complete matches of maximal induced-rule size for ``pm``,
     in :meth:`MatchResult.sort_key` order."""
-    validate_prematch(eor, host, pm)
+    _entered(eor, host, pm)
     return _built(eor, host, _largest_leaves(eor, host, [pm], stats))
 
 

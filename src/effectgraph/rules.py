@@ -113,25 +113,16 @@ def validate_rule(r: Rule) -> list[Diagnostic]:
     for g, label in ((r.lhs, "lhs"), (r.interface, "interface"), (r.rhs, "rhs")):
         for d in validate_graph(g, tg):
             out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
+    k = r.interface
     for sup, label in ((r.lhs, "lhs"), (r.rhs, "rhs")):
-        for nid in sorted(r.interface.nodes):
-            if sup.nodes.get(nid) != r.interface.nodes[nid]:
-                out.append(
-                    Diagnostic(
-                        "interface-not-included",
-                        nid,
-                        f"interface node missing from or retyped in {label}",
-                    )
-                )
-        for eid in sorted(r.interface.edges):
-            if sup.edges.get(eid) != r.interface.edges[eid]:
-                out.append(
-                    Diagnostic(
-                        "interface-not-included",
-                        eid,
-                        f"interface edge missing from or changed in {label}",
-                    )
-                )
+        for ours, theirs, what in (
+            (k.nodes, sup.nodes, "node missing from or retyped in"),
+            (k.edges, sup.edges, "edge missing from or changed in"),
+        ):
+            for xid in sorted(ours):
+                if theirs.get(xid) != ours[xid]:
+                    problem = f"interface {what} {label}"
+                    out.append(Diagnostic("interface-not-included", xid, problem))
     # Ids occurring on both sides but not in the interface would make the
     # deleted and created elements indistinguishable.
     overlap = (r.lhs.nodes.keys() & r.rhs.nodes.keys()) - r.interface.nodes.keys()
@@ -157,15 +148,8 @@ def validate_rule(r: Rule) -> list[Diagnostic]:
 def satisfies_nacs(m: Morphism, nacs: Iterable[Nac]) -> bool:
     """Whether no NAC extends the injective match ``m`` into its host."""
     for nac in nacs:
-        hit = next(
-            iter(
-                find_injective_extensions(
-                    nac.forbidden, m.dst_graph, (m.node_map, m.edge_map)
-                )
-            ),
-            None,
-        )
-        if hit is not None:
+        partial = (m.node_map, m.edge_map)
+        if next(find_injective_extensions(nac.forbidden, m.dst_graph, partial), None):
             return False
     return True
 
@@ -233,8 +217,7 @@ def _rooted_injection_exists(
     """Whether an injective morphism ``source -> target`` fixes ``root``
     pointwise; both graphs must contain ``root`` as an id-subgraph."""
     partial = ({n: n for n in root.nodes}, {e: e for e in root.edges})
-    hit = next(iter(find_injective_extensions(source, target, partial)), None)
-    return hit is not None
+    return next(find_injective_extensions(source, target, partial), None) is not None
 
 
 def _same_rooted_nac(root: TypedGraph, a: Nac, b: Nac) -> bool:
@@ -342,12 +325,12 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     elements receive the :func:`fresh_id` ids ``ruleElementId#k`` (smallest
     free ``k``), so outputs are reproducible.
 
-    The output is derived from ``g`` as a delta, so a step costs
-    O(|L| + |R|) plus C-level copies of the host's element dicts, however
-    large ``g`` is.  The output carries the fresh-id floors of ``g``, lowered
-    below the deleted ids and raised to the created ones, so a chain of
-    steps probes O(1) amortised ids per created element; a host that no
-    step made probes from ``k = 1`` once.
+    The output is derived from ``g`` as a delta applied in place to the
+    store of ``g``'s lineage, so a step costs O(|L| + |R|) however large
+    ``g`` is (see :mod:`effectgraph.core`).  The output carries the
+    fresh-id floors of ``g``, lowered below the deleted ids and raised to
+    the created ones, so a chain of steps probes O(1) amortised ids per
+    created element; a host that no step made probes from ``k = 1`` once.
     """
     if m.src_graph != r.lhs or m.dst_graph != g:
         raise ValueError("match must map the rule's lhs into the host")
@@ -368,12 +351,13 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     created_nodes: dict[str, str] = {}
     created_edges: dict[str, Edge] = {}
     floors = g._floors_without([*deleted_nodes, *deleted_edges])
+    store = g._rooted()
 
     def taken(x: str) -> bool:
         # The ids of the context, without building it, plus those created.
         return (
-            (x in g.nodes and x not in deleted_nodes)
-            or (x in g.edges and x not in deleted_edges)
+            (x in store.nodes and x not in deleted_nodes)
+            or (x in store.edges and x not in deleted_edges)
             or x in created_nodes
             or x in created_edges
         )

@@ -28,13 +28,12 @@ from .core import (
 )
 from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
-    MatchResult,
     PreMatch,
     _largest_leaves,
+    _entered,
     _least_built,
     find_base_prematches,
     find_locally_complete,
-    validate_prematch,
 )
 from .rules import TransformationRecord, apply_rule
 
@@ -80,19 +79,6 @@ class AuditReport:
     entries: tuple[AuditEntry, ...]
 
 
-def _from_match_result(
-    eor: EffectOrientedRule, strategy: str, mr: MatchResult, host: TypedGraph
-) -> EffectTransformation:
-    record = apply_rule(mr.induced.rule, host, mr.match)
-    return EffectTransformation(
-        eor=eor,
-        strategy=strategy,
-        result=record,
-        selection=mr.induced.selection,
-        base_prematch=mr.base_prematch,
-    )
-
-
 def transform(
     eor: EffectOrientedRule,
     host: TypedGraph,
@@ -118,9 +104,14 @@ def transform(
     elif strategy == LOCALLY_COMPLETE:
         mr = find_locally_complete(eor, host, pm)
     else:
-        validate_prematch(eor, host, pm)
+        _entered(eor, host, pm)
         mr = _least_built(eor, host, _largest_leaves(eor, host, [pm], None))
-    return None if mr is None else _from_match_result(eor, strategy, mr, host)
+    if mr is None:
+        return None
+    record = apply_rule(mr.induced.rule, host, mr.match)
+    return EffectTransformation(
+        eor, strategy, record, mr.induced.selection, mr.base_prematch
+    )
 
 
 def _interface_plus_element(

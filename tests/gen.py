@@ -16,6 +16,8 @@ from effectgraph import (
     Edge,
     EdgeType,
     EffectOrientedRule,
+    ElementSet,
+    InducedSelection,
     Morphism,
     Nac,
     PreMatch,
@@ -27,6 +29,15 @@ from effectgraph import (
 )
 
 from oracles import rule_applicable
+
+
+def empty_graph(tg: TypeGraph) -> TypedGraph:
+    return TypedGraph(tg, {}, {})
+
+
+def empty_selection() -> InducedSelection:
+    """The selection of no potential action: the base rule itself."""
+    return InducedSelection(ElementSet(), ElementSet())
 
 
 def random_type_graph(
@@ -74,7 +85,7 @@ def random_graph(
 ) -> TypedGraph:
     return grow(
         rng,
-        TypedGraph.empty(tg),
+        empty_graph(tg),
         rng.randint(0, max_nodes),
         rng.randint(0, max_edges),
         prefix,

@@ -65,6 +65,10 @@ class NonCommuting(EffectGraphError):
     """A square of morphisms that must commute does not."""
 
 
+def identity(g: TypedGraph) -> Morphism:
+    return Morphism.inclusion(g, g)
+
+
 def compose(first: Morphism, second: Morphism) -> Morphism:
     """The composite that applies ``first`` and then ``second``."""
     return Morphism(
@@ -287,7 +291,7 @@ def pushout(f: Morphism, g: Morphism) -> tuple[TypedGraph, Morphism, Morphism]:
             in_c_edges[cid] = new
 
     d = TypedGraph(b.type_graph, nodes, edges)
-    in_b = Morphism._trusted_inclusion(b, d)
+    in_b = Morphism.inclusion(b, d)
     in_c = Morphism(c, d, in_c_nodes, in_c_edges)
     return d, in_b, in_c
 

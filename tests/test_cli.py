@@ -37,6 +37,8 @@ from effectgraph.fixtures import (
     ensure_account_rule,
 )
 
+from gen import empty_graph, empty_selection
+
 pytestmark = pytest.mark.usefixtures("plain_output")
 
 
@@ -138,7 +140,7 @@ def test_strategy_argument_mismatches_exit_1(capsys):
 
 def test_no_match_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
-    empty.write_text(encode_graph(TypedGraph.empty(banking_type_graph())))
+    empty.write_text(encode_graph(empty_graph(banking_type_graph())))
     code, out, _ = run(
         capsys,
         "match",
@@ -362,14 +364,14 @@ def test_audit_round_trip_with_report(tmp_path, capsys):
 def test_audit_failure_exits_3(tmp_path, capsys):
     eor = ensure_account_rule()
     host = bank_graph()
-    induced = build_induced_rule(eor, InducedSelection.empty())
+    induced = build_induced_rule(eor, empty_selection())
     match = Morphism(induced.rule.lhs, host, {"c": "c1"}, {})
     record = apply_rule(induced.rule, host, match)
     t = EffectTransformation(
         eor=eor,
         strategy="locally_complete",
         result=record,
-        selection=InducedSelection.empty(),
+        selection=empty_selection(),
         base_prematch=PreMatch(match),
     )
     trace_file = tmp_path / "trace.json"

@@ -27,12 +27,13 @@ from effectgraph import (
 from effectgraph.core import fresh_id
 from effectgraph.fixtures import bank_graph, ensure_account_rule
 
-from gen import grow, random_graph, random_type_graph
+from gen import empty_graph, grow, random_graph, random_type_graph
 from oracles import (
     NonCommuting,
     compose,
     enumerate_typed_graphs,
     graph_union,
+    identity,
     induced,
     is_isomorphic,
     is_pullback_square,
@@ -84,7 +85,7 @@ def test_validate_graph_reports_each_violation_kind():
 
 def test_validate_graph_flags_foreign_type_graph():
     other = TypeGraph("other", frozenset({"A"}), {})
-    diags = validate_graph(TypedGraph.empty(other), PAIR)
+    diags = validate_graph(empty_graph(other), PAIR)
     assert [d.code for d in diags] == ["type-graph-mismatch"]
 
 
@@ -163,8 +164,8 @@ def test_morphism_identity_and_composition_laws():
         f = Morphism.inclusion(a, b)
         g = Morphism.inclusion(b, c)
         assert not check_morphism(f)
-        assert same_maps(compose(Morphism.identity(a), f), f)
-        assert same_maps(compose(f, Morphism.identity(b)), f)
+        assert same_maps(compose(identity(a), f), f)
+        assert same_maps(compose(f, identity(b)), f)
         assert same_maps(compose(f, g), Morphism.inclusion(a, c))
 
 
@@ -385,7 +386,7 @@ def test_find_injective_extensions_agrees_with_networkx():
 
 def test_empty_pattern_has_exactly_the_empty_morphism():
     host = pair_graph()
-    results = list(find_injective_extensions(TypedGraph.empty(PAIR), host))
+    results = list(find_injective_extensions(empty_graph(PAIR), host))
     assert len(results) == 1
     assert results[0].node_map == {} and results[0].edge_map == {}
 
@@ -491,7 +492,7 @@ def test_pushout_rejects_mismatched_legs():
         {},
     )
     with pytest.raises(ValueError, match="not a valid injection"):
-        pushout(squash, Morphism.identity(squash.src_graph))
+        pushout(squash, identity(squash.src_graph))
 
 
 def _independent_dangling(host: TypedGraph, deleted_nodes, deleted_edges) -> bool:
@@ -535,7 +536,7 @@ def test_pushout_complement_then_pushout_restores_host(seed):
 def test_pullback_square_detects_missing_intersection():
     # Two copies of an A-node meeting in the host, but an empty apex: the
     # square commutes yet misses the shared point, so it is no pullback.
-    apex = TypedGraph.empty(PAIR)
+    apex = empty_graph(PAIR)
     b = TypedGraph(PAIR, {"x": "A"}, {})
     c = TypedGraph(PAIR, {"y": "A"}, {})
     d = TypedGraph(PAIR, {"u": "A"}, {})
@@ -557,8 +558,8 @@ def test_pullback_square_raises_on_non_commuting_legs():
     d = TypedGraph(PAIR, {"u": "A", "w": "A"}, {})
     with pytest.raises(NonCommuting):
         is_pullback_square(
-            Morphism.identity(b),
-            Morphism.identity(b),
+            identity(b),
+            identity(b),
             Morphism(b, d, {"x": "u"}, {}),
             Morphism(b, d, {"x": "w"}, {}),
         )

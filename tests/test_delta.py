@@ -1,14 +1,18 @@
 """Rewrite steps derived from their input as a delta.
 
-An output graph copies its input's element dicts and patches whichever
-indexes the input had built; every patched index must equal the one built
-from scratch, and the sorted id tuples are computed on access, never
+An output shares one store with its input, the store of their lineage:
+the step applies its delta to the store's element dicts and to whichever
+indexes the lineage has built, and any version read later is rerooted to.
+Every index, read at any version, must equal the one built from scratch
+for that version, and a mapping handed out by a public property never
+changes afterwards.  The sorted id tuples are computed on access, never
 stored.  The record's context is computed on first access and equals the
 one :func:`pushout_complement` builds, created ids follow the ``rid#k``
-scheme computed from the materialised context, and an output keeps no
-reference to its input.  An output carries fresh-id floors, ``base -> j``
-with ``base#1 … base#j`` all ids of the output, so a chain of steps probes
-a constant number of ids per created element however long it runs.
+scheme computed from the materialised context, and an input dropped once
+its output has been read is freed.  An output carries fresh-id floors,
+``base -> j`` with ``base#1 … base#j`` all ids of the output, so a chain
+of steps probes a constant number of ids per created element however long
+it runs.  A step allocates no more on a large host than on a small one.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +31,7 @@ from effectgraph import (
     DanglingViolation,
     Edge,
     EdgeType,
+    MatchStats,
     Morphism,
     NacViolated,
     NotInjective,
@@ -32,6 +39,7 @@ from effectgraph import (
     TypeGraph,
     TypedGraph,
     apply_rule,
+    audit_effect,
     check_morphism,
     find_base_prematches,
     find_injective_extensions,
@@ -42,9 +50,10 @@ from effectgraph import (
 from effectgraph.core import fresh_id
 from effectgraph.documents import prematch_from_maps
 from effectgraph.fixtures import banking_type_graph, ensure_account_rule
+from effectgraph.matching import _leaves
 
-from gen import instances, random_graph, random_plain_rule, random_type_graph
-from oracles import compose, is_pullback_square, same_maps
+from gen import empty_graph, instances, random_graph, random_plain_rule, random_type_graph
+from oracles import compose, identity, is_pullback_square, same_maps
 
 INDEXES = ("nodes_by_type", "edge_classes", "incidence")
 
@@ -64,13 +73,21 @@ def swap_rule() -> Rule:
 
 
 def built(g: TypedGraph) -> set[str]:
-    return {name for name in INDEXES if name in g.__dict__}
+    """The indexes the store of ``g``'s lineage has built."""
+    return {name for name in INDEXES if name in g._store.__dict__}
+
+
+def store_index(g: TypedGraph, name: str) -> dict:
+    """Index ``name`` as the store holds it once rerooted to ``g``, in the
+    form of the public property: tuples, no empty type buckets."""
+    index = getattr(g._rooted(), name)
+    return {k: tuple(ids) for k, ids in index.items() if ids or name == "incidence"}
 
 
 def assert_indexes_match_rebuild(g: TypedGraph) -> None:
     fresh = TypedGraph(g.type_graph, g.nodes, g.edges)
     for name in built(g):
-        assert g.__dict__[name] == getattr(fresh, name), name
+        assert store_index(g, name) == getattr(fresh, name), name
 
 
 def expected_created_ids(r: Rule, context: TypedGraph) -> dict[str, str]:
@@ -94,7 +111,7 @@ def check_step(r: Rule, record, seen: Counter) -> None:
     """Everything a derived step promises, checked against references."""
     host, out = record.input, record.output
     assert "context" not in record.__dict__
-    assert built(out) == built(host)
+    assert out._store is host._store  # one store per lineage
     assert_indexes_match_rebuild(out)
     for g in (host, out):
         assert g.sorted_nodes == tuple(sorted(g.nodes))
@@ -223,7 +240,7 @@ def test_recreated_ids_move_between_index_buckets():
     check_step(r, record, Counter())
 
 
-def test_output_does_not_keep_its_input_alive():
+def test_an_input_dropped_after_its_output_is_read_is_freed():
     r = swap_rule()
     host = TypedGraph(
         CHAIN,
@@ -238,6 +255,7 @@ def test_output_does_not_keep_its_input_alive():
     record.context  # the cached context goes with the record
     out = record.output
     del record, m, host
+    out.nodes  # reroots the store to ``out``, which holds no older version
     gc.collect()
     assert alive() is None
     assert dict(out.nodes) == {"b1": "B", "a2": "A", "c#1": "B"}
@@ -247,7 +265,7 @@ def test_output_does_not_keep_its_input_alive():
 def test_match_validation_keeps_its_precedence():
     host = TypedGraph(CHAIN, {"a1": "A", "b1": "B"}, {})
     merge = TypedGraph(CHAIN, {"x": "A", "y": "A", "z": "B"}, {})
-    rule = Rule(merge, TypedGraph.empty(CHAIN), TypedGraph.empty(CHAIN))
+    rule = Rule(merge, empty_graph(CHAIN), empty_graph(CHAIN))
     # Not total and not injective: the invalid morphism is reported first.
     squashed = Morphism(merge, host, {"x": "a1", "y": "a1"}, {})
     with pytest.raises(ValueError, match="not a valid morphism"):
@@ -259,7 +277,7 @@ def test_match_validation_keeps_its_precedence():
     with pytest.raises(ValueError, match="id-subgraph"):
         Morphism.inclusion(merge, host)
     with pytest.raises(ValueError, match="match is not a valid injection"):
-        pushout_complement(Morphism.identity(merge), total)
+        pushout_complement(identity(merge), total)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +384,7 @@ def test_look_alike_ids_leave_a_floor_alone(monkeypatch):
     """Only ``x#`` followed by ``str(k)``, k >= 1, names ``x#k``: deleting a
     look-alike keeps the floor, so the next ``x`` is found in one probe."""
     probes = count_probes(monkeypatch)
-    empty = TypedGraph.empty(CHAIN)
+    empty = empty_graph(CHAIN)
     r = Rule(TypedGraph(CHAIN, {"d": "A"}, {}), empty, TypedGraph(CHAIN, {"x": "B"}, {}))
     look_alikes = ["x#0", "x#01", "x#", "x#1#1", "x#\u0663", "x#" + "1" * 5000]
     host = TypedGraph(
@@ -410,3 +428,209 @@ def test_a_long_chain_probes_a_constant_number_of_ids(monkeypatch):
     assert all(per_step)
     assert max(max(counts) for counts in per_step[1:]) <= 2
     assert len(host.edges) > 600
+
+
+# ---------------------------------------------------------------------------
+# one store per lineage, rerooted on read
+
+
+class Version(NamedTuple):
+    """A graph of a lineage with the content it must read as, worked out
+    from the steps that made it, and the floors it was made with."""
+
+    graph: TypedGraph
+    nodes: dict[str, str]
+    edges: dict[str, Edge]
+    floors: dict[str, int]
+
+
+def stepped(r: Rule, v: Version, m: Morphism):
+    """The record of ``r`` at ``m`` on ``v``, its output's version, and the
+    version of its context; ids deleted and created are read off the match
+    and the comatch."""
+    record = apply_rule(r, v.graph, m)
+    gone_nodes = {m.node_map[x] for x in r.lhs.nodes if x not in r.interface.nodes}
+    gone_edges = {m.edge_map[x] for x in r.lhs.edges if x not in r.interface.edges}
+    nodes = {n: t for n, t in v.nodes.items() if n not in gone_nodes}
+    edges = {e: x for e, x in v.edges.items() if e not in gone_edges}
+    context = (nodes, edges)
+    nodes, edges = dict(nodes), dict(edges)
+    cn, ce = record.comatch.node_map, record.comatch.edge_map
+    for rid in r.rhs.nodes.keys() - r.interface.nodes.keys():
+        nodes[cn[rid]] = r.rhs.nodes[rid]
+    for rid in r.rhs.edges.keys() - r.interface.edges.keys():
+        e = r.rhs.edges[rid]
+        edges[ce[rid]] = Edge(e.type, cn[e.src], cn[e.tgt])
+    out = Version(record.output, nodes, edges, dict(floors(record.output)))
+    return record, out, context
+
+
+def assert_reads_as(v: Version, public: bool) -> None:
+    """``v`` read from the store, rerooted to it, and, if ``public``, its
+    public snapshots equal a fresh rebuild of its content; its floors are
+    those it was made with, and they hold."""
+    fresh = TypedGraph(v.graph.type_graph, v.nodes, v.edges)
+    store = v.graph._rooted()
+    assert store.nodes == v.nodes and store.edges == v.edges
+    for name in built(v.graph):
+        assert store_index(v.graph, name) == getattr(fresh, name), name
+    if public:
+        for name in ("nodes", "edges", *INDEXES):
+            assert getattr(v.graph, name) == getattr(fresh, name), name
+        assert v.graph == fresh
+    assert floors(v.graph) == v.floors
+    for base, j in v.floors.items():
+        assert all(f"{base}#{k}" in v.nodes or f"{base}#{k}" in v.edges for k in range(1, j + 1))
+
+
+def maps(ms) -> list[tuple[dict, dict]]:
+    return [(dict(m.node_map), dict(m.edge_map)) for m in ms]
+
+
+@pytest.mark.parametrize("seed", [41, 4242])
+def test_versions_read_in_any_order_equal_a_fresh_rebuild(seed):
+    """Steps from old and new versions, record contexts, index builds,
+    reads and suspended searches, in random order: every version reads as
+    a fresh rebuild of its content, and a search suspended while the store
+    moves elsewhere yields what it yields on a fresh copy."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for _ in range(100):
+        tg = random_type_graph(rng)
+        r = random_plain_rule(rng, tg, nac_chance=0.3)
+        host = random_graph(rng, tg, max_nodes=8, max_edges=12)
+        versions = [Version(host, dict(host.nodes), dict(host.edges), {})]
+        records = []
+        for _ in range(50):
+            v = rng.choice(versions)
+            action = rng.random()
+            if action < 0.4:
+                matches = list(itertools.islice(find_injective_extensions(r.lhs, v.graph), 10))
+                rng.shuffle(matches)
+                for m in matches:
+                    try:
+                        record, out, context = stepped(r, v, m)
+                    except (DanglingViolation, NacViolated):
+                        continue
+                    seen["branch"] += v is not versions[-1]
+                    fresh_context = TypedGraph(tg, *context)
+                    created = expected_created_ids(r, fresh_context)
+                    comatch = {**record.comatch.node_map, **record.comatch.edge_map}
+                    assert {rid: comatch[rid] for rid in created} == created
+                    versions.append(out)
+                    records.append((record, context))
+                    break
+            elif action < 0.5 and records:
+                record, context = records.pop(rng.randrange(len(records)))
+                versions.append(Version(record.context, *context, {}))
+            elif action < 0.6:
+                getattr(v.graph._rooted(), rng.choice(INDEXES))
+            elif action < 0.7:
+                fresh = TypedGraph(tg, v.nodes, v.edges)
+                want = maps(find_injective_extensions(r.lhs, fresh))
+                stream = find_injective_extensions(r.lhs, v.graph)
+                got = maps(itertools.islice(stream, 1))
+                w = rng.choice(versions)
+                seen["moved"] += w.graph._store is v.graph._store and w is not v
+                assert_reads_as(w, public=False)
+                assert got + maps(stream) == want
+            else:
+                seen["older"] += v.graph._link is not None
+                assert_reads_as(v, public=rng.random() < 0.3)
+        rng.shuffle(versions)
+        for v in versions:
+            assert_reads_as(v, public=True)
+        seen["versions"] += len(versions)
+    assert seen["versions"] > 500 and seen["older"] > 100, seen
+    assert seen["branch"] > 50 and seen["moved"] > 20, seen
+
+
+def test_a_suspended_effect_search_reroots_when_it_resumes():
+    """Between two leaves of the effect search, or two pre-matches, the
+    store moves to another version; the searches yield what they yield
+    without the move."""
+    seen = 0
+    for eor, host, pm in instances(777, 120):
+        t = transform(eor, host, "locally_complete", pm)
+        if t is None:
+            continue
+        other = t.result.output
+
+        def leaves(moving: bool) -> list:
+            out = []
+            for leaf in _leaves(eor, host, pm, MatchStats()):
+                out.append((leaf.selection, leaf.node_map, leaf.edge_map))
+                if moving:
+                    other._rooted()
+            return out
+
+        def prematches(moving: bool) -> list:
+            out = []
+            for found in find_base_prematches(eor, host):
+                out += maps([found.morphism])
+                if moving:
+                    other._rooted()
+            return out
+
+        assert leaves(True) == leaves(False)
+        assert prematches(True) == prematches(False)
+        seen += len(leaves(False)) > 1
+    assert seen > 10
+
+
+def test_a_public_mapping_never_changes():
+    """A mapping taken from a public property of any version, a built one
+    read before its store exists included, stays as it was while other
+    versions are derived and read, and cannot be written."""
+    rng = random.Random(12)
+    r = swap_rule()
+    versions = [swap_host(10)]
+    held = []
+    for i in range(80):
+        g = rng.choice(versions)
+        if i % 8 == 0:  # a new lineage: read one mapping, then derive from it
+            g = TypedGraph(CHAIN, g.nodes, g.edges)
+            versions.append(g)
+            mapping = getattr(g, ("nodes", "edges")[i // 8 % 2])
+            held.append((mapping, dict(mapping)))
+        if i % 8 and rng.random() < 0.5:
+            mapping = getattr(g, rng.choice(("nodes", "edges", *INDEXES)))
+            held.append((mapping, dict(mapping)))
+        elif matches := list(find_injective_extensions(r.lhs, g)):
+            record = apply_rule(r, g, rng.choice(matches))
+            versions.append(record.output)
+            if rng.random() < 0.3:
+                versions.append(record.context)
+        for mapping, copy in held:
+            assert dict(mapping) == copy
+    assert len(held) > 30 and len(versions) > 20
+    for mapping, _ in held:
+        with pytest.raises(TypeError):
+            mapping["x"] = "A"
+
+
+@pytest.mark.parametrize("clients", [2000, 20000])
+def test_a_step_allocates_as_little_on_a_large_bank(clients):
+    """A locally complete ``ensure_account`` step (pre-match, ``transform``
+    and audit) allocates under 64 KB whether the bank has 2,000 clients or
+    20,000: it copies nothing of the host.  The first step builds the
+    indexes of the lineage and is not counted."""
+    eor = ensure_account_rule()
+    nodes = {"b": "Bank", **{f"c{i}": "Client" for i in range(clients)}}
+    edges = {f"o{i}": Edge("owns_client", "b", f"c{i}") for i in range(clients)}
+    host = TypedGraph(banking_type_graph(), nodes, edges)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i in range(10):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            pm = prematch_from_maps(eor, host, {"c": f"c{i}"}, {})
+            t = transform(eor, host, "locally_complete", pm)
+            audit_effect(t)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            host = t.result.output
+            del t, pm
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[1:]) < 64 * 1024, peaks

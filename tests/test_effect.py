@@ -7,6 +7,7 @@ import random
 import pytest
 
 from effectgraph import (
+    Edge,
     EffectOrientedRule,
     ElementSet,
     InducedSelection,
@@ -21,18 +22,23 @@ from effectgraph import (
     validate_rule,
     validate_selection,
 )
+from effectgraph import effect
+from effectgraph.documents import decode_rule, encode_rule
 from effectgraph.effect import validate_effect_rule
 from effectgraph.fixtures import (
     banking_type_graph,
+    builtin_type_graphs,
     ensure_account_rule,
     ensure_no_account_rule,
 )
+from effectgraph.rules import shift_nacs
 
-from gen import grow, random_effect_rule, random_type_graph
+from gen import empty_graph, empty_selection, grow, random_effect_rule, random_type_graph
 from oracles import (
     SubruleEmbedding,
     check_base_subrule,
     check_subrule_embedding,
+    identity,
     is_plain,
 )
 
@@ -131,12 +137,12 @@ def test_validate_selection_reports_foreign_elements():
 def test_validate_selection_requires_edge_closure():
     provision = ensure_account_rule()
     open_edge = InducedSelection(
-        ElementSet.empty(),
+        ElementSet(),
         ElementSet(frozenset(), frozenset({"accounts_c_a"})),
     )
     assert [d.code for d in validate_selection(provision, open_edge)] == ["not-closed"]
     closed = InducedSelection(
-        ElementSet.empty(),
+        ElementSet(),
         ElementSet(frozenset({"a"}), frozenset({"accounts_c_a"})),
     )
     assert not validate_selection(provision, closed)
@@ -147,7 +153,7 @@ def test_validate_selection_requires_edge_closure():
 def test_build_induced_rule_shapes_the_span():
     provision = ensure_account_rule()
     sel = InducedSelection(
-        ElementSet.empty(),
+        ElementSet(),
         ElementSet(frozenset({"a"}), frozenset({"accounts_c_a"})),
     )
     induced = build_induced_rule(provision, sel)
@@ -163,7 +169,7 @@ def test_build_induced_rule_shapes_the_span():
 
 def test_empty_selection_reproduces_base_lhs_with_maximal_rhs():
     provision = ensure_account_rule()
-    induced = build_induced_rule(provision, InducedSelection.empty())
+    induced = build_induced_rule(provision, empty_selection())
     assert induced.size == 0
     assert dict(induced.rule.lhs.nodes) == dict(provision.base.lhs.nodes)
     assert dict(induced.rule.interface.nodes) == dict(provision.interface.nodes)
@@ -195,7 +201,7 @@ def test_full_selection_recovers_the_maximal_rule():
     teardown = ensure_no_account_rule()
     deletions = teardown.potential_deletions
     induced = build_induced_rule(
-        teardown, InducedSelection(deletions, ElementSet.empty())
+        teardown, InducedSelection(deletions, ElementSet())
     )
     assert dict(induced.rule.lhs.nodes) == dict(teardown.maximal.lhs.nodes)
     assert dict(induced.rule.lhs.edges) == dict(teardown.maximal.lhs.edges)
@@ -205,7 +211,7 @@ def test_full_selection_recovers_the_maximal_rule():
 def test_effect_rule_validation_flags_interface_mismatch():
     provision = ensure_account_rule()
     client = provision.base.interface  # just the Client node
-    empty = TypedGraph.empty(client.type_graph)
+    empty = empty_graph(client.type_graph)
     deleting_base = Rule(client, empty, empty)
     preserving_maximal = Rule(client, client, client)
     skewed = EffectOrientedRule(deleting_base, preserving_maximal)
@@ -214,11 +220,38 @@ def test_effect_rule_validation_flags_interface_mismatch():
     )
 
 
+def test_only_a_hand_built_rule_has_its_nac_equivalence_checked(monkeypatch):
+    """``decode_rule`` shifts the base NACs to the maximal lhs itself, so
+    it does not check their equivalence again; ``validate_effect_rule``
+    does, and refuses maximal NACs that are not equivalent."""
+    provision = ensure_account_rule()
+    base, m = provision.base, provision.maximal
+
+    def nac(node: str, edge: str) -> Nac:
+        grown = {"x": node}, {"h": Edge(edge, "c", "x")}
+        return Nac(base.lhs.with_elements(*grown))
+
+    guarded = Rule(base.lhs, base.interface, base.rhs, (nac("Account", "accounts"),))
+    shifted = shift_nacs(Morphism.inclusion(base.lhs, m.lhs), guarded.nacs)
+    good = EffectOrientedRule(guarded, Rule(m.lhs, m.interface, m.rhs, shifted))
+    assert not validate_effect_rule(good)
+    for nacs in ((), (nac("Portfolio", "portfolios"),)):
+        bad = EffectOrientedRule(guarded, Rule(m.lhs, m.interface, m.rhs, nacs))
+        assert [d.code for d in validate_effect_rule(bad)] == ["embedding-invalid"]
+
+    def refuse(*args):
+        raise AssertionError("decode_rule checked NAC equivalence")
+
+    monkeypatch.setattr(effect, "nac_sets_equivalent", refuse)
+    _, decoded = decode_rule(encode_rule("guarded", good), builtin_type_graphs())
+    assert decoded.maximal.nacs == shifted
+
+
 def test_is_plain_for_degenerate_effect_rule():
     provision = ensure_account_rule()
     plain = EffectOrientedRule(provision.base, provision.base)
     assert is_plain(plain)
-    assert enumerate_selections(plain) == [InducedSelection.empty()]
+    assert enumerate_selections(plain) == [empty_selection()]
     assert count_bounds(plain) == (1, 1)
 
 
@@ -263,8 +296,8 @@ def test_effect_rule_whose_base_is_not_included_by_id_cannot_be_built():
         base,
         maximal,
         Morphism(base.lhs, maximal.lhs, {"k": "k", "x": "y"}, {}),
-        Morphism.identity(k),
-        Morphism.identity(k),
+        identity(k),
+        identity(k),
     )
     assert check_subrule_embedding(sent)
     with pytest.raises(ValueError, match="not an id-subgraph"):

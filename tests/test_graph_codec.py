@@ -45,7 +45,7 @@ from effectgraph.fixtures import (
     fixture_text,
 )
 
-from gen import random_graph, random_type_graph
+from gen import empty_graph, random_graph, random_type_graph
 from oracles import reference_decode_graph, reference_encode_graph
 
 # Characters that need escaping in JSON text, or that are not ASCII.
@@ -125,7 +125,7 @@ def test_encoder_is_byte_identical_on_awkward_strings():
 def test_encoder_is_byte_identical_on_empty_element_lists():
     tg = banking_type_graph()
     for g in (
-        TypedGraph.empty(tg),
+        empty_graph(tg),
         TypedGraph(tg, {"c1": "Client", "a1": "Account"}, {}),
         TypedGraph(tg, {"c1": "Client", "a1": "Account"}, {"e": Edge("accounts", "c1", "a1")}),
     ):

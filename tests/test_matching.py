@@ -43,11 +43,12 @@ from effectgraph.fixtures import (
     ensure_no_account_rule,
     shared_accounts_graph,
 )
-from effectgraph.matching import validate_prematch
+from effectgraph import documents, matching
+from effectgraph.matching import InvalidPreMatch, validate_prematch
 from effectgraph.rules import apply_rule
 from effectgraph.semantics import GLOBALLY_MAXIMAL, LOCALLY_COMPLETE, LOCALLY_MAXIMAL
 
-from gen import instances, random_graph
+from gen import empty_graph, empty_selection, instances, random_graph
 from oracles import (
     compose,
     induced,
@@ -147,10 +148,9 @@ def test_find_base_prematches_lists_every_client():
     assert clients == ["c1", "c2"]
 
 
-def test_find_base_prematches_respects_nacs():
+def guarded_provision() -> EffectOrientedRule:
+    """``ensure_account`` for clients that hold no account yet."""
     provision = ensure_account_rule()
-    host = bank_graph()
-    # Forbid clients that already hold an account.
     forbidden = provision.base.lhs.with_elements(
         nodes={"held": "Account"}, edges={"he": Edge("accounts", "c", "held")}
     )
@@ -160,7 +160,7 @@ def test_find_base_prematches_respects_nacs():
         provision.base.rhs,
         (Nac(forbidden),),
     )
-    guarded = EffectOrientedRule(
+    return EffectOrientedRule(
         guarded_base,
         Rule(
             provision.maximal.lhs,
@@ -169,6 +169,11 @@ def test_find_base_prematches_respects_nacs():
             (Nac(forbidden),),
         ),
     )
+
+
+def test_find_base_prematches_respects_nacs():
+    guarded = guarded_provision()
+    host = bank_graph()
     clients = [pm.morphism.node_map["c"] for pm in find_base_prematches(guarded, host)]
     assert clients == ["c2"]
     bad = prematch_at(guarded, host, "c1")
@@ -192,6 +197,53 @@ def test_validate_prematch_rejects_malformed_maps():
             host,
             PreMatch(Morphism(provision.base.lhs, host, {"c": "a1"}, {})),
         )
+
+
+def test_a_prematch_is_validated_once_where_it_enters(monkeypatch):
+    """Every ``find_*`` and ``transform`` check a pre-match built by hand,
+    or one checked for another rule or host; a pre-match checked for the
+    very rule and host is not checked again, so a chain step validates its
+    pre-match once."""
+    provision, guarded = ensure_account_rule(), guarded_provision()
+    host = bank_graph()
+    c1 = next(iter(find_base_prematches(provision, host)))
+    validate_prematch(provision, host, c1)
+    other = transform(provision, host, LOCALLY_COMPLETE, c1).result.output
+    refused = [
+        (provision, host, PreMatch(Morphism(provision.base.lhs, host, {"c": "a1"}, {}))),
+        (provision, host, PreMatch(Morphism(provision.maximal.rhs, host, {}, {}))),
+        (guarded, host, c1),  # checked for ``provision``; c1 holds an account
+        (provision, other, c1),  # checked for ``host``
+    ]
+    for eor, g, pm in refused:
+        for find in (find_locally_complete, find_all_locally_complete, find_locally_maximal):
+            with pytest.raises(InvalidPreMatch):
+                find(eor, g, pm)
+        for strategy in (LOCALLY_COMPLETE, LOCALLY_MAXIMAL):
+            with pytest.raises(InvalidPreMatch):
+                transform(eor, g, strategy, pm)
+
+    checked = []
+
+    def counting(*args):
+        checked.append(args)
+        return validate_prematch(*args)
+
+    monkeypatch.setattr(matching, "validate_prematch", counting)
+    monkeypatch.setattr(documents, "validate_prematch", counting)
+    for pm in find_base_prematches(provision, host):
+        transform(provision, host, LOCALLY_MAXIMAL, pm)
+        find_all_locally_complete(provision, host, pm)
+    assert len(checked) == 2  # c1 and c2, each where it entered
+    checked.clear()
+    steps = 0
+    for client in ("c2", "c1", "c2"):
+        pm = documents.prematch_from_maps(provision, host, {"c": client}, {})
+        t = transform(provision, host, LOCALLY_COMPLETE, pm)
+        audit_effect(t)
+        host = t.result.output
+        steps += 1
+    assert len(checked) == steps
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +347,7 @@ def test_globally_maximal_is_nondeterministic_across_equal_clients():
 
 def test_globally_maximal_empty_without_prematches():
     provision = ensure_account_rule()
-    empty = TypedGraph.empty(banking_type_graph())
+    empty = empty_graph(banking_type_graph())
     assert find_globally_maximal(provision, empty) == []
 
 
@@ -546,7 +598,7 @@ def test_is_locally_complete_agrees_with_the_mirror(seed):
 def test_base_case_iff(seed):
     for eor, host, pm in instances(seed, 2):
         mr = find_locally_complete(eor, host, pm)
-        empty_rule = build_induced_rule(eor, InducedSelection.empty())
+        empty_rule = build_induced_rule(eor, empty_selection())
         base_match = Morphism(
             empty_rule.rule.lhs, host, pm.morphism.node_map, pm.morphism.edge_map
         )

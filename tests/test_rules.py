@@ -29,13 +29,14 @@ from effectgraph import (
     validate_rule,
 )
 
-from gen import grow, random_graph, random_plain_rule, random_type_graph
+from gen import empty_graph, grow, random_graph, random_plain_rule, random_type_graph
 from oracles import (
     SubruleEmbedding,
     bounded_nac_sets_equivalent,
     check_subrule_embedding,
     compose,
     enumerate_typed_graphs,
+    identity,
     is_isomorphic,
     is_pullback_square,
     same_maps,
@@ -150,7 +151,7 @@ def test_apply_rule_rejects_bad_matches():
         apply_rule(r, host, partial)
 
     merge = TypedGraph(CHAIN, {"x": "A", "y": "A"}, {})
-    rule = Rule(merge, TypedGraph.empty(CHAIN), TypedGraph.empty(CHAIN))
+    rule = Rule(merge, empty_graph(CHAIN), empty_graph(CHAIN))
     squashed = Morphism(merge, host, {"x": "a1", "y": "a1"}, {})
     with pytest.raises(NotInjective):
         apply_rule(rule, host, squashed)
@@ -259,7 +260,7 @@ def test_shift_along_identity_is_semantically_neutral():
             )
         ),
     ]
-    shifted = shift_nacs(Morphism.identity(r.lhs), nacs)
+    shifted = shift_nacs(identity(r.lhs), nacs)
     assert nac_sets_equivalent(r.lhs, nacs, list(shifted))
 
 
@@ -480,7 +481,7 @@ def test_subrule_embedding_rejects_nac_mismatch():
 def test_subrule_embedding_rejects_non_pullback_interface():
     # The large rule preserves the node that the small rule deletes; the
     # interface square then misses the shared element.
-    tiny = TypedGraph.empty(CHAIN)
+    tiny = empty_graph(CHAIN)
     node = TypedGraph(CHAIN, {"d": "A"}, {})
     small = Rule(node, tiny, tiny)
     big = Rule(node, node, node)

@@ -31,6 +31,8 @@ from effectgraph.fixtures import (
     shared_accounts_graph,
 )
 
+from gen import empty_graph, empty_selection
+
 
 def prematch_at(eor, host, client) -> PreMatch:
     return PreMatch(Morphism(eor.base.lhs, host, {"c": client}, {}))
@@ -87,7 +89,7 @@ def test_globally_maximal_transform_picks_c1():
 
 def test_transform_returns_none_when_nothing_completes():
     teardown = ensure_no_account_rule()
-    empty = TypedGraph.empty(banking_type_graph())
+    empty = empty_graph(banking_type_graph())
     assert transform(teardown, empty, "globally_maximal") is None
     # c9's only account is shared with c1, and the exclusive account a4
     # hangs off c1 alone: every deletion dangles, nothing absorbs.
@@ -186,7 +188,7 @@ def test_audit_rejects_deleting_nothing_when_deletion_was_possible():
     host = bank_graph()
     pm = prematch_at(teardown, host, "c1")
     t = _manual_transformation(
-        teardown, host, InducedSelection.empty(), {"c": "c1"}, {}, pm
+        teardown, host, empty_selection(), {"c": "c1"}, {}, pm
     )
     with pytest.raises(AuditFailure) as err:
         audit_effect(t)
@@ -199,7 +201,7 @@ def test_audit_rejects_creating_what_could_be_reused():
     host = bank_graph()
     pm = prematch_at(provision, host, "c1")
     t = _manual_transformation(
-        provision, host, InducedSelection.empty(), {"c": "c1"}, {}, pm
+        provision, host, empty_selection(), {"c": "c1"}, {}, pm
     )
     with pytest.raises(AuditFailure) as err:
         audit_effect(t)
