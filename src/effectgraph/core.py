@@ -538,8 +538,7 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     # The source's snapshots come first: both graphs may share one store.
     src_nodes, src_edges = f.src_graph.nodes, f.src_graph.edges
-    store = f.dst_graph._rooted()
-    dst_nodes, dst_edges = store.nodes, store.edges
+    dst_nodes, dst_edges = f.dst_graph._rooted().nodes, f.dst_graph._rooted().edges
     for nid in sorted(src_nodes):
         img = f.node_map.get(nid)
         if img is None:

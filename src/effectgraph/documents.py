@@ -637,8 +637,9 @@ def rebuild_transformation(
         or dict(record.comatch.edge_map) != trace.comatch[1]
     ):
         raise ValidationError(["recorded comatch does not match the replay"])
+    replay = record.output  # read from its store: no snapshot of the replay
     if output is not None and (
-        output.nodes != record.output.nodes or output.edges != record.output.edges
+        output.nodes != replay._rooted().nodes or output.edges != replay._rooted().edges
     ):
         raise ValidationError(["recorded output graph does not match the replay"])
     return EffectTransformation(
