@@ -34,7 +34,12 @@ from .documents import (
     prematch_from_maps,
     rebuild_transformation,
 )
-from .effect import SELECTION_FILTERS, count_bounds, enumerate_selections
+from .effect import (
+    SELECTION_FILTERS,
+    count_bounds,
+    count_selections,
+    enumerate_selections,
+)
 from .fixtures import builtin_type_graphs, fixture_path
 from .matching import (
     MatchResult,
@@ -186,11 +191,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_induced(args: argparse.Namespace) -> int:
     registry = _registry(args)
     _, eor = decode_rule(_read(args.rule), registry)
-    selections = enumerate_selections(eor, args.filter.replace("-", "_"))
+    selection_filter = args.filter.replace("-", "_")
     if args.count_only:
-        print(len(selections))
+        print(count_selections(eor, selection_filter))
         return 0
-    for sel in selections:
+    for sel in enumerate_selections(eor, selection_filter):
         delete = _format_ids(sel.del_extra.nodes | sel.del_extra.edges)
         preserve = _format_ids(sel.preserve_extra.nodes | sel.preserve_extra.edges)
         print(f"size {sel.size}  delete: {delete}  preserve: {preserve}")

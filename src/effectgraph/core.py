@@ -198,12 +198,13 @@ class _Store:
             classes = self.edge_classes
             for eid, e in gone_edges.items():
                 key = (e.type, e.src, e.tgt)
-                ids = tuple(x for x in classes.pop(key) if x != eid)
-                if ids:
-                    classes[key] = ids
+                ids = classes.pop(key)
+                if len(ids) > 1:
+                    classes[key] = tuple(x for x in ids if x != eid)
             for eid, e in new_edges.items():
                 key = (e.type, e.src, e.tgt)
-                classes[key] = tuple(sorted((*classes.get(key, ()), eid)))
+                ids = classes.get(key)
+                classes[key] = (eid,) if ids is None else tuple(sorted((*ids, eid)))
         if "incidence" in self.__dict__:
             incidence = self.incidence
             for eid, e in gone_edges.items():
@@ -262,7 +263,8 @@ class TypedGraph:
                 g = g._link[0]
             for g in reversed(path):
                 newer, delta = g._link
-                self._store.apply(*delta)
+                if any(delta):  # a step that neither deleted nor created
+                    self._store.apply(*delta)
                 newer.__dict__["_link"] = (g, delta[2:] + delta[:2])
                 g.__dict__["_link"] = None
         return self._store

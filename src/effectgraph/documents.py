@@ -448,7 +448,7 @@ def decode_rule(
             raise ValidationError(bad)
         nacs.append(Nac(forbidden))
 
-    for g in (maximal_lhs, maximal_rhs):
+    for g in (maximal_lhs, maximal_rhs, interface, base_lhs, base_rhs):
         bad = validate_graph(g, tg)
         if bad:
             raise ValidationError(bad)
@@ -461,7 +461,9 @@ def decode_rule(
         nacs=shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), tuple(nacs)),
     )
     eor = EffectOrientedRule(base, maximal)
-    bad = _validate_rules(eor)  # the maximal NACs are the base NACs shifted
+    # Each graph was validated once above, and the maximal NACs are the base
+    # NACs shifted along an inclusion, so they are valid too.
+    bad = _validate_rules(eor, graphs=False)
     if bad:
         raise ValidationError(bad)
     return name, eor

@@ -83,11 +83,12 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     return out
 
 
-def _validate_rules(eor: EffectOrientedRule) -> list[Diagnostic]:
-    """:func:`validate_effect_rule` short of the NACs: enough for decoded rules."""
+def _validate_rules(eor: EffectOrientedRule, graphs: bool = True) -> list[Diagnostic]:
+    """:func:`validate_effect_rule` short of the NACs, and with ``graphs``
+    false of the typing too: enough for decoded rules."""
     out: list[Diagnostic] = []
     for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
-        for d in validate_rule(rule):
+        for d in validate_rule(rule, graphs):
             out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
     # The base interface is already included in the maximal one.
     if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
@@ -207,44 +208,35 @@ def _subsets(ids: list[str]) -> Iterator[frozenset[str]]:
         yield frozenset(x for i, x in enumerate(ids) if mask >> i & 1)
 
 
-def _connected_ok(
-    nodes: frozenset[str],
-    edges: frozenset[str],
-    graph: TypedGraph,
-    anchor_nodes: set[str],
-    weak: bool,
-) -> bool:
-    """The connectedness condition on one side of a selection.
-
-    Every selected node must carry its adjacent edges of ``graph``; in the
-    weak variant only edges whose other endpoint is also covered count.
-    """
-    covered = anchor_nodes | nodes
-    for x in nodes:
-        for eid in graph.incidence[x]:
-            if eid in edges:
-                continue
-            e = graph.edges[eid]
-            other = e.tgt if e.src == x else e.src
-            if weak and other not in covered:
-                continue
-            return False
-    return True
-
-
-def _sides(
+def _choices(
     potential: ElementSet, graph: TypedGraph, anchor: set[str], weak: bool | None
-) -> list[tuple[frozenset[str], frozenset[str]]]:
-    """The closed choices of ``potential`` elements of ``graph`` around the
-    ``anchor`` nodes that pass the connectedness filter ``weak``, if any."""
-    out, ends = [], graph.edges
+) -> Iterator[tuple[frozenset[str], list[str], set[str]]]:
+    """Each subset of the ``potential`` nodes of ``graph``, with the sorted
+    potential edges it closes around the ``anchor`` nodes and the edges the
+    connectedness filter ``weak``, if any, forces on a selection: every
+    edge at a selected node, or in the weak variant each whose ends are
+    both covered."""
+    ends = graph.edges
     for nodes in _subsets(sorted(potential.nodes)):
         closed = anchor | nodes
         usable = [e for e in sorted(potential.edges) if {ends[e].src, ends[e].tgt} <= closed]
-        for edges in _subsets(usable):
-            if weak is None or _connected_ok(nodes, edges, graph, anchor, weak):
-                out.append((nodes, edges))
-    return out
+        at = (e for x in nodes for e in graph.incidence[x]) if weak is not None else ()
+        forced = {e for e in at if not weak or {ends[e].src, ends[e].tgt} <= closed}
+        yield nodes, usable, forced
+
+
+def _per_side(eor: EffectOrientedRule, selection_filter: str) -> Iterator[list]:
+    """The :func:`_choices` of the potential deletions, then of the
+    potential creations, each under the filter on its side, if any."""
+    if selection_filter not in SELECTION_FILTERS:
+        raise ValueError(
+            f"unknown filter {selection_filter!r}; expected one of {SELECTION_FILTERS}"
+        )
+    side, weak = selection_filter.rpartition("_")[2], selection_filter.startswith("weak")
+    left, right = (weak if side == name else None for name in ("left", "right"))
+    lg, rg = eor.maximal.lhs, eor.maximal.rhs
+    yield list(_choices(eor.potential_deletions, lg, set(eor.base.lhs.nodes), left))
+    yield list(_choices(eor.potential_creations, rg, set(eor.interface.nodes), right))
 
 
 def enumerate_selections(
@@ -252,15 +244,10 @@ def enumerate_selections(
 ) -> list[InducedSelection]:
     """All valid selections, optionally restricted by a connectedness
     filter, in a deterministic order."""
-    if selection_filter not in SELECTION_FILTERS:
-        raise ValueError(
-            f"unknown filter {selection_filter!r}; expected one of {SELECTION_FILTERS}"
-        )
-    side, weak = selection_filter.rpartition("_")[2], selection_filter.startswith("weak")
-    lg, rg = eor.maximal.lhs, eor.maximal.rhs
-    left, right = (weak if side == name else None for name in ("left", "right"))
-    del_sides = _sides(eor.potential_deletions, lg, set(eor.base.lhs.nodes), left)
-    pres_sides = _sides(eor.potential_creations, rg, set(eor.interface.nodes), right)
+    del_sides, pres_sides = (
+        [(n, edges) for n, u, f in choices for edges in _subsets(u) if f <= edges]
+        for choices in _per_side(eor, selection_filter)
+    )
     selections = [
         InducedSelection(ElementSet(dn, de), ElementSet(pn, pe))
         for dn, de in del_sides
@@ -268,6 +255,18 @@ def enumerate_selections(
     ]
     selections.sort(key=InducedSelection.sort_key)
     return selections
+
+
+def count_selections(eor: EffectOrientedRule, selection_filter: str = "none") -> int:
+    """``len(enumerate_selections(eor, selection_filter))`` without building
+    a selection, so exponential in the potential nodes only: for each node
+    subset, the forced edges must be usable and the other usable edges are
+    free."""
+    deletions, creations = (
+        sum(0 if f.difference(u) else 2 ** (len(u) - len(f)) for _, u, f in choices)
+        for choices in _per_side(eor, selection_filter)
+    )
+    return deletions * creations
 
 
 def count_bounds(eor: EffectOrientedRule) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .core import (
     Edge,
@@ -66,14 +66,16 @@ class MatchStats:
     ``backtracks`` counts rejected candidates: host elements given up for a
     potential element, either up front (a node whose incident edges the
     deletion could never all remove) or after the search below them failed.
-    Candidates that a maximal search cuts by its bound without binding them
-    are not counted.
+    Candidates that a maximal search cuts without binding them, by its
+    bound or, in :func:`~effectgraph.semantics.transform`, by the key of a
+    tie, are not counted.
 
     ``examined`` counts the host elements the search looked at to find
-    candidates: the incident edges a maximal search scans for supported
-    candidates, plus every element drawn from a type bucket or an edge
-    class, used or free.  A maximal search stops drawing from a bucket at
-    the first candidate that its bound cuts.
+    candidates: the incident edges of each bound node's image, which a
+    maximal search scans once for supported candidates and dead edges,
+    plus every element drawn from a type bucket or an edge class, used or
+    free.  A maximal search stops drawing from a bucket at the first
+    candidate that its bound cuts.
 
     ``full_passes`` counts the times :func:`find_locally_complete` ran the
     full search after its greedy pass found nothing."""
@@ -129,16 +131,19 @@ class _Leaf(NamedTuple):
 
 class _Best:
     """The incumbent of a branch and bound: every leaf of the largest size
-    offered so far, and that size (-1 before the first leaf)."""
+    offered so far, and that size (-1 before the first leaf).  With
+    ``least``, only the least of them by :meth:`_Leaf.sort_key`, and its
+    ``key``; the search then offers only leaves that beat the incumbent."""
 
-    def __init__(self) -> None:
-        self.size = -1
+    def __init__(self, least: bool = False) -> None:
+        self.size, self.least, self.key = -1, least, None
         self.leaves: list[_Leaf] = []
 
     def offer(self, leaf: _Leaf) -> None:
         size = leaf.selection.size
-        if size > self.size:
+        if size > self.size or self.least:
             self.size, self.leaves = size, [leaf]
+            self.key = leaf.sort_key() if self.least else None
         elif size == self.size:
             self.leaves.append(leaf)
 
@@ -184,7 +189,8 @@ def _leaves(
       same-class edges still to come, so every leaf is locally complete;
     * once the deletions are decided, :func:`dangling_node` checks them;
     * with an incumbent ``best``, a branch whose size plus what it can
-      still bind is below the incumbent's size is cut, so ties survive.
+      still bind is below the incumbent's size is cut, so ties survive
+      unless ``best`` keeps one leaf (below).
 
     The free candidates of a node are counted, not scanned: the bucket's
     size minus the used nodes of its type.  The host classes of the edges
@@ -200,7 +206,15 @@ def _leaves(
     the bucket one at a time, and the drawing stops once that bound is
     below the incumbent, which may have grown since the last draw.  A query
     whose results all tie thus costs about its results plus the degree of
-    the nodes it binds, whatever the size of the buckets.
+    the nodes it binds, whatever the size of the buckets.  What a branch
+    can still bind leaves out dead edges: an edge with one end bound, whose
+    image has no free host edge of the edge's type and direction.
+
+    A branch that can only tie the one leaf ``best`` keeps must bind all it
+    counts, so its selection is known: it is cut when that selection, or
+    else its images fixed so far in key order, compare greater than the
+    leaf's :meth:`_Leaf.sort_key`.  So a leaf is built only when it beats
+    the kept one, and the first unsupported candidate cut ends the drawing.
 
     With ``greedy`` an element is skipped only when no candidate is free,
     and ``greedy.would_skip`` is set wherever the full search would skip
@@ -239,11 +253,33 @@ def _leaves(
             if v in adjacent:
                 adjacent[v].append((j, e, u))
 
-    def edge_key(e: Edge) -> tuple[str, str, str] | None:
+    reached: dict[str, dict[tuple[str, bool], list[str]]] = {}
+
+    def reach(y: str) -> dict[tuple[str, bool], list[str]]:
+        """The other ends of the free host edges at node ``y``, by type and
+        whether ``y`` is the source, from one scan of its incidence.  Only
+        nodes use it, and they bind before edges: the free edges stay put."""
+        ends = reached.get(y)
+        if ends is None:
+            incident = store.incidence[y]
+            stats.examined += len(incident)
+            ends = reached[y] = {}
+            for he in (edges[h] for h in incident if h not in used_edges):
+                out = he.src == y
+                ends.setdefault((he.type, out), []).append(he.tgt if out else he.src)
+        return ends
+
+    def edge_key(e: Edge) -> tuple[str, ...] | None:
         # A bindable edge's host class, or None.  A valid rule's sides share
-        # only interface ids: mapped means bound on the edge's side.
+        # only interface ids: mapped means bound on the edge's side.  With an
+        # incumbent, a dead edge gets the class (), which has no edges.
         src, tgt = node_map.get(e.src), node_map.get(e.tgt)
-        return None if src is None or tgt is None else (e.type, src, tgt)
+        if src is not None and tgt is not None:
+            return (e.type, src, tgt)
+        if best is None or src is None and tgt is None:
+            return None
+        y = tgt if src is None else src
+        return None if (e.type, src is not None) in reach(y) else ()
 
     # Each element's node type or edge class, kept up to date as nodes bind.
     keys = [item if is_node else edge_key(item) for _, item, _, is_node in elements]
@@ -264,14 +300,40 @@ def _leaves(
             left[kind] -= 1
         return True
 
-    def can_grow(i: int) -> int:
-        """At most how many elements from ``i`` on can still be bound: all but
-        the bindable edges whose host class has no free edge left."""
-        count = len(elements) - i
-        for key in keys[max(i, n_nodes) :]:
-            if key and used_edges.issuperset(store.edge_classes.get(key, ())):
-                count -= 1
-        return count
+    def growable(i: int) -> list[int]:
+        """The positions from ``i`` on that can still bind: all but the edges
+        whose host class has no free edge left, dead edges included."""
+        return [*range(i, n_nodes)] + [
+            j
+            for j in range(max(i, n_nodes), len(elements))
+            if keys[j] is None
+            or not used_edges.issuperset(store.edge_classes.get(keys[j], ()))
+        ]
+
+    def selected(nodes: Collection[str], edges: Collection[str]) -> InducedSelection:
+        return InducedSelection(
+            ElementSet(pd.nodes & nodes, pd.edges & edges),
+            ElementSet(pc.nodes & nodes, pc.edges & edges),
+        )
+
+    def cut(bound: int, grow: list[int]) -> bool:
+        """Whether a branch that binds at most ``bound`` elements cannot beat
+        the incumbent: it is smaller, or it ties the one leaf kept.  Then it
+        keeps its bindings and binds exactly the positions ``grow``, and it is
+        cut if certain not to be less by key: by that selection, else by its
+        images in key order up to the first one not fixed yet."""
+        if bound != best.size or not best.least:
+            return bound < best.size
+        nodes = node_map.keys() | {elements[j][0] for j in grow if j < n_nodes}
+        edges = edge_map.keys() | {elements[j][0] for j in grow if j >= n_nodes}
+        selection, key = selected(nodes, edges).sort_key(), best.key
+        if selection != key[:4]:
+            return selection > key[:4]
+        for items, images in zip(key[4:], (node_map, edge_map)):
+            for v, y in items:
+                if images.get(v) != y:
+                    return v in images and images[v] > y
+        return True
 
     def tries(
         i: int, size: int, candidates: tuple[str, ...], used: set[str]
@@ -279,46 +341,44 @@ def _leaves(
         """The free candidates element ``i`` tries, in order: those of
         ``candidates``, its bucket or class, or for a node with an
         incumbent, the supported ones and then the others of the bucket
-        until the bound they share is below the incumbent."""
+        until the bound they share cuts them."""
         supported: set[str] = set()
         shared = None  # the bound the unsupported candidates share, if any
         if best is not None and i < n_nodes:
             v = elements[i][0]
-            anchored = [(e, node_map[u]) for _, e, u in adjacent[v] if u in node_map]
-            for e, y in anchored:
-                outgoing = e.src == v
-                incident = store.incidence[y]
-                stats.examined += len(incident)
-                for h in incident:
-                    he = edges[h]
-                    if he.type == e.type and h not in used_edges:
-                        x, end = (he.src, he.tgt) if outgoing else (he.tgt, he.src)
-                        if end == y:
-                            supported.add(x)
+            # The anchored edges but dead ones: each has a supported candidate.
+            anchored = {
+                j: (e, u) for j, e, u in adjacent[v] if u in node_map and keys[j] is None
+            }
+            for e, u in anchored.values():
+                supported.update(reach(node_map[u])[e.type, e.src == u])
             supported -= used_nodes
-            shared = size + 1 + can_grow(i + 1) - len(anchored)
+            rest = [j for j in growable(i + 1) if j not in anchored]
+            shared = size + 1 + len(rest)
             yield from sorted(supported)  # bucket order
         for x in candidates:
             stats.examined += 1
-            if shared is not None and shared < best.size:
-                return  # the rest are cut untried, but free all the same
+            if shared is not None and shared <= best.size:
+                node_map[v] = x  # the key test reads the candidate's image
+                stop = cut(shared, rest)
+                del node_map[v]
+                if stop:  # so are the rest: their images only grow
+                    return  # they are cut untried, but free all the same
             if x not in used and x not in supported:
                 yield x
 
     def place(place, i: int, size: int) -> Iterator[_Leaf]:
         if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
             return
+        if best is not None:
+            grow = growable(i)
+            if cut(size + len(grow), grow):
+                return
         if i == len(elements):
-            bound = node_map.keys(), edge_map.keys()
-            selection = InducedSelection(
-                ElementSet(pd.nodes & bound[0], pd.edges & bound[1]),
-                ElementSet(pc.nodes & bound[0], pc.edges & bound[1]),
-            )
+            selection = selected(node_map.keys(), edge_map.keys())
             yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
             if host._link is not None:  # before the frames above resume
                 host._rooted()
-            return
-        if best is not None and size + can_grow(i) < best.size:
             return
         xid, _, deleting, is_node = elements[i]
         key = keys[i]  # None has no candidates: the edge is skipped
@@ -389,11 +449,13 @@ def _largest_leaves(
     host: TypedGraph,
     pms: Iterable[PreMatch],
     stats: MatchStats | None,
+    least: bool = False,
 ) -> list[_Leaf]:
-    """The largest matches over ``pms``, unbuilt, by branch and bound: one
-    incumbent prunes the searches of every pre-match."""
+    """The largest matches over ``pms``, unbuilt, or with ``least`` the least
+    of them alone, by branch and bound: one incumbent prunes the searches of
+    every pre-match."""
     stats = MatchStats() if stats is None else stats
-    best = _Best()
+    best = _Best(least)
     for pm in pms:
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)

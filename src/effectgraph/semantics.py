@@ -98,14 +98,14 @@ def transform(
                 "the globally maximal strategy searches all pre-matches itself"
             )
         pms = find_base_prematches(eor, host)
-        mr = _least_built(eor, host, _largest_leaves(eor, host, pms, None))
+        mr = _least_built(eor, host, _largest_leaves(eor, host, pms, None, least=True))
     elif pm is None:
         raise StrategyArgumentMismatch(f"strategy {strategy!r} needs a pre-match")
     elif strategy == LOCALLY_COMPLETE:
         mr = find_locally_complete(eor, host, pm)
     else:
         _entered(eor, host, pm)
-        mr = _least_built(eor, host, _largest_leaves(eor, host, [pm], None))
+        mr = _least_built(eor, host, _largest_leaves(eor, host, [pm], None, least=True))
     if mr is None:
         return None
     record = apply_rule(mr.induced.rule, host, mr.match)

@@ -492,12 +492,15 @@ def test_versions_read_in_any_order_equal_a_fresh_rebuild(seed):
     """Steps from old and new versions, record contexts, index builds,
     reads and suspended searches, in random order: every version reads as
     a fresh rebuild of its content, and a search suspended while the store
-    moves elsewhere yields what it yields on a fresh copy."""
+    moves elsewhere yields what it yields on a fresh copy.  Some steps
+    delete and create nothing, so rerooting across them replays nothing;
+    every index is built right after such a step and checked at once."""
     rng = random.Random(seed)
     seen: Counter = Counter()
     for _ in range(100):
         tg = random_type_graph(rng)
         r = random_plain_rule(rng, tg, nac_chance=0.3)
+        still = Rule(r.lhs, r.lhs, r.lhs)  # its steps have an empty delta
         host = random_graph(rng, tg, max_nodes=8, max_edges=12)
         versions = [Version(host, dict(host.nodes), dict(host.edges), {})]
         records = []
@@ -505,16 +508,23 @@ def test_versions_read_in_any_order_equal_a_fresh_rebuild(seed):
             v = rng.choice(versions)
             action = rng.random()
             if action < 0.4:
+                step = still if rng.random() < 0.25 else r
                 matches = list(itertools.islice(find_injective_extensions(r.lhs, v.graph), 10))
                 rng.shuffle(matches)
                 for m in matches:
                     try:
-                        record, out, context = stepped(r, v, m)
+                        record, out, context = stepped(step, v, m)
                     except (DanglingViolation, NacViolated):
                         continue
                     seen["branch"] += v is not versions[-1]
+                    if step is still:
+                        seen["empty"] += 1
+                        for name in INDEXES:
+                            getattr(out.graph._rooted(), name)
+                        assert_reads_as(v, public=False)
+                        assert_reads_as(out, public=False)
                     fresh_context = TypedGraph(tg, *context)
-                    created = expected_created_ids(r, fresh_context)
+                    created = expected_created_ids(step, fresh_context)
                     comatch = {**record.comatch.node_map, **record.comatch.edge_map}
                     assert {rid: comatch[rid] for rid in created} == created
                     versions.append(out)
@@ -542,7 +552,7 @@ def test_versions_read_in_any_order_equal_a_fresh_rebuild(seed):
             assert_reads_as(v, public=True)
         seen["versions"] += len(versions)
     assert seen["versions"] > 500 and seen["older"] > 100, seen
-    assert seen["branch"] > 50 and seen["moved"] > 20, seen
+    assert seen["branch"] > 50 and seen["moved"] > 20 and seen["empty"] > 100, seen
 
 
 def test_a_suspended_effect_search_reroots_when_it_resumes():

@@ -32,6 +32,7 @@ from effectgraph import (
     prematch_from_maps,
     rebuild_transformation,
     transform,
+    validate_graph,
 )
 from effectgraph import fixtures
 from effectgraph.fixtures import (
@@ -188,6 +189,50 @@ def test_rule_decoder_rejects_bad_tags():
             ),
             types,
         )
+
+
+def test_rule_decoder_validates_each_graph_once(monkeypatch):
+    """Decoding validates every distinct graph of the rule once: the
+    interface, both base sides, both maximal sides and each base NAC.  The
+    maximal NACs are the base NACs shifted along an inclusion, valid by
+    construction.  An invalid graph still raises the diagnostics of
+    :func:`validate_graph` on it."""
+    from effectgraph import documents, rules
+
+    seen: list[TypedGraph] = []  # kept alive, so their ids stay distinct
+
+    def counting(g, tg):
+        seen.append(g)
+        return validate_graph(g, tg)
+
+    monkeypatch.setattr(documents, "validate_graph", counting)
+    monkeypatch.setattr(rules, "validate_graph", counting)
+    types = builtin_type_graphs()
+    _, eor = decode_rule(fixtures.fixture_text(fixtures.ENSURE_ACCOUNT_FILE), types)
+    assert len(seen) == len({id(g) for g in seen}) == 5
+    base, maximal = eor.base, eor.maximal
+    sides = (base.lhs, base.interface, base.rhs, maximal.lhs, maximal.rhs)
+    assert {id(g) for g in seen} == {id(g) for g in sides}
+
+    seen.clear()
+    client = {"id": "c", "type": "Client", "action": "preserve"}
+    held = [
+        {"id": "x", "type": "Account"},
+        {"id": "held", "type": "accounts", "src": "c", "tgt": "x"},
+    ]
+    account = {"id": "a", "type": "Account", "action": "delete_potential"}
+    _, eor = decode_rule(_rule_doc([client, account], [{"elements": held}]), types)
+    assert len(seen) == len({id(g) for g in seen}) == 6
+    assert any(g is eor.base.nacs[0].forbidden for g in seen)
+    for nac in eor.maximal.nacs:
+        assert validate_graph(nac.forbidden, nac.forbidden.type_graph) == []
+
+    ghost = {"id": "g", "type": "Ghost", "action": "create_potential"}
+    with pytest.raises(ValidationError) as err:
+        decode_rule(_rule_doc([client, ghost]), types)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "unknown-node-type [g]: node type 'Ghost' not declared"
+    ]
 
 
 def test_rule_decoder_enforces_endpoint_action_compatibility():

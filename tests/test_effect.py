@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from effectgraph import (
     Edge,
+    EdgeType,
     EffectOrientedRule,
     ElementSet,
     InducedSelection,
@@ -15,6 +17,7 @@ from effectgraph import (
     Morphism,
     Nac,
     Rule,
+    TypeGraph,
     TypedGraph,
     build_induced_rule,
     count_bounds,
@@ -33,7 +36,14 @@ from effectgraph.fixtures import (
 )
 from effectgraph.rules import shift_nacs
 
-from gen import empty_graph, empty_selection, grow, random_effect_rule, random_type_graph
+from gen import (
+    empty_graph,
+    empty_selection,
+    grow,
+    random_effect_rule,
+    random_graph,
+    random_type_graph,
+)
 from oracles import (
     SubruleEmbedding,
     check_base_subrule,
@@ -81,6 +91,41 @@ def test_selection_counts_per_filter():
     assert len(enumerate_selections(teardown, "left")) == 2
     assert len(enumerate_selections(teardown, "weak_right")) == 13
     assert len(enumerate_selections(teardown, "right")) == 13
+
+
+@pytest.mark.parametrize("seed", [5, 61, 808])
+def test_selection_counts_equal_the_listing_for_every_filter(seed):
+    """The closed-form count equals the length of the listing on random
+    rules with up to three potential nodes a side, parallel edges and
+    self-loops, under every filter."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        tg = random_type_graph(rng)
+        interface = random_graph(rng, tg, max_nodes=2, max_edges=1, prefix="k")
+        lhs = grow(rng, interface, rng.randint(0, 3), rng.randint(0, 5), "pd")
+        rhs = grow(rng, interface, rng.randint(0, 3), rng.randint(0, 5), "pc")
+        base = Rule(interface, interface, interface)
+        eor = EffectOrientedRule(base, Rule(lhs, interface, rhs))
+        for selection_filter in effect.SELECTION_FILTERS:
+            want = len(enumerate_selections(eor, selection_filter))
+            assert effect.count_selections(eor, selection_filter) == want
+
+
+def test_sixteen_potential_edges_are_counted_without_listing():
+    """2^16 selections of 16 parallel potential edges are counted, not
+    built, in well under 10 ms."""
+    tg = TypeGraph("pair", frozenset({"N"}), {"e": EdgeType("N", "N")})
+    ends = TypedGraph(tg, {"u": "N", "v": "N"}, {})
+    sixteen = {f"e{i:02}": Edge("e", "u", "v") for i in range(16)}
+    parallel = ends.with_elements({}, sixteen)
+    eor = EffectOrientedRule(Rule(ends, ends, ends), Rule(ends, ends, parallel))
+    for selection_filter in effect.SELECTION_FILTERS:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert effect.count_selections(eor, selection_filter) == 2**16
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.010
 
 
 def test_weak_right_selections_are_the_four_described_variants():

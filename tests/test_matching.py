@@ -744,24 +744,118 @@ def test_every_strategy_equals_the_brute_force_oracle():
 
 def test_transform_applies_the_first_maximal_result():
     """``transform`` builds only the least match of the best size; it is the
-    first result of the public maximal searches, which build every tie."""
+    first result of the public maximal searches, which build every tie.
+    The hosts are random instances, tie-heavy banks and owned banks."""
+    cases = [
+        (eor, host, [pm])
+        for seed in (1105, 1010, 4711, 5150)
+        for eor, host, pm in instances(seed, 100)
+    ]
+    for seed in (3, 17, 29):
+        for eor in (ensure_account_rule(), ensure_no_account_rule(), *linked_rules()):
+            host = tie_bank(eor.base.lhs.type_graph, 12, seed)
+            cases.append((eor, host, list(find_base_prematches(eor, host))))
+    for n in (7, 20):
+        for eor in (ensure_account_rule(), ensure_no_account_rule()):
+            host = owned_bank(n)
+            cases.append((eor, host, list(find_base_prematches(eor, host))))
     applied = 0
-    for seed in (1105, 1010, 4711, 5150):
-        for eor, host, pm in instances(seed, 100):
-            for strategy, results, given in (
-                (LOCALLY_MAXIMAL, find_locally_maximal(eor, host, pm), pm),
-                (GLOBALLY_MAXIMAL, find_globally_maximal(eor, host), None),
-            ):
-                t = transform(eor, host, strategy, given)
-                if not results:
-                    assert t is None
-                    continue
-                first = results[0]
-                assert t.selection == first.induced.selection
-                assert same_maps(t.result.match, first.match)
-                assert t.base_prematch == first.base_prematch
-                applied += 1
-    assert applied > 400
+    for eor, host, pms in cases:
+        runs = [
+            (LOCALLY_MAXIMAL, find_locally_maximal(eor, host, pm), pm) for pm in pms
+        ]
+        runs.append((GLOBALLY_MAXIMAL, find_globally_maximal(eor, host), None))
+        for strategy, results, given in runs:
+            t = transform(eor, host, strategy, given)
+            if not results:
+                assert t is None
+                continue
+            first = results[0]
+            assert t.selection == first.induced.selection
+            assert same_maps(t.result.match, first.match)
+            assert t.base_prematch == first.base_prematch
+            applied += 1
+    assert applied > 600
+
+
+def seeded_bank(n: int, seed: int) -> TypedGraph:
+    """The benchmark's generated bank (``bench/bank.py``): clients
+    ``c0..c{n-1}`` of one bank, each holding up to two accounts, each
+    account backed by a portfolio with probability 0.5."""
+    rng = random.Random(seed)
+    nodes = {"b": "Bank"}
+    edges = {}
+    for i in range(n):
+        c = f"c{i}"
+        nodes[c] = "Client"
+        edges[f"owns_client_b_{c}"] = Edge("owns_client", "b", c)
+        for j in range(rng.randint(0, 2)):
+            a = f"a{i}_{j}"
+            nodes[a] = "Account"
+            edges[f"accounts_{c}_{a}"] = Edge("accounts", c, a)
+            edges[f"owns_account_b_{a}"] = Edge("owns_account", "b", a)
+            if rng.random() < 0.5:
+                p = f"p{i}_{j}"
+                nodes[p] = "Portfolio"
+                edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
+                edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
+                edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
+    return TypedGraph(banking_type_graph(), nodes, edges)
+
+
+def test_transform_compares_keys_not_the_order_found():
+    """Over every client of the seeded bank(20), ``c1`` is searched before
+    ``c11`` and ties with it, but ``a11_0 < a1_0``: the least match is
+    ``c11``'s, not the first one found."""
+    provision = ensure_account_rule()
+    host = seeded_bank(20, 0)
+    results = find_globally_maximal(provision, host)
+    tied = {mr.match.node_map["c"] for mr in results}
+    order = [pm.morphism.node_map["c"] for pm in find_base_prematches(provision, host)]
+    assert next(c for c in order if c in tied) == "c1"
+    assert dict(results[0].match.node_map) == {"c": "c11", "a": "a11_0", "p": "p11_0"}
+    t = transform(provision, host, GLOBALLY_MAXIMAL)
+    assert same_maps(t.result.match, results[0].match)
+
+
+def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch):
+    """The locally maximal ``transform`` for ``c0`` examines as many host
+    elements on a bank of 2,000 clients as on one of 200, and keeps one
+    leaf: it builds a leaf only when it beats the incumbent."""
+    incumbents, counters = [], []
+
+    class Incumbent(matching._Best):
+        def __init__(self, least=False):
+            super().__init__(least)
+            self.offered = 0  # leaves the search built
+            incumbents.append(self)
+
+        def offer(self, leaf):
+            self.offered += 1
+            super().offer(leaf)
+
+    class Counters(MatchStats):
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
+
+    monkeypatch.setattr(matching, "_Best", Incumbent)
+    monkeypatch.setattr(matching, "MatchStats", Counters)
+    provision = ensure_account_rule()
+    seen = {}
+    for n in (200, 2000):
+        host = seeded_bank(n, 0)
+        pm = prematch_at(provision, host, "c0")
+        incumbents.clear()
+        counters.clear()
+        t = transform(provision, host, LOCALLY_MAXIMAL, pm)
+        (best,), (stats,) = incumbents, counters
+        assert best.least and len(best.leaves) == 1 and best.offered <= 2
+        seen[n] = stats.examined, best.offered
+        first = find_locally_maximal(provision, host, pm)[0]
+        assert same_maps(t.result.match, first.match)
+    assert seen[200] == seen[2000]
+    assert seen[200][0] <= 10
 
 
 LINKED_TG = TypeGraph(
