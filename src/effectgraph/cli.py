@@ -44,7 +44,6 @@ from .fixtures import builtin_type_graphs, fixture_path
 from .matching import (
     MatchResult,
     find_all_locally_complete,
-    find_locally_complete,
     find_locally_maximal,
     find_globally_maximal,
 )
@@ -55,6 +54,7 @@ from .semantics import (
     AuditFailure,
     StrategyArgumentMismatch,
     audit_effect,
+    find_match,
     transform,
 )
 
@@ -63,7 +63,7 @@ _FILTER_CHOICES = tuple(f.replace("_", "-") for f in SELECTION_FILTERS)
 
 
 def _color_enabled(args: argparse.Namespace) -> bool:
-    if getattr(args, "no_color", False) or os.environ.get("NO_COLOR"):
+    if args.no_color or os.environ.get("NO_COLOR"):
         return False
     return sys.stdout.isatty()
 
@@ -84,7 +84,7 @@ def _read(path: str) -> str:
 
 def _registry(args: argparse.Namespace) -> dict[str, TypeGraph]:
     registry = builtin_type_graphs()
-    for path in getattr(args, "types", None) or []:
+    for path in args.types or []:
         tg = decode_type_graph(_read(path))
         registry[tg.name] = tg
     return registry
@@ -130,16 +130,12 @@ def _print_result(mr: MatchResult) -> None:
         print(f"  {eid} -> {mr.match.edge_map[eid]}")
 
 
-def _find_results(args, eor, host) -> list[MatchResult]:
-    strategy = _strategy(args)
-    pm = _base_prematch(args, eor, host)
+def _find_results(strategy: str, eor, host, pm) -> list[MatchResult]:
+    """Every result of ``match --all`` under ``strategy``."""
     if strategy == GLOBALLY_MAXIMAL:
         return find_globally_maximal(eor, host)
     if strategy == LOCALLY_COMPLETE:
-        if getattr(args, "all", False):
-            return find_all_locally_complete(eor, host, pm)
-        mr = find_locally_complete(eor, host, pm)
-        return [mr] if mr else []
+        return find_all_locally_complete(eor, host, pm)
     return find_locally_maximal(eor, host, pm)
 
 
@@ -147,12 +143,15 @@ def cmd_match(args: argparse.Namespace) -> int:
     registry = _registry(args)
     _, eor = decode_rule(_read(args.rule), registry)
     host = decode_graph(_read(args.graph), registry)
-    results = _find_results(args, eor, host)
+    strategy, pm = _strategy(args), _base_prematch(args, eor, host)
+    if args.all:
+        results = _find_results(strategy, eor, host, pm)
+    else:
+        mr = find_match(eor, host, strategy, pm)
+        results = [mr] if mr else []
     if not results:
         print("no match")
         return 2
-    if not getattr(args, "all", False):
-        results = results[:1]
     for i, mr in enumerate(results):
         if i:
             print()

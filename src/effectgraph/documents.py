@@ -35,7 +35,6 @@ from .effect import (
     EffectOrientedRule,
     InducedSelection,
     InvalidSelection,
-    _validate_rules,
     build_induced_rule,
 )
 from .matching import InvalidPreMatch, PreMatch, validate_prematch
@@ -460,13 +459,9 @@ def decode_rule(
         maximal_rhs,
         nacs=shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), tuple(nacs)),
     )
-    eor = EffectOrientedRule(base, maximal)
-    # Each graph was validated once above, and the maximal NACs are the base
-    # NACs shifted along an inclusion, so they are valid too.
-    bad = _validate_rules(eor, graphs=False)
-    if bad:
-        raise ValidationError(bad)
-    return name, eor
+    # Each graph was validated above; the rest holds by construction: sides
+    # cut by tag from one list of unique ids, NACs shifted by an inclusion.
+    return name, EffectOrientedRule(base, maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +610,9 @@ def rebuild_transformation(
 ) -> EffectTransformation:
     """Replay a trace against its rule and input graph.
 
-    The recorded comatch — and, when given, the recorded output graph —
-    must agree with the replayed application."""
+    The recorded match must extend the recorded base match, and the
+    recorded comatch — and, when given, the recorded output graph — must
+    agree with the replayed application."""
     sel = InducedSelection(
         _split_ids(trace.selection_delete, eor.maximal.lhs, "deleted"),
         _split_ids(trace.selection_preserve, eor.maximal.rhs, "preserved"),
@@ -630,6 +626,11 @@ def rebuild_transformation(
     if problems:
         raise ValidationError(problems)
     pm = prematch_from_maps(eor, host, trace.base_match[0], trace.base_match[1])
+    base = pm.morphism
+    if any(match.node_map[x] != y for x, y in base.node_map.items()) or any(
+        match.edge_map[x] != y for x, y in base.edge_map.items()
+    ):
+        raise ValidationError(["recorded match does not extend the base match"])
     try:
         record = apply_rule(induced.rule, host, match)
     except (EffectGraphError, ValueError) as exc:

@@ -65,7 +65,19 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
     interfaces identical, and the maximal NACs equivalent to the base NACs
     shifted to the maximal lhs."""
-    out = _validate_rules(eor)
+    out: list[Diagnostic] = []
+    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
+        for d in validate_rule(rule):
+            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
+    # The base interface is already included in the maximal one.
+    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
+        out.append(
+            Diagnostic(
+                "interface-mismatch",
+                None,
+                "base and maximal rule must share the interface exactly",
+            )
+        )
     # Inclusions and identical interfaces K make both squares commute, and
     # L_base ∩ K = K = R_base ∩ K makes them pullbacks: only NACs are left.
     if not out and not nac_sets_equivalent(
@@ -78,25 +90,6 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
                 "embedding-invalid",
                 None,
                 "base rule does not embed into the maximal rule",
-            )
-        )
-    return out
-
-
-def _validate_rules(eor: EffectOrientedRule, graphs: bool = True) -> list[Diagnostic]:
-    """:func:`validate_effect_rule` short of the NACs, and with ``graphs``
-    false of the typing too: enough for decoded rules."""
-    out: list[Diagnostic] = []
-    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
-        for d in validate_rule(rule, graphs):
-            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
-    # The base interface is already included in the maximal one.
-    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
-        out.append(
-            Diagnostic(
-                "interface-mismatch",
-                None,
-                "base and maximal rule must share the interface exactly",
             )
         )
     return out

@@ -67,7 +67,7 @@ class MatchStats:
     potential element, either up front (a node whose incident edges the
     deletion could never all remove) or after the search below them failed.
     Candidates that a maximal search cuts without binding them, by its
-    bound or, in :func:`~effectgraph.semantics.transform`, by the key of a
+    bound or, in :func:`~effectgraph.semantics.find_match`, by the key of a
     tie, are not counted.
 
     ``examined`` counts the host elements the search looked at to find
@@ -450,8 +450,8 @@ def _largest_leaves(
     pms: Iterable[PreMatch],
     stats: MatchStats | None,
     least: bool = False,
-) -> list[_Leaf]:
-    """The largest matches over ``pms``, unbuilt, or with ``least`` the least
+) -> list[MatchResult]:
+    """The largest matches over ``pms``, sorted, or with ``least`` the least
     of them alone, by branch and bound: one incumbent prunes the searches of
     every pre-match."""
     stats = MatchStats() if stats is None else stats
@@ -459,16 +459,7 @@ def _largest_leaves(
     for pm in pms:
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)
-    return best.leaves
-
-
-def _least_built(
-    eor: EffectOrientedRule, host: TypedGraph, leaves: Iterable[_Leaf]
-) -> MatchResult | None:
-    """The first result ``_built`` would return for ``leaves``, built alone;
-    ``None`` when there is no leaf."""
-    leaf = min(leaves, key=_Leaf.sort_key, default=None)
-    return None if leaf is None else _built(eor, host, [leaf])[0]
+    return _built(eor, host, best.leaves)
 
 
 def find_locally_complete(
@@ -492,12 +483,10 @@ def find_locally_complete(
     stats = MatchStats() if stats is None else stats
     greedy = _Greedy()
     leaf = next(_leaves(eor, host, pm, stats, greedy), None)
-    if leaf is not None:
-        return _built(eor, host, [leaf])[0]
-    if not greedy.would_skip:
-        return None
-    stats.full_passes += 1
-    return _least_built(eor, host, _leaves(eor, host, pm, stats))
+    if leaf is None and greedy.would_skip:
+        stats.full_passes += 1
+        leaf = min(_leaves(eor, host, pm, stats), key=_Leaf.sort_key, default=None)
+    return None if leaf is None else _built(eor, host, [leaf])[0]
 
 
 def find_all_locally_complete(
@@ -518,7 +507,7 @@ def find_locally_maximal(
     """The locally complete matches of maximal induced-rule size for ``pm``,
     in :meth:`MatchResult.sort_key` order."""
     _entered(eor, host, pm)
-    return _built(eor, host, _largest_leaves(eor, host, [pm], stats))
+    return _largest_leaves(eor, host, [pm], stats)
 
 
 def find_globally_maximal(
@@ -528,5 +517,4 @@ def find_globally_maximal(
 ) -> list[MatchResult]:
     """The locally complete matches of maximal size over all pre-matches,
     in :meth:`MatchResult.sort_key` order."""
-    leaves = _largest_leaves(eor, host, find_base_prematches(eor, host), stats)
-    return _built(eor, host, leaves)
+    return _largest_leaves(eor, host, find_base_prematches(eor, host), stats)

@@ -101,9 +101,8 @@ class TransformationRecord:
         return self.input._derive(self.deleted.nodes, self.deleted.edges)
 
 
-def validate_rule(r: Rule, graphs: bool = True) -> list[Diagnostic]:
-    """All violations of the span shape, typing, and NAC rooting; of the
-    typing only with ``graphs``, else its graphs are known to be valid."""
+def validate_rule(r: Rule) -> list[Diagnostic]:
+    """All violations of the span shape, typing, and NAC rooting."""
     out: list[Diagnostic] = []
     tg = r.lhs.type_graph
     for g, label in ((r.interface, "interface"), (r.rhs, "rhs")):
@@ -111,8 +110,7 @@ def validate_rule(r: Rule, graphs: bool = True) -> list[Diagnostic]:
             out.append(
                 Diagnostic("type-graph-mismatch", None, f"{label} uses another type graph")
             )
-    sides = ((r.lhs, "lhs"), (r.interface, "interface"), (r.rhs, "rhs"))
-    for g, label in sides if graphs else ():
+    for g, label in ((r.lhs, "lhs"), (r.interface, "interface"), (r.rhs, "rhs")):
         for d in validate_graph(g, tg):
             out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
     k = r.interface
@@ -142,7 +140,7 @@ def validate_rule(r: Rule, graphs: bool = True) -> list[Diagnostic]:
             out.append(
                 Diagnostic("nac-not-rooted", None, f"NAC {i} does not contain the lhs")
             )
-        for d in validate_graph(nac.forbidden, tg) if graphs else ():
+        for d in validate_graph(nac.forbidden, tg):
             out.append(Diagnostic(d.code, d.element, f"NAC {i}: {d.message}"))
     return out
 

@@ -1,8 +1,9 @@
 """Applying effect-oriented rules and auditing the outcome.
 
-:func:`transform` picks a match according to a strategy (locally complete
+:func:`find_match` picks a match according to a strategy (locally complete
 for a given pre-match, locally maximal for a given pre-match, or globally
-maximal over the whole host) and applies the chosen induced rule.
+maximal over the whole host), and :func:`transform` applies the chosen
+induced rule.
 
 :func:`audit_effect` re-examines a finished transformation: every potential
 deletion that was skipped must be justified by the shape of the output
@@ -28,10 +29,10 @@ from .core import (
 )
 from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
+    MatchResult,
     PreMatch,
-    _largest_leaves,
     _entered,
-    _least_built,
+    _largest_leaves,
     find_base_prematches,
     find_locally_complete,
 )
@@ -79,17 +80,19 @@ class AuditReport:
     entries: tuple[AuditEntry, ...]
 
 
-def transform(
+def find_match(
     eor: EffectOrientedRule,
     host: TypedGraph,
     strategy: str,
     pm: PreMatch | None = None,
-) -> EffectTransformation | None:
-    """Apply ``eor`` under ``strategy``; ``None`` when no match exists.
+) -> MatchResult | None:
+    """The match :func:`transform` applies under ``strategy``; ``None`` when
+    no match exists.
 
     The two local strategies require a pre-match; the global strategy
-    refuses one.  Ties under the maximal strategies are broken by the
-    deterministic result order."""
+    refuses one.  Under the maximal strategies this is the first result of
+    :func:`find_locally_maximal` or :func:`find_globally_maximal`, found
+    without building the other ties."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == GLOBALLY_MAXIMAL:
@@ -98,14 +101,26 @@ def transform(
                 "the globally maximal strategy searches all pre-matches itself"
             )
         pms = find_base_prematches(eor, host)
-        mr = _least_built(eor, host, _largest_leaves(eor, host, pms, None, least=True))
     elif pm is None:
         raise StrategyArgumentMismatch(f"strategy {strategy!r} needs a pre-match")
     elif strategy == LOCALLY_COMPLETE:
-        mr = find_locally_complete(eor, host, pm)
+        return find_locally_complete(eor, host, pm)
     else:
         _entered(eor, host, pm)
-        mr = _least_built(eor, host, _largest_leaves(eor, host, [pm], None, least=True))
+        pms = [pm]
+    results = _largest_leaves(eor, host, pms, None, least=True)
+    return results[0] if results else None
+
+
+def transform(
+    eor: EffectOrientedRule,
+    host: TypedGraph,
+    strategy: str,
+    pm: PreMatch | None = None,
+) -> EffectTransformation | None:
+    """Apply the match :func:`find_match` picks; ``None`` when no match
+    exists."""
+    mr = find_match(eor, host, strategy, pm)
     if mr is None:
         return None
     record = apply_rule(mr.induced.rule, host, mr.match)

@@ -23,6 +23,7 @@ from effectgraph import (
     encode_type_graph,
     transform,
 )
+from effectgraph import cli, matching
 from effectgraph.cli import main
 from effectgraph.fixtures import (
     BANK_GRAPH_FILE,
@@ -106,6 +107,58 @@ def test_match_globally_maximal_needs_no_base_match(capsys):
     assert code == 0
     assert "selection (size 4)" in out
     assert "  c -> c1" in out
+
+
+# The fixture bank under both rules: (rule, strategy, base-match flags).
+_MATCH_RUNS = [
+    (rule, *strategy)
+    for rule in (ENSURE_ACCOUNT_FILE, ENSURE_NO_ACCOUNT_FILE)
+    for strategy in (
+        ("globally-maximal",),
+        ("locally-complete", "--base-match", MATCH_C1_FILE),
+        ("locally-complete", "--base-match", MATCH_C2_FILE),
+        ("locally-maximal", "--base-match", MATCH_C1_FILE),
+        ("locally-maximal", "--base-match", MATCH_C2_FILE),
+    )
+]
+
+
+def _match(capsys, rule, strategy, *rest):
+    argv = ("--rule", rule, "--graph", BANK_GRAPH_FILE, "--strategy", strategy)
+    return run(capsys, "match", *argv, *rest)
+
+
+def test_match_prints_the_first_block_of_match_all(capsys):
+    """Without ``--all``, ``match`` prints the match ``transform`` applies.
+    On the fixture bank that is the first result ``--all`` lists, under
+    every strategy."""
+    several = 0
+    for argv in _MATCH_RUNS:
+        code, one, _ = _match(capsys, *argv)
+        every_code, every, _ = _match(capsys, *argv, "--all")
+        assert code == every_code
+        blocks = every.split("\n\n")
+        assert one == blocks[0].rstrip("\n") + "\n"
+        several += len(blocks) > 1
+    assert several > 0
+
+
+def test_match_builds_no_tie_under_the_maximal_strategies(capsys, monkeypatch):
+    """``match`` without ``--all`` answers without the public maximal
+    searches, which build every tie."""
+    runs = [argv for argv in _MATCH_RUNS if argv[1] != "locally-complete"]
+    expected = [_match(capsys, *argv) for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built every tie")
+
+    for module in (cli, matching):
+        monkeypatch.setattr(module, "find_locally_maximal", refuse)
+        monkeypatch.setattr(module, "find_globally_maximal", refuse)
+    assert [_match(capsys, *argv) for argv in runs] == expected
+    # Only the teardown rule finds no match on the bank.
+    for argv, (code, _, _) in zip(runs, expected):
+        assert code == (0 if argv[0] == ENSURE_ACCOUNT_FILE else 2)
 
 
 def test_strategy_argument_mismatches_exit_1(capsys):

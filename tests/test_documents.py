@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from effectgraph import (
     Edge,
+    EffectGraphError,
     EffectOrientedRule,
     Morphism,
     Nac,
@@ -35,6 +37,8 @@ from effectgraph import (
     validate_graph,
 )
 from effectgraph import fixtures
+from effectgraph.documents import ACTIONS
+from effectgraph.effect import validate_effect_rule
 from effectgraph.fixtures import (
     bank_graph,
     banking_type_graph,
@@ -43,6 +47,8 @@ from effectgraph.fixtures import (
     ensure_account_rule,
     fixture_text,
 )
+
+from gen import random_effect_rule, random_type_graph
 
 
 def test_canonical_text_layout():
@@ -235,6 +241,32 @@ def test_rule_decoder_validates_each_graph_once(monkeypatch):
     ]
 
 
+def test_decoded_rules_need_no_second_validation():
+    """``decode_rule`` validates each graph and the endpoint tags, and
+    nothing after it builds the rule: every other check of
+    :func:`validate_effect_rule` holds by construction.  Random rules with
+    some elements retagged at random stand for the documents it accepts."""
+    accepted = retagged = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        tg = random_type_graph(rng)
+        doc = json.loads(encode_rule("r", random_effect_rule(rng, tg)))
+        elements = doc["elements"]
+        changed = False
+        for entry in rng.sample(elements, min(len(elements), rng.randint(1, 3))):
+            action = rng.choice(ACTIONS)
+            changed |= action != entry["action"]
+            entry["action"] = action
+        try:
+            _, eor = decode_rule(doc, {tg.name: tg})
+        except EffectGraphError:
+            continue
+        assert validate_effect_rule(eor) == []
+        accepted += 1
+        retagged += changed
+    assert accepted > 200 and retagged > 150
+
+
 def test_rule_decoder_enforces_endpoint_action_compatibility():
     types = builtin_type_graphs()
     # A potential creation may not hang off a mandatory creation: leaving
@@ -392,6 +424,12 @@ def test_replay_cross_checks_the_recorded_facts():
         rebuild_transformation(
             eor, host, decode_trace(canonical_text(doc)), output=host
         )
+
+    # A base match that the recorded match does not extend.
+    rebased = dict(doc)
+    rebased["base_match"] = {"nodes": {"c": "c1"}, "edges": {}}
+    with pytest.raises(ValidationError, match="does not extend the base match"):
+        rebuild_transformation(eor, host, decode_trace(canonical_text(rebased)))
 
     alien = dict(doc)
     alien["selection"] = {"delete": [], "preserve": ["a", "p", "warp"]}

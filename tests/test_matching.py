@@ -46,7 +46,12 @@ from effectgraph.fixtures import (
 from effectgraph import documents, matching
 from effectgraph.matching import InvalidPreMatch, validate_prematch
 from effectgraph.rules import apply_rule
-from effectgraph.semantics import GLOBALLY_MAXIMAL, LOCALLY_COMPLETE, LOCALLY_MAXIMAL
+from effectgraph.semantics import (
+    GLOBALLY_MAXIMAL,
+    LOCALLY_COMPLETE,
+    LOCALLY_MAXIMAL,
+    find_match,
+)
 
 from gen import empty_graph, empty_selection, instances, random_graph
 from oracles import (
@@ -743,9 +748,10 @@ def test_every_strategy_equals_the_brute_force_oracle():
 
 
 def test_transform_applies_the_first_maximal_result():
-    """``transform`` builds only the least match of the best size; it is the
-    first result of the public maximal searches, which build every tie.
-    The hosts are random instances, tie-heavy banks and owned banks."""
+    """``find_match`` builds only the least match of the best size, and
+    ``transform`` applies it; it is the first result of the public maximal
+    searches, which build every tie.  The hosts are random instances,
+    tie-heavy banks and owned banks."""
     cases = [
         (eor, host, [pm])
         for seed in (1105, 1010, 4711, 5150)
@@ -766,11 +772,13 @@ def test_transform_applies_the_first_maximal_result():
         ]
         runs.append((GLOBALLY_MAXIMAL, find_globally_maximal(eor, host), None))
         for strategy, results, given in runs:
+            mr = find_match(eor, host, strategy, given)
             t = transform(eor, host, strategy, given)
             if not results:
-                assert t is None
+                assert mr is None and t is None
                 continue
             first = results[0]
+            assert mr == first
             assert t.selection == first.induced.selection
             assert same_maps(t.result.match, first.match)
             assert t.base_prematch == first.base_prematch
