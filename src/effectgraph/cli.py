@@ -13,7 +13,6 @@ requested strategy, 3 audit failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from .core import EffectGraphError, TypeGraph
 from .documents import (
     ParseError,
     ValidationError,
+    _load,
     decode_audit_report,
     decode_graph,
     decode_match,
@@ -233,9 +233,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     remaining: list[tuple[str, dict]] = []
     for path in args.files:
         try:
-            text = _read(path)
-            doc = json.loads(text) if text.lstrip().startswith("{") else {}
-        except (ParseError, json.JSONDecodeError) as exc:
+            doc = _load(_read(path))
+        except ParseError as exc:
             report(path, [str(exc)])
             continue
         if doc.get("kind") == "type_graph":

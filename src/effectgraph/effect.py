@@ -60,6 +60,11 @@ class EffectOrientedRule:
     def potential_creations(self) -> ElementSet:
         return element_difference(self.maximal.rhs, self.base.rhs)
 
+    @cached_property
+    def _induced(self) -> dict[InducedSelection, InducedRule]:
+        """The induced rules :func:`build_induced_rule` built, by selection."""
+        return {}
+
 
 def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     """Violations of the base/maximal shape: both rules well formed, the
@@ -167,7 +172,13 @@ def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> Induce
     """The induced rule for ``sel``: its lhs extends the base lhs by the
     selected deletions and preserved creations, its interface extends the
     base interface by the preserved creations, and its rhs is the maximal
-    rhs.  NACs are the base NACs shifted to the new lhs."""
+    rhs.  NACs are the base NACs shifted to the new lhs.
+
+    ``eor`` keeps each rule built, by selection, for as long as it lives:
+    one entry per distinct valid selection asked for.  An invalid selection
+    is not kept and raises :class:`InvalidSelection` on every call."""
+    if sel in eor._induced:
+        return eor._induced[sel]
     problems = validate_selection(eor, sel)
     if problems:
         raise InvalidSelection("; ".join(str(d) for d in problems))
@@ -192,7 +203,8 @@ def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> Induce
     interface = TypedGraph(lg.type_graph, interface_nodes, interface_edges)
     nacs = shift_nacs(Morphism.inclusion(eor.base.lhs, lhs), eor.base.nacs)
     rule = Rule(lhs=lhs, interface=interface, rhs=rg, nacs=nacs)
-    return InducedRule(selection=sel, rule=rule)
+    eor._induced[sel] = InducedRule(selection=sel, rule=rule)
+    return eor._induced[sel]
 
 
 def _subsets(ids: list[str]) -> Iterator[frozenset[str]]:

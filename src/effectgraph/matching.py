@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator
 
 from .core import (
     Edge,
@@ -115,32 +115,18 @@ def _entered(eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch) -> None:
         validate_prematch(eor, host, pm)
 
 
-class _Leaf(NamedTuple):
-    """An accepted match whose induced rule is not built yet."""
-
-    pm: PreMatch
-    selection: InducedSelection
-    node_map: dict[str, str]
-    edge_map: dict[str, str]
-
-    def sort_key(self) -> tuple:
-        """The :meth:`MatchResult.sort_key` of the built result."""
-        maps = self.node_map.items(), self.edge_map.items()
-        return self.selection.sort_key() + tuple(tuple(sorted(m)) for m in maps)
-
-
 class _Best:
     """The incumbent of a branch and bound: every leaf of the largest size
     offered so far, and that size (-1 before the first leaf).  With
-    ``least``, only the least of them by :meth:`_Leaf.sort_key`, and its
-    ``key``; the search then offers only leaves that beat the incumbent."""
+    ``least``, only the least of them by :meth:`MatchResult.sort_key`, and
+    its ``key``; the search then offers only leaves that beat the incumbent."""
 
     def __init__(self, least: bool = False) -> None:
         self.size, self.least, self.key = -1, least, None
-        self.leaves: list[_Leaf] = []
+        self.leaves: list[MatchResult] = []
 
-    def offer(self, leaf: _Leaf) -> None:
-        size = leaf.selection.size
+    def offer(self, leaf: MatchResult) -> None:
+        size = leaf.induced.size
         if size > self.size or self.least:
             self.size, self.leaves = size, [leaf]
             self.key = leaf.sort_key() if self.least else None
@@ -172,7 +158,7 @@ def _leaves(
     stats: MatchStats,
     greedy: _Greedy | None = None,
     best: _Best | None = None,
-) -> Iterator[_Leaf]:
+) -> Iterator[MatchResult]:
     """The effect-matching search: lazily, every locally complete match
     extending ``pm`` that admits a transformation.
 
@@ -213,7 +199,7 @@ def _leaves(
     A branch that can only tie the one leaf ``best`` keeps must bind all it
     counts, so its selection is known: it is cut when that selection, or
     else its images fixed so far in key order, compare greater than the
-    leaf's :meth:`_Leaf.sort_key`.  So a leaf is built only when it beats
+    leaf's :meth:`MatchResult.sort_key`.  So a leaf is built only when it beats
     the kept one, and the first unsupported candidate cut ends the drawing.
 
     With ``greedy`` an element is skipped only when no candidate is free,
@@ -312,8 +298,8 @@ def _leaves(
 
     def selected(nodes: Collection[str], edges: Collection[str]) -> InducedSelection:
         return InducedSelection(
-            ElementSet(pd.nodes & nodes, pd.edges & edges),
-            ElementSet(pc.nodes & nodes, pc.edges & edges),
+            ElementSet(pd.nodes.intersection(nodes), pd.edges.intersection(edges)),
+            ElementSet(pc.nodes.intersection(nodes), pc.edges.intersection(edges)),
         )
 
     def cut(bound: int, grow: list[int]) -> bool:
@@ -367,7 +353,7 @@ def _leaves(
             if x not in used and x not in supported:
                 yield x
 
-    def place(place, i: int, size: int) -> Iterator[_Leaf]:
+    def place(place, i: int, size: int) -> Iterator[MatchResult]:
         if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
             return
         if best is not None:
@@ -375,8 +361,9 @@ def _leaves(
             if cut(size + len(grow), grow):
                 return
         if i == len(elements):
-            selection = selected(node_map.keys(), edge_map.keys())
-            yield _Leaf(pm, selection, dict(node_map), dict(edge_map))
+            induced = build_induced_rule(eor, selected(node_map, edge_map))
+            match = Morphism(induced.rule.lhs, host, node_map, edge_map)
+            yield MatchResult(induced, match, pm)
             if host._link is not None:  # before the frames above resume
                 host._rooted()
             return
@@ -430,20 +417,6 @@ def _leaves(
     return place(place, 0, 0)
 
 
-def _built(
-    eor: EffectOrientedRule, host: TypedGraph, leaves: Iterable[_Leaf]
-) -> list[MatchResult]:
-    """The results of ``leaves``, sorted; each induced rule is built once."""
-    rules: dict[InducedSelection, InducedRule] = {}
-    out = []
-    for leaf in leaves:
-        sel = leaf.selection
-        induced = rules.get(sel) or rules.setdefault(sel, build_induced_rule(eor, sel))
-        match = Morphism(induced.rule.lhs, host, leaf.node_map, leaf.edge_map)
-        out.append(MatchResult(induced, match, leaf.pm))
-    return sorted(out, key=MatchResult.sort_key)
-
-
 def _largest_leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
@@ -459,7 +432,7 @@ def _largest_leaves(
     for pm in pms:
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)
-    return _built(eor, host, best.leaves)
+    return sorted(best.leaves, key=MatchResult.sort_key)
 
 
 def find_locally_complete(
@@ -483,10 +456,10 @@ def find_locally_complete(
     stats = MatchStats() if stats is None else stats
     greedy = _Greedy()
     leaf = next(_leaves(eor, host, pm, stats, greedy), None)
-    if leaf is None and greedy.would_skip:
-        stats.full_passes += 1
-        leaf = min(_leaves(eor, host, pm, stats), key=_Leaf.sort_key, default=None)
-    return None if leaf is None else _built(eor, host, [leaf])[0]
+    if leaf is not None or not greedy.would_skip:
+        return leaf
+    stats.full_passes += 1
+    return min(_leaves(eor, host, pm, stats), key=MatchResult.sort_key, default=None)
 
 
 def find_all_locally_complete(
@@ -495,7 +468,7 @@ def find_all_locally_complete(
     """Every locally complete match extending ``pm`` that admits a
     transformation, in :meth:`MatchResult.sort_key` order."""
     _entered(eor, host, pm)
-    return _built(eor, host, _leaves(eor, host, pm, MatchStats()))
+    return sorted(_leaves(eor, host, pm, MatchStats()), key=MatchResult.sort_key)
 
 
 def find_locally_maximal(

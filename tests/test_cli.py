@@ -207,6 +207,23 @@ def test_no_match_exits_2(tmp_path, capsys):
     assert code == 2
     assert "no match" in out
 
+    # c2 holds nothing, so the teardown rule finds no match there.
+    out_file = tmp_path / "out.json"
+    code, out, _ = run(
+        capsys,
+        "apply",
+        "--rule",
+        ENSURE_NO_ACCOUNT_FILE,
+        "--graph",
+        BANK_GRAPH_FILE,
+        "--base-match",
+        MATCH_C2_FILE,
+        "--out",
+        str(out_file),
+    )
+    assert (code, out) == (2, "no match\n")
+    assert not out_file.exists()
+
 
 def test_missing_file_exits_1(capsys):
     code, _, err = run(
@@ -308,6 +325,20 @@ def test_validate_flags_broken_files(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert f"ok {BANK_GRAPH_FILE}" in out
+
+    # Text that is not a JSON object is reported as the decoders see it.
+    texts = {"text": "not json", "array": "[1,2]", "truncated": '{"kind": '}
+    paths = []
+    for name, text in texts.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(text)
+    code, out, _ = run(capsys, "validate", *map(str, paths))
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL {paths[0]}: not valid JSON: Expecting value: line 1 column 1 (char 0)",
+        f"FAIL {paths[1]}: the top level must be an object",
+        f"FAIL {paths[2]}: not valid JSON: Expecting value: line 1 column 10 (char 9)",
+    ]
 
 
 @pytest.mark.parametrize("kind", [["graph"], {"graph": "rule"}])

@@ -279,6 +279,19 @@ def test_find_injective_extensions_respects_partial_assignment():
         list(find_injective_extensions(g, host, ({"y": "u2"}, {"e2": "f3"})))
     with pytest.raises(ValueError, match="not injective"):
         list(find_injective_extensions(g, host, ({"x": "u1", "y": "u1"}, {})))
+    # Each other refusal of a partial map; e3 runs parallel to e2.
+    parallel = g.with_elements(edges={"e3": Edge("aa", "x", "y")})
+    for pattern, partial, message in [
+        (g, ({"w": "u1"}, {}), "unknown pattern node 'w'"),
+        (g, ({"z": "u1"}, {}), "sends node 'z' to incompatible 'u1'"),
+        (g, ({}, {"e9": "f1"}), "unknown pattern edge 'e9'"),
+        (g, ({}, {"e1": "f9"}), "sends edge 'e1' to missing 'f9'"),
+        (g, ({}, {"e1": "f2"}), "sends edge 'e1' to a different type"),
+        (g, ({"y": "u1"}, {"e1": "f1"}), "not injective after endpoint closure"),
+        (parallel, ({}, {"e2": "f2", "e3": "f2"}), "partial edge map is not injective"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            list(find_injective_extensions(pattern, host, partial))
 
 
 def test_find_injective_extensions_is_deterministic():

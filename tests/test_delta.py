@@ -569,7 +569,7 @@ def test_a_suspended_effect_search_reroots_when_it_resumes():
         def leaves(moving: bool) -> list:
             out = []
             for leaf in _leaves(eor, host, pm, MatchStats()):
-                out.append((leaf.selection, leaf.node_map, leaf.edge_map))
+                out.append((leaf.induced.selection, leaf.match.sort_key()))
                 if moving:
                     other._rooted()
             return out

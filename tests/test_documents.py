@@ -45,7 +45,9 @@ from effectgraph.fixtures import (
     builtin_type_graphs,
     client_match,
     ensure_account_rule,
+    ensure_no_account_rule,
     fixture_text,
+    shared_accounts_graph,
 )
 
 from gen import random_effect_rule, random_type_graph
@@ -440,6 +442,26 @@ def test_replay_cross_checks_the_recorded_facts():
     unclosed["selection"] = {"delete": [], "preserve": ["portfolio_a_p"]}
     with pytest.raises(ValidationError):
         rebuild_transformation(eor, host, decode_trace(canonical_text(unclosed)))
+
+    # A recorded match that sends the account to a node the host lacks.
+    stray = dict(doc)
+    stray["match"] = {
+        "nodes": dict(doc["match"]["nodes"], a="ghost"),
+        "edges": doc["match"]["edges"],
+    }
+    with pytest.raises(ValidationError, match="image node 'ghost' missing"):
+        rebuild_transformation(eor, host, decode_trace(canonical_text(stray)))
+
+    # Teardown deletes c1's exclusive account a4; replayed on a host where
+    # c9 holds a4 too, the deletion would leave that edge dangling.
+    teardown, shared = ensure_no_account_rule(), shared_accounts_graph()
+    pm = prematch_from_maps(teardown, shared, {"c": "c1"}, {})
+    t = transform(teardown, shared, "locally_complete", pm)
+    assert t.result.deleted.nodes == {"a4"}
+    held = shared.with_elements(edges={"accounts_c9_a4": Edge("accounts", "c9", "a4")})
+    trace = decode_trace(encode_trace(t, "ensure_no_account"))
+    with pytest.raises(ValidationError, match="trace is not applicable"):
+        rebuild_transformation(teardown, held, trace)
 
 
 def test_audit_report_round_trip():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from effectgraph import (
     EffectTransformation,
     ElementSet,
     InducedSelection,
+    InvalidSelection,
     MatchResult,
     MatchStats,
     Morphism,
@@ -37,13 +39,16 @@ from effectgraph import (
     validate_selection,
 )
 from effectgraph.fixtures import (
+    ENSURE_ACCOUNT_FILE,
     bank_graph,
     banking_type_graph,
+    builtin_type_graphs,
     ensure_account_rule,
     ensure_no_account_rule,
+    fixture_text,
     shared_accounts_graph,
 )
-from effectgraph import documents, matching
+from effectgraph import documents, effect, matching
 from effectgraph.matching import InvalidPreMatch, validate_prematch
 from effectgraph.rules import apply_rule
 from effectgraph.semantics import (
@@ -809,6 +814,39 @@ def seeded_bank(n: int, seed: int) -> TypedGraph:
                 edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
                 edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
     return TypedGraph(banking_type_graph(), nodes, edges)
+
+
+def test_a_chain_of_steps_builds_each_induced_rule_once(monkeypatch):
+    """50 locally complete ``ensure_account`` steps on one decoded rule
+    validate each distinct selection once: a step reuses the induced rule
+    an earlier step built.  An invalid selection is never kept."""
+    text = fixture_text(ENSURE_ACCOUNT_FILE)
+    _, provision = documents.decode_rule(text, builtin_type_graphs())
+    validated = Counter()
+    validate = effect.validate_selection
+
+    def counted(eor, sel):
+        validated[sel] += 1
+        return validate(eor, sel)
+
+    monkeypatch.setattr(effect, "validate_selection", counted)
+    host, selections = seeded_bank(60, 0), set()
+    for i in range(50):
+        pm = prematch_at(provision, host, f"c{i}")
+        t = transform(provision, host, LOCALLY_COMPLETE, pm)
+        selections.add(t.selection)
+        host = t.result.output
+    assert len(selections) > 1
+    assert validated == dict.fromkeys(selections, 1)
+    for sel in selections:
+        assert build_induced_rule(provision, sel) is build_induced_rule(provision, sel)
+    open_edge = InducedSelection(
+        ElementSet(), ElementSet(frozenset(), frozenset({"accounts_c_a"}))
+    )
+    for calls in (1, 2, 3):
+        with pytest.raises(InvalidSelection, match="not-closed"):
+            build_induced_rule(provision, open_edge)
+        assert validated[open_edge] == calls
 
 
 def test_transform_compares_keys_not_the_order_found():

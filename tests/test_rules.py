@@ -156,6 +156,12 @@ def test_apply_rule_rejects_bad_matches():
     with pytest.raises(NotInjective):
         apply_rule(rule, host, squashed)
 
+    # A hand-built span whose interface holds the created node c.
+    skewed = Rule(r.lhs, r.rhs, r.rhs)
+    m = Morphism(r.lhs, host, {"k": "b1", "d": "a1"}, {"de": "f1"})
+    with pytest.raises(ValueError, match="not an id-subgraph"):
+        apply_rule(skewed, host, m)
+
 
 def test_apply_rule_rejects_nac_violation():
     r = swap_rule()
