@@ -749,6 +749,13 @@ def find_injective_extensions(
     return assign_nodes(assign_nodes, 0)
 
 
+def _edge_kinds(g: TypedGraph | _Store, node: str) -> Iterator[tuple[str, bool, bool]]:
+    """The edges incident to ``node``, by type and direction."""
+    for h in g.incidence[node]:
+        e = g.edges[h]
+        yield e.type, e.src == node, e.tgt == node
+
+
 def dangling_node(
     host: TypedGraph, nodes: Iterable[str], edges: Collection[str]
 ) -> str | None:

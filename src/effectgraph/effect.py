@@ -13,6 +13,7 @@ and everything else keeps the base behaviour.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -23,6 +24,7 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
+    _edge_kinds,
     element_difference,
     is_id_subgraph,
 )
@@ -64,6 +66,38 @@ class EffectOrientedRule:
     def _induced(self) -> dict[InducedSelection, InducedRule]:
         """The induced rules :func:`build_induced_rule` built, by selection."""
         return {}
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """What the effect search (:func:`~effectgraph.matching._leaves`) needs
+        of the rule alone: the ``(id, node type or edge, deleting, is node)``
+        of its potential elements in search order, and facts about them.
+        Every search of the rule shares it, so it must not change."""
+        lg, rg = self.maximal.lhs, self.maximal.rhs
+        pd, pc = self.potential_deletions, self.potential_creations
+        elements = [(n, lg.nodes[n], True, True) for n in sorted(pd.nodes)]
+        elements += [(n, rg.nodes[n], False, True) for n in sorted(pc.nodes)]
+        n_nodes = len(elements)
+        elements += [(e, lg.edges[e], True, False) for e in sorted(pd.edges)]
+        boundary = len(elements)
+        elements += [(e, rg.edges[e], False, False) for e in sorted(pc.edges)]
+        # Each potential node's potential edges, with their position and other
+        # end: a valid rule's sides share only interface ids.
+        adjacent: dict[str, list] = {v: [] for v, *_ in elements[:n_nodes]}
+        for j in range(n_nodes, len(elements)):
+            e = elements[j][1]
+            for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
+                if v in adjacent:
+                    adjacent[v].append((j, e, u))
+        # A potential deletion node's incident edges, by kind and in number.
+        room = {n: Counter(_edge_kinds(lg, n)) for n in pd.nodes}
+        degree = {n: len(lg.incidence[n]) for n in pd.nodes}
+        gone = element_difference(self.base.lhs, self.interface)  # base deletions
+        # The (position, id) of the elements in each part of a selection's key.
+        n_del, n_all = len(pd.nodes), len(elements)
+        spans = (0, n_del), (n_nodes, boundary), (n_del, n_nodes), (boundary, n_all)
+        parts = tuple(tuple((j, elements[j][0]) for j in range(*a)) for a in spans)
+        return tuple(elements), n_nodes, boundary, room, degree, adjacent, gone, parts
 
 
 def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:

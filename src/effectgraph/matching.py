@@ -9,9 +9,8 @@ public ``find_*`` functions drive it, and none enumerates the selections.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     Edge,
@@ -19,7 +18,7 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
-    _Store,
+    _edge_kinds,
     check_morphism,
     dangling_node,
     find_injective_extensions,
@@ -144,13 +143,6 @@ class _Greedy:
         self.would_skip = False
 
 
-def _edge_kinds(g: TypedGraph | _Store, node: str) -> Iterator[tuple[str, bool, bool]]:
-    """The edges incident to ``node``, by type and direction."""
-    for h in g.incidence[node]:
-        e = g.edges[h]
-        yield e.type, e.src == node, e.tgt == node
-
-
 def _leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
@@ -205,14 +197,8 @@ def _leaves(
     With ``greedy`` an element is skipped only when no candidate is free,
     and ``greedy.would_skip`` is set wherever the full search would skip
     although a candidate is free."""
-    base, lg, rg = eor.base, eor.maximal.lhs, eor.maximal.rhs
+    elements, n_nodes, boundary, room, degree, adjacent, gone, parts = eor._plan
     pd, pc = eor.potential_deletions, eor.potential_creations
-    elements = [(n, lg.nodes[n], True, True) for n in sorted(pd.nodes)]
-    elements += [(n, rg.nodes[n], False, True) for n in sorted(pc.nodes)]
-    n_nodes = len(elements)
-    elements += [(e, lg.edges[e], True, False) for e in sorted(pd.edges)]
-    boundary = len(elements)
-    elements += [(e, rg.edges[e], False, False) for e in sorted(pc.edges)]
 
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
@@ -222,22 +208,8 @@ def _leaves(
     used_types: dict[str, int] = {}  # used nodes by type
     for t in map(store.nodes.__getitem__, used_nodes):
         used_types[t] = used_types.get(t, 0) + 1
-    kept = base.interface
-    del_nodes = {node_map[v] for v in base.lhs.nodes if v not in kept.nodes}
-    del_edges = {edge_map[e] for e in base.lhs.edges if e not in kept.edges}
-    room = {n: Counter(_edge_kinds(lg, n)) for n in pd.nodes}
-    degree = {n: len(lg.incidence[n]) for n in pd.nodes}
-    # Each potential node's potential edges, with their position and the
-    # other end.  A valid rule's sides share only interface ids, so the
-    # edges are on the node's side.
-    adjacent: dict[str, list[tuple[int, Edge, str]]] = {
-        v: [] for v, *_ in elements[:n_nodes]
-    }
-    for j in range(n_nodes, len(elements)):
-        e = elements[j][1]
-        for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
-            if v in adjacent:
-                adjacent[v].append((j, e, u))
+    del_nodes = {node_map[v] for v in gone.nodes}
+    del_edges = {edge_map[e] for e in gone.edges}
 
     reached: dict[str, dict[tuple[str, bool], list[str]]] = {}
 
@@ -296,12 +268,6 @@ def _leaves(
             or not used_edges.issuperset(store.edge_classes.get(keys[j], ()))
         ]
 
-    def selected(nodes: Collection[str], edges: Collection[str]) -> InducedSelection:
-        return InducedSelection(
-            ElementSet(pd.nodes.intersection(nodes), pd.edges.intersection(edges)),
-            ElementSet(pc.nodes.intersection(nodes), pc.edges.intersection(edges)),
-        )
-
     def cut(bound: int, grow: list[int]) -> bool:
         """Whether a branch that binds at most ``bound`` elements cannot beat
         the incumbent: it is smaller, or it ties the one leaf kept.  Then it
@@ -310,11 +276,11 @@ def _leaves(
         images in key order up to the first one not fixed yet."""
         if bound != best.size or not best.least:
             return bound < best.size
-        nodes = node_map.keys() | {elements[j][0] for j in grow if j < n_nodes}
-        edges = edge_map.keys() | {elements[j][0] for j in grow if j >= n_nodes}
-        selection, key = selected(nodes, edges).sort_key(), best.key
-        if selection != key[:4]:
-            return selection > key[:4]
+        key = best.key
+        for part, images, least in zip(parts, (node_map, edge_map) * 2, key):
+            ids = tuple([x for j, x in part if x in images or j in grow])
+            if ids != least:  # a part of the selection's sort key
+                return ids > least
         for items, images in zip(key[4:], (node_map, edge_map)):
             for v, y in items:
                 if images.get(v) != y:
@@ -322,12 +288,12 @@ def _leaves(
         return True
 
     def tries(
-        i: int, size: int, candidates: tuple[str, ...], used: set[str]
+        i: int, size: int, candidates: tuple[str, ...], used: set[str], grow: list[int]
     ) -> Iterator[str]:
         """The free candidates element ``i`` tries, in order: those of
         ``candidates``, its bucket or class, or for a node with an
         incumbent, the supported ones and then the others of the bucket
-        until the bound they share cuts them."""
+        until the bound they share cuts them.  ``grow`` is ``growable(i)``."""
         supported: set[str] = set()
         shared = None  # the bound the unsupported candidates share, if any
         if best is not None and i < n_nodes:
@@ -339,7 +305,7 @@ def _leaves(
             for e, u in anchored.values():
                 supported.update(reach(node_map[u])[e.type, e.src == u])
             supported -= used_nodes
-            rest = [j for j in growable(i + 1) if j not in anchored]
+            rest = [j for j in grow[1:] if j not in anchored]  # growable(i + 1)
             shared = size + 1 + len(rest)
             yield from sorted(supported)  # bucket order
         for x in candidates:
@@ -356,12 +322,15 @@ def _leaves(
     def place(place, i: int, size: int) -> Iterator[MatchResult]:
         if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
             return
-        if best is not None:
-            grow = growable(i)
-            if cut(size + len(grow), grow):
-                return
+        grow = [] if best is None else growable(i)
+        if best is not None and cut(size + len(grow), grow):
+            return
         if i == len(elements):
-            induced = build_induced_rule(eor, selected(node_map, edge_map))
+            sel = InducedSelection(
+                ElementSet(pd.nodes.intersection(node_map), pd.edges.intersection(edge_map)),
+                ElementSet(pc.nodes.intersection(node_map), pc.edges.intersection(edge_map)),
+            )
+            induced = build_induced_rule(eor, sel)
             match = Morphism(induced.rule.lhs, host, node_map, edge_map)
             yield MatchResult(induced, match, pm)
             if host._link is not None:  # before the frames above resume
@@ -381,7 +350,7 @@ def _leaves(
             free = len(candidates) - used_types.get(key, 0)
         else:
             free = sum(x not in used for x in candidates)
-        for x in tries(i, size, candidates, used):
+        for x in tries(i, size, candidates, used, grow):
             if deleting and is_node and not deletable(x, xid):
                 stats.backtracks += 1
                 continue

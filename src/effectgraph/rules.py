@@ -344,7 +344,11 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
         raise NacViolated("a negative application condition matches the host")
     if not is_id_subgraph(r.interface, r.lhs):
         raise ValueError("not an id-subgraph; no inclusion exists")
+    return _apply(r, g, m)
 
+
+def _apply(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
+    """Apply as :func:`apply_rule` does, checking only for dangling edges."""
     deleted_nodes, deleted_edges = deleted_images(
         m, r.interface.nodes, r.interface.edges
     )

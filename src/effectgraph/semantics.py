@@ -36,7 +36,7 @@ from .matching import (
     find_base_prematches,
     find_locally_complete,
 )
-from .rules import TransformationRecord, apply_rule
+from .rules import TransformationRecord, _apply
 
 LOCALLY_COMPLETE = "locally_complete"
 LOCALLY_MAXIMAL = "locally_maximal"
@@ -123,7 +123,7 @@ def transform(
     mr = find_match(eor, host, strategy, pm)
     if mr is None:
         return None
-    record = apply_rule(mr.induced.rule, host, mr.match)
+    record = _apply(mr.induced.rule, host, mr.match)  # passes apply_rule's checks
     return EffectTransformation(
         eor, strategy, record, mr.induced.selection, mr.base_prematch
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from effectgraph import (
 )
 from effectgraph.fixtures import (
     ENSURE_ACCOUNT_FILE,
+    ENSURE_NO_ACCOUNT_FILE,
     bank_graph,
     banking_type_graph,
     builtin_type_graphs,
@@ -55,6 +57,7 @@ from effectgraph.semantics import (
     GLOBALLY_MAXIMAL,
     LOCALLY_COMPLETE,
     LOCALLY_MAXIMAL,
+    STRATEGIES,
     find_match,
 )
 
@@ -864,10 +867,10 @@ def test_transform_compares_keys_not_the_order_found():
     assert same_maps(t.result.match, results[0].match)
 
 
-def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch):
-    """The locally maximal ``transform`` for ``c0`` examines as many host
-    elements on a bank of 2,000 clients as on one of 200, and keeps one
-    leaf: it builds a leaf only when it beats the incumbent."""
+def counting(monkeypatch) -> tuple[list, list]:
+    """Make the matcher record, in the two lists returned, each incumbent
+    it creates, with the number of leaves offered to it, and each
+    ``MatchStats`` it creates."""
     incumbents, counters = [], []
 
     class Incumbent(matching._Best):
@@ -887,6 +890,14 @@ def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch)
 
     monkeypatch.setattr(matching, "_Best", Incumbent)
     monkeypatch.setattr(matching, "MatchStats", Counters)
+    return incumbents, counters
+
+
+def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch):
+    """The locally maximal ``transform`` for ``c0`` examines as many host
+    elements on a bank of 2,000 clients as on one of 200, and keeps one
+    leaf: it builds a leaf only when it beats the incumbent."""
+    incumbents, counters = counting(monkeypatch)
     provision = ensure_account_rule()
     seen = {}
     for n in (200, 2000):
@@ -902,6 +913,103 @@ def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch)
         assert same_maps(t.result.match, first.match)
     assert seen[200] == seen[2000]
     assert seen[200][0] <= 10
+
+
+def test_globally_maximal_transform_work_per_prematch_stays_flat(monkeypatch):
+    """The globally maximal ``transform`` examines at most 6 host elements
+    per base pre-match on banks of 200 and 2,000 clients, and keeps one of
+    at most 3 leaves offered: a pre-match that cannot beat the incumbent
+    costs its own bindings, not the rule's set-up or the host's size."""
+    incumbents, counters = counting(monkeypatch)
+    provision = ensure_account_rule()
+    for n in (200, 2000):
+        host = seeded_bank(n, 0)
+        incumbents.clear()
+        counters.clear()
+        t = transform(provision, host, GLOBALLY_MAXIMAL)
+        (best,), (stats,) = incumbents, counters
+        assert best.least and len(best.leaves) == 1 and best.offered <= 3
+        assert stats.examined <= 6 * len(list(find_base_prematches(provision, host)))
+        assert t.selection.size == 5
+
+
+def decoded_rule(name: str) -> EffectOrientedRule:
+    """A fresh copy of a fixture rule, which no search has used yet."""
+    return documents.decode_rule(fixture_text(name), builtin_type_graphs())[1]
+
+
+def test_a_rule_builds_its_search_plan_once_and_keeps_it(monkeypatch):
+    """The set-up of the search that depends on the rule alone is built by
+    the rule's first search and shared by every later one, which must leave
+    it as it was: every strategy answers as on a freshly decoded copy of the
+    rule, one copy per query, and the locally maximal ones have the sizes
+    of the brute-force oracle.  The deletion rule runs on a bank where some
+    accounts can be deleted, so a search that changed what it read of a
+    deletion node's incident edges would answer differently."""
+    built = []
+    plan = EffectOrientedRule.__dict__["_plan"]
+
+    def counted(eor):
+        built.append(eor)
+        return plan.func(eor)
+
+    patched = cached_property(counted)
+    patched.__set_name__(EffectOrientedRule, "_plan")
+    monkeypatch.setattr(EffectOrientedRule, "_plan", patched)
+
+    def answers(rule, host) -> list:
+        """Every strategy's answer on ``host``, from ``rule()`` each time."""
+        found = [find_match(rule(), host, GLOBALLY_MAXIMAL)]
+        for pm in find_base_prematches(rule(), host):
+            for strategy in (LOCALLY_COMPLETE, LOCALLY_MAXIMAL):
+                found.append(find_match(rule(), host, strategy, pm))
+        return [None if mr is None else mr.sort_key() for mr in found]
+
+    for name, host in (
+        (ENSURE_ACCOUNT_FILE, seeded_bank(20, 0)),
+        (ENSURE_NO_ACCOUNT_FILE, tie_bank(banking_type_graph(), 12, 3)),
+    ):
+        eor = decoded_rule(name)
+        first, again = answers(lambda: eor, host), answers(lambda: eor, host)
+        assert sum(e is eor for e in built) == 1
+        assert first == again == answers(lambda: decoded_rule(name), host)
+        # The locally maximal answers have the brute-force oracle's sizes.
+        sizes = [
+            max((mr.induced.size for mr in oracle), default=None)
+            for pm in find_base_prematches(eor, host)
+            for oracle in [oracle_locally_complete(eor, host, pm)]
+        ]
+        assert [k and sum(map(len, k[:4])) for k in first[2::2]] == sizes
+        if name == ENSURE_NO_ACCOUNT_FILE:  # it deletes, more than once
+            assert sum(k is not None and k[0] != () for k in first) > 1
+
+
+def test_transform_records_what_apply_rule_records():
+    """``transform`` applies the match it finds without the checks of
+    ``apply_rule``, which hold by construction; on a copy of the host,
+    ``apply_rule`` with every check makes the same output, comatch and
+    delta, under every strategy."""
+    applied = 0
+    for seed in (1105, 4711):
+        for eor, host, pm in instances(seed, 60):
+            for strategy in STRATEGIES:
+                given = None if strategy == GLOBALLY_MAXIMAL else pm
+                mr = find_match(eor, host, strategy, given)
+                t = transform(eor, host, strategy, given)
+                if mr is None:
+                    assert t is None
+                    continue
+                copy = TypedGraph(host.type_graph, host.nodes, host.edges)
+                m = Morphism(mr.match.src_graph, copy, mr.match.node_map, mr.match.edge_map)
+                want, got = apply_rule(mr.induced.rule, copy, m), t.result
+                assert (got.output.nodes, got.output.edges) == (
+                    want.output.nodes, want.output.edges
+                )
+                assert same_maps(got.comatch, want.comatch)
+                assert same_maps(got.match, mr.match)
+                assert (got.created, got.deleted) == (want.created, want.deleted)
+                applied += 1
+    assert applied > 200
 
 
 LINKED_TG = TypeGraph(
