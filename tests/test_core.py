@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -206,6 +207,16 @@ def test_check_morphism_reports_each_violation_kind():
     assert [d.code for d in check_morphism(askew)] == ["non-commuting"]
 
 
+def test_check_morphism_reports_a_spurious_edge_mapping():
+    g = pair_graph()
+    host = g.with_elements(edges={"e3": Edge("aa", "x", "y")})
+    ids = Morphism.inclusion(g, host)
+    extra = Morphism(g, host, ids.node_map, {**ids.edge_map, "ghost": "e3"})
+    assert [(d.code, d.element) for d in check_morphism(extra)] == [
+        ("spurious-mapping", "ghost")
+    ]
+
+
 def _brute_force_injective(pattern: TypedGraph, host: TypedGraph):
     """All injective morphisms, assembled with no cleverness at all."""
     node_ids = pattern.sorted_nodes
@@ -302,6 +313,84 @@ def test_find_injective_extensions_is_deterministic():
     first = [(m.node_map, m.edge_map) for m in find_injective_extensions(pattern, host)]
     second = [(m.node_map, m.edge_map) for m in find_injective_extensions(pattern, host)]
     assert first == second
+
+
+def test_find_injective_extensions_binds_every_node_before_the_edges():
+    """The pinned stream order: free nodes in ascending id order, each over
+    its candidates in ascending order; then each class of parallel edges
+    takes the permutations of its free host class in ascending order."""
+    pattern = TypedGraph(
+        PAIR,
+        {"u": "A", "v": "A", "w": "B"},
+        {"p1": Edge("aa", "u", "v"), "p2": Edge("aa", "u", "v")},
+    )
+    host = TypedGraph(
+        PAIR,
+        {"u0": "A", "v0": "A", "b1": "B", "b2": "B"},
+        {h: Edge("aa", "u0", "v0") for h in ("h1", "h2", "h3")},
+    )
+    stream = find_injective_extensions(pattern, host)
+    assert [(m.node_map["w"], m.edge_map["p1"], m.edge_map["p2"]) for m in stream] == [
+        ("b1", "h1", "h2"), ("b1", "h1", "h3"), ("b1", "h2", "h1"),
+        ("b1", "h2", "h3"), ("b1", "h3", "h1"), ("b1", "h3", "h2"),
+        ("b2", "h1", "h2"), ("b2", "h1", "h3"), ("b2", "h2", "h1"),
+        ("b2", "h2", "h3"), ("b2", "h3", "h1"), ("b2", "h3", "h2"),
+    ]
+    pinned = find_injective_extensions(pattern, host, ({}, {"p1": "h2"}))
+    assert [(m.node_map["w"], m.edge_map["p2"]) for m in pinned] == [
+        ("b1", "h1"), ("b1", "h3"), ("b2", "h1"), ("b2", "h3")
+    ]
+
+
+# The SHA-256 of ``repr`` of ``_enumeration_parts`` over seeds 0-299,
+# computed before the injective search and the NAC shift were shortened.
+# Both must keep every result and its order.
+ENUMERATION_DIGEST = "3c2e7492f4490b99db12bf98a1891b6c668888d29efc79f7bcbbec61f38e40be"
+
+
+def _graph_key(g: TypedGraph) -> tuple:
+    edges = ((eid, e.type, e.src, e.tgt) for eid, e in g.edges.items())
+    return tuple(sorted(g.nodes.items())), tuple(sorted(edges))
+
+
+def _enumeration_parts(seed: int) -> list:
+    """Both enumerators' outputs, in stream order, on one seeded instance:
+    the injective morphisms of a pattern into a host with parallel edges,
+    without and with a partial map cut from one of them; then the NACs
+    shifted along an inclusion and along up to two renaming monos."""
+    rng = random.Random(seed)
+    tg = random_type_graph(rng)
+    pattern = random_graph(rng, tg, max_nodes=3, max_edges=4, prefix="p")
+    host = random_graph(rng, tg, max_nodes=5, max_edges=8, prefix="h")
+    host = host.with_elements(
+        edges={f"{eid}'": e for eid, e in sorted(host.edges.items()) if rng.random() < 0.4}
+    )
+    found = list(find_injective_extensions(pattern, host))
+    parts = [[m.sort_key() for m in found]]
+    if found:
+        m = rng.choice(found)
+        partial = (
+            {n: m.node_map[n] for n in sorted(m.node_map) if rng.random() < 0.5},
+            {e: m.edge_map[e] for e in sorted(m.edge_map) if rng.random() < 0.5},
+        )
+        extensions = find_injective_extensions(pattern, host, partial)
+        parts.append([x.sort_key() for x in extensions])
+    root = random_graph(rng, tg, max_nodes=2, max_edges=1, prefix="k")
+    nacs = [
+        Nac(grow(rng, root, rng.randint(0, 2), rng.randint(0, 2), f"x{j}_"))
+        for j in range(rng.randint(1, 2))
+    ]
+    wide = grow(rng, root, rng.randint(0, 2), rng.randint(0, 3), "w")
+    monos = [Morphism.inclusion(root, wide)]
+    monos += itertools.islice(find_injective_extensions(root, host), 2)
+    for b in monos:
+        parts.append([_graph_key(nac.forbidden) for nac in shift_nacs(b, nacs)])
+    return parts
+
+
+def test_enumeration_digest_is_unchanged():
+    parts = [_enumeration_parts(seed) for seed in range(300)]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == ENUMERATION_DIGEST
 
 
 def test_find_injective_extensions_leaves_no_garbage_cycles():
@@ -506,6 +595,14 @@ def test_pushout_rejects_mismatched_legs():
     )
     with pytest.raises(ValueError, match="not a valid injection"):
         pushout(squash, identity(squash.src_graph))
+
+
+def test_pushout_complement_refuses_legs_that_do_not_compose():
+    g = pair_graph()
+    k = TypedGraph(PAIR, {"x": "A"}, {})
+    other = TypedGraph(PAIR, {"x": "A", "y": "A"}, {})
+    with pytest.raises(ValueError, match="do not compose"):
+        pushout_complement(Morphism.inclusion(k, g), Morphism.inclusion(other, g))
 
 
 def _independent_dangling(host: TypedGraph, deleted_nodes, deleted_edges) -> bool:

@@ -17,12 +17,14 @@ it runs.  A step allocates no more on a large host than on a small one.
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import random
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
 import pytest
@@ -105,6 +107,19 @@ def expected_created_ids(r: Rule, context: TypedGraph) -> dict[str, str]:
         ids[rid] = f"{rid}#{k}"
         taken.add(ids[rid])
     return ids
+
+
+def test_a_graph_refuses_assignment_and_its_copy_starts_a_lineage():
+    host = TypedGraph(CHAIN, {"a": "A", "b": "B"}, {"f": Edge("ab", "a", "b")})
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'nodes'"):
+        host.nodes = {}
+    assert host.incidence == {"a": ("f",), "b": ("f",)}  # builds the store
+    twin = copy.copy(host)
+    r = swap_rule()
+    record = apply_rule(r, twin, Morphism(r.lhs, twin, {"k": "b", "d": "a"}, {"de": "f"}))
+    assert dict(host.nodes) == {"a": "A", "b": "B"} and set(host.edges) == {"f"}
+    assert dict(record.output.nodes) == {"b": "B", "c#1": "B"}
+    assert twin == host and twin._store is not host._store
 
 
 def check_step(r: Rule, record, seen: Counter) -> None:

@@ -265,6 +265,21 @@ def test_effect_rule_validation_flags_interface_mismatch():
     )
 
 
+def test_effect_rule_validation_passes_on_an_ill_formed_rule():
+    provision = ensure_account_rule()
+    base, m = provision.base, provision.maximal
+    crossed = m.rhs.with_elements(edges={"bad": Edge("portfolio", "c", "p")})
+    eor = EffectOrientedRule(base, Rule(m.lhs, m.interface, crossed, m.nacs))
+    assert [(d.code, d.element, d.message) for d in validate_effect_rule(eor)] == [
+        (
+            "endpoint-type-mismatch",
+            "bad",
+            "maximal: rhs: src node 'c' has type 'Client', "
+            "edge type 'portfolio' requires 'Account'",
+        )
+    ]
+
+
 def test_only_a_hand_built_rule_has_its_nac_equivalence_checked(monkeypatch):
     """``decode_rule`` shifts the base NACs to the maximal lhs itself, so
     it does not check their equivalence again; ``validate_effect_rule``

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from effectgraph import (
     DanglingViolation,
+    Diagnostic,
     Edge,
     EdgeType,
     Morphism,
@@ -87,6 +88,26 @@ def test_validate_rule_reports_unrooted_nac():
     loose = Nac(TypedGraph(CHAIN, {"other": "B"}, {}))
     bad = Rule(r.lhs, r.interface, r.rhs, (loose,))
     assert any(d.code == "nac-not-rooted" for d in validate_rule(bad))
+
+
+def test_validate_rule_reports_an_ill_formed_side_graph():
+    r = swap_rule()
+    crossed = r.rhs.with_elements(edges={"bad": Edge("ab", "k", "c")})
+    assert validate_rule(Rule(r.lhs, r.interface, crossed)) == [
+        Diagnostic(
+            "endpoint-type-mismatch",
+            "bad",
+            "rhs: src node 'k' has type 'B', edge type 'ab' requires 'A'",
+        )
+    ]
+
+
+def test_validate_rule_reports_an_ill_formed_nac_graph():
+    r = swap_rule()
+    odd = Nac(r.lhs.with_elements(nodes={"z": "Z"}))
+    assert validate_rule(Rule(r.lhs, r.interface, r.rhs, (odd,))) == [
+        Diagnostic("unknown-node-type", "z", "NAC 0: node type 'Z' not declared")
+    ]
 
 
 def host_with_two_hooks() -> TypedGraph:
@@ -306,6 +327,41 @@ def test_shift_nacs_overlap_example():
     assert len(shifted) == 2
     sizes = sorted(len(n.forbidden.nodes) for n in shifted)
     assert sizes == [2, 3]  # overlap with "other" vs. a fresh A-node
+
+
+def _nac_shapes(nacs) -> list[tuple[set, dict]]:
+    return [
+        (set(nac.forbidden.nodes), {k: (e.src, e.tgt) for k, e in nac.forbidden.edges.items()})
+        for nac in nacs
+    ]
+
+
+def test_shift_nacs_keeps_the_first_overlap_of_each_shape():
+    """The pinned representatives: NAC-only nodes, then edges, in ascending
+    id order, each first left out and then identified with each candidate;
+    of isomorphic overlaps the first one found is kept."""
+    root = TypedGraph(CHAIN, {"k": "B"}, {})
+    forbidden = root.with_elements(nodes={"n1": "A", "n2": "A"})
+    wide = root.with_elements(nodes={"other": "A"})
+    inclusion = Morphism.inclusion(root, wide)
+    assert _nac_shapes(shift_nacs(inclusion, [Nac(forbidden)])) == [
+        ({"k", "other", "n1#1"}, {}),
+        ({"k", "other", "n1#1", "n2#1"}, {}),
+    ]
+    hooked = forbidden.with_elements(
+        edges={"e1": Edge("ab", "n1", "k"), "e2": Edge("ab", "n2", "k")}
+    )
+    wide = wide.with_elements(edges={"f": Edge("ab", "other", "k")})
+    inclusion = Morphism.inclusion(root, wide)
+    f = ("other", "k")
+    assert _nac_shapes(shift_nacs(inclusion, [Nac(hooked)])) == [
+        ({"k", "other", "n1#1"}, {"e1#1": ("n1#1", "k"), "f": f}),
+        ({"k", "other", "n1#1"}, {"e1#1": ("n1#1", "k"), "e2#1": f, "f": f}),
+        (
+            {"k", "other", "n1#1", "n2#1"},
+            {"e1#1": ("n1#1", "k"), "e2#1": ("n2#1", "k"), "f": f},
+        ),
+    ]
 
 
 def test_nac_sets_equivalent_detects_difference():
