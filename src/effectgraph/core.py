@@ -657,96 +657,66 @@ def find_injective_extensions(
     node_map, edge_map = _normalise_partial(pattern, store, partial)
     free_nodes = [n for n in sorted(p_nodes) if n not in node_map]
     used = set(node_map.values())
-
-    pattern_classes: dict[tuple[str, str, str], list[str]] = {}
+    # The node map is injective, so distinct pattern classes land in distinct
+    # host classes, and the endpoint closure puts a class's pre-assigned
+    # edges in its own: a class fits when its host class is as large, and
+    # its free edges avoid only the pre-assigned images.
+    classes: dict[tuple[str, str, str], list[str]] = {}
     for eid in sorted(p_edges):
         e = p_edges[eid]
-        pattern_classes.setdefault((e.type, e.src, e.tgt), []).append(eid)
-    preassigned_per_class: Counter = Counter()
-    claimed_per_host_class: Counter = Counter()
-    for eid, img in edge_map.items():
-        e = p_edges[eid]
-        preassigned_per_class[(e.type, e.src, e.tgt)] += 1
-        he = store.edges[img]
-        claimed_per_host_class[(he.type, he.src, he.tgt)] += 1
-
-    def class_feasible(cls: tuple[str, str, str]) -> bool:
-        etype, ps, pt = cls
-        hs, ht = node_map.get(ps), node_map.get(pt)
-        if hs is None or ht is None:
-            return True
-        need = len(pattern_classes[cls]) - preassigned_per_class[cls]
-        host_cls = (etype, hs, ht)
-        have = len(store.edge_classes.get(host_cls, ())) - claimed_per_host_class[host_cls]
-        return have >= need
-
+        classes.setdefault((e.type, e.src, e.tgt), []).append(eid)
     touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in p_nodes}
-    for cls in pattern_classes:
+    for cls in classes:
         _, ps, pt = cls
         touching[ps].append(cls)
         if pt != ps:
             touching[pt].append(cls)
+    fixed = set(edge_map.values())
+    free_edges = [
+        (cls, [e for e in ids if e not in edge_map])
+        for cls, ids in sorted(classes.items())
+    ]
 
-    def assign_edges() -> Iterator[dict[str, str]]:
-        classes = sorted(pattern_classes)
-        claimed = set(edge_map.values())
+    def host_class(cls: tuple[str, str, str]) -> tuple[str, ...]:
+        etype, ps, pt = cls
+        return store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())
 
-        def per_class(
-            per_class, idx: int, acc: dict[str, str]
-        ) -> Iterator[dict[str, str]]:
-            if idx == len(classes):
-                yield dict(acc)
-                return
-            cls = classes[idx]
-            etype, ps, pt = cls
-            remaining = [e for e in pattern_classes[cls] if e not in edge_map]
-            if not remaining:
-                yield from per_class(per_class, idx + 1, acc)
-                return
-            candidates = [
-                h
-                for h in store.edge_classes.get(
-                    (etype, node_map[ps], node_map[pt]), ()
-                )
-                if h not in claimed
-            ]
-            if len(candidates) < len(remaining):
-                return
-            for combo in itertools.permutations(candidates, len(remaining)):
-                for e, h in zip(remaining, combo):
-                    acc[e] = h
-                    claimed.add(h)
-                yield from per_class(per_class, idx + 1, acc)
-                for e, h in zip(remaining, combo):
-                    del acc[e]
-                    claimed.discard(h)
+    def fits(cls: tuple[str, str, str]) -> bool:
+        _, ps, pt = cls
+        if ps not in node_map or pt not in node_map:
+            return True
+        return len(host_class(cls)) >= len(classes[cls])
 
-        yield from per_class(per_class, 0, dict(edge_map))
-
-    # ``assign_nodes`` and ``per_class`` call themselves through an argument,
-    # not a closure cell, so a finished or dropped stream leaves no cycle.  A
-    # type bucket iterated across a yield is the same list once rerooted.
-    def assign_nodes(assign_nodes, pos: int) -> Iterator[Morphism]:
+    # ``extend`` binds the free nodes, then each class's free edges, and
+    # calls itself through an argument, not a closure cell, so a finished or
+    # dropped stream leaves no cycle.  A type bucket iterated across a yield
+    # is the same list once rerooted.
+    def extend(extend, pos: int) -> Iterator[Morphism]:
         if pos == 0:
             host._rooted()
-        if pos == len(free_nodes):
-            for emap in assign_edges():
-                yield Morphism(pattern, host, dict(node_map), emap)
-                if host._link is not None:
-                    host._rooted()
-            return
-        v = free_nodes[pos]
-        for x in store.nodes_by_type.get(p_nodes[v], ()):
-            if x in used:
-                continue
-            node_map[v] = x
-            used.add(x)
-            if all(class_feasible(cls) for cls in touching[v]):
-                yield from assign_nodes(assign_nodes, pos + 1)
-            del node_map[v]
-            used.discard(x)
+        if pos < len(free_nodes):
+            v = free_nodes[pos]
+            for x in store.nodes_by_type.get(p_nodes[v], ()):
+                if x in used:
+                    continue
+                node_map[v] = x
+                used.add(x)
+                if all(fits(cls) for cls in touching[v]):
+                    yield from extend(extend, pos + 1)
+                del node_map[v]
+                used.discard(x)
+        elif pos - len(free_nodes) < len(free_edges):
+            cls, remaining = free_edges[pos - len(free_nodes)]
+            free = [h for h in host_class(cls) if h not in fixed]
+            for combo in itertools.permutations(free, len(remaining)):
+                edge_map.update(zip(remaining, combo))
+                yield from extend(extend, pos + 1)
+        else:
+            yield Morphism(pattern, host, dict(node_map), dict(edge_map))
+            if host._link is not None:
+                host._rooted()
 
-    return assign_nodes(assign_nodes, 0)
+    return extend(extend, 0)
 
 
 def _edge_kinds(g: TypedGraph | _Store, node: str) -> Iterator[tuple[str, bool, bool]]:

@@ -12,7 +12,6 @@ graphs and ready-made base matches for both clients of the first host.
 from __future__ import annotations
 
 from functools import cache
-from importlib.resources import files
 from pathlib import Path
 
 from .core import TypeGraph, TypedGraph
@@ -39,7 +38,7 @@ ALL_FILES = (
 
 
 def fixture_path(name: str) -> Path:
-    path = Path(str(files(__package__).joinpath("fixtures", name)))
+    path = Path(__file__).parent / "fixtures" / name
     if not path.is_file():
         raise FileNotFoundError(f"no fixture file named {name!r}")
     return path

@@ -154,63 +154,6 @@ def satisfies_nacs(m: Morphism, nacs: Iterable[Nac]) -> bool:
     return True
 
 
-def _overlap_candidates(
-    extra_nodes: Sequence[str],
-    extra_edges: Sequence[str],
-    nac_graph: TypedGraph,
-    target: TypedGraph,
-    image_nodes: frozenset[str],
-    image_edges: frozenset[str],
-    b_nodes: dict[str, str],
-) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-    """All injective partial identifications of NAC-only elements with
-    target elements outside the image of the root morphism."""
-    free_nodes = [n for n in target.sorted_nodes if n not in image_nodes]
-    free_edges = [e for e in target.sorted_edges if e not in image_edges]
-
-    # Recursing through an argument, not a closure cell, leaves no cycles.
-    def node_choices(
-        node_choices, idx: int, phi: dict[str, str]
-    ) -> Iterator[dict[str, str]]:
-        if idx == len(extra_nodes):
-            yield dict(phi)
-            return
-        n = extra_nodes[idx]
-        yield from node_choices(node_choices, idx + 1, phi)
-        for x in free_nodes:
-            if x in phi.values() or target.nodes[x] != nac_graph.nodes[n]:
-                continue
-            phi[n] = x
-            yield from node_choices(node_choices, idx + 1, phi)
-            del phi[n]
-
-    def edge_choices(
-        edge_choices, phi: dict[str, str], idx: int, psi: dict[str, str]
-    ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-        if idx == len(extra_edges):
-            yield dict(phi), dict(psi)
-            return
-        eid = extra_edges[idx]
-        yield from edge_choices(edge_choices, phi, idx + 1, psi)
-        e = nac_graph.edges[eid]
-        src_img = b_nodes.get(e.src, phi.get(e.src))
-        tgt_img = b_nodes.get(e.tgt, phi.get(e.tgt))
-        if src_img is None or tgt_img is None:
-            return
-        for x in free_edges:
-            if x in psi.values():
-                continue
-            te = target.edges[x]
-            if te.type != e.type or te.src != src_img or te.tgt != tgt_img:
-                continue
-            psi[eid] = x
-            yield from edge_choices(edge_choices, phi, idx + 1, psi)
-            del psi[eid]
-
-    for phi in node_choices(node_choices, 0, {}):
-        yield from edge_choices(edge_choices, phi, 0, {})
-
-
 def _rooted_injection_exists(
     root: TypedGraph, source: TypedGraph, target: TypedGraph
 ) -> bool:
@@ -235,55 +178,71 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
     set is satisfied by ``m'`` exactly when the input set is satisfied by
     ``m' . b``.  Each result arises from one way of overlapping the NAC-only
     elements with codomain elements outside the image of ``b``; results that
-    agree up to a root-fixing isomorphism are deduplicated.
+    agree up to a root-fixing isomorphism are deduplicated, keeping the
+    first found.  The overlaps come from one recursion over the NAC-only
+    nodes, then edges, in ascending id order: each is first left out, then
+    identified with each unused element of its type bucket or edge class.
     """
     target = b.dst_graph
-    b_nodes = dict(b.node_map)
+    store = target._rooted()
     shifted: list[Nac] = []
     for nac in nacs:
         n_graph = nac.forbidden
-        root = b.src_graph
-        extra_nodes = [n for n in n_graph.sorted_nodes if n not in root.nodes]
-        extra_edges = [e for e in n_graph.sorted_edges if e not in root.edges]
-        for phi, psi in _overlap_candidates(
-            extra_nodes,
-            extra_edges,
-            n_graph,
-            target,
-            b.node_images,
-            b.edge_images,
-            b_nodes,
-        ):
-            taken = set(target.nodes) | set(target.edges)
-            nodes = dict(target.nodes)
-            node_names: dict[str, str] = {}
-            for n in extra_nodes:
-                if n in phi:
-                    node_names[n] = phi[n]
+        extra_nodes = [n for n in n_graph.sorted_nodes if n not in b.src_graph.nodes]
+        extra_edges = [e for e in n_graph.sorted_edges if e not in b.src_graph.edges]
+        extras = extra_nodes + extra_edges
+        # The codomain images of the NAC nodes (the root's by ``b``) and of
+        # the NAC-only edges identified so far, and the images taken.
+        names, same = dict(b.node_map), {}
+        used_nodes, used_edges = set(b.node_images), set(b.edge_images)
+
+        # Recursing through an argument, not a closure cell, leaves no cycles.
+        def overlaps(overlaps, i: int) -> Iterator[None]:
+            if i == len(extras):
+                yield
+                if target._link is not None:
+                    target._rooted()
+                return
+            yield from overlaps(overlaps, i + 1)
+            x = extras[i]
+            if i < len(extra_nodes):
+                found, images = names, used_nodes
+                candidates = store.nodes_by_type.get(n_graph.nodes[x], ())
+            else:
+                found, images = same, used_edges
+                e = n_graph.edges[x]
+                key = e.type, names.get(e.src), names.get(e.tgt)
+                candidates = () if None in key else store.edge_classes.get(key, ())
+            for y in candidates:
+                if y in images:
                     continue
-                new = fresh_id(n, taken.__contains__)
-                taken.add(new)
-                nodes[new] = n_graph.nodes[n]
-                node_names[n] = new
-            edges = dict(target.edges)
-            ok = True
+                found[x] = y
+                images.add(y)
+                yield from overlaps(overlaps, i + 1)
+                del found[x]
+                images.discard(y)
+
+        for _ in overlaps(overlaps, 0):
+            taken = set(target.nodes) | set(target.edges)
+            nodes, edges, ends = dict(target.nodes), dict(target.edges), dict(names)
+            for n in extra_nodes:
+                if n not in ends:
+                    ends[n] = fresh_id(n, taken.__contains__)
+                    taken.add(ends[n])
+                    nodes[ends[n]] = n_graph.nodes[n]
             for eid in extra_edges:
-                if eid in psi:
+                if eid in same:
                     continue
                 e = n_graph.edges[eid]
-                src = b_nodes.get(e.src, node_names.get(e.src))
-                tgt = b_nodes.get(e.tgt, node_names.get(e.tgt))
-                if src is None or tgt is None:
-                    ok = False
+                if e.src not in ends or e.tgt not in ends:
                     break
                 new = fresh_id(eid, taken.__contains__)
                 taken.add(new)
-                edges[new] = Edge(e.type, src, tgt)
-            if not ok:
-                continue
-            candidate = Nac(TypedGraph(target.type_graph, nodes, edges))
-            if not any(_same_rooted_nac(target, candidate, kept) for kept in shifted):
-                shifted.append(candidate)
+                edges[new] = Edge(e.type, ends[e.src], ends[e.tgt])
+            else:
+                candidate = Nac(TypedGraph(target.type_graph, nodes, edges))
+                if not any(_same_rooted_nac(target, candidate, k) for k in shifted):
+                    shifted.append(candidate)
     shifted.sort(
         key=lambda nac: (
             len(nac.forbidden.nodes),

@@ -1,8 +1,13 @@
-"""End-to-end runs of the command-line front end, in process."""
+"""End-to-end runs of the command-line front end, in process, and the
+imports it costs a fresh interpreter."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -528,3 +533,19 @@ def test_no_color_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--no-color", "validate", TYPE_GRAPH_FILE)
     assert code == 0
     assert "\033[" not in out
+
+
+def test_importing_the_cli_leaves_out_importlib_resources():
+    """The fixtures are found next to the package's source, so a process
+    that ``site`` has not already given ``importlib.resources`` does not
+    pay for importing it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import effectgraph.cli, sys; print('importlib.resources' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
