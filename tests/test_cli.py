@@ -379,6 +379,31 @@ def test_validate_registers_type_graph_files_first(tmp_path, capsys):
     assert "unknown type graph" in out
 
 
+def test_validate_reports_unreadable_files_and_type_graphs_first(
+    tmp_path, monkeypatch, capsys
+):
+    """Unreadable files and type graphs are reported first, in the order
+    given, and a type graph's own error is reported like any other."""
+    monkeypatch.chdir(tmp_path)
+    Path("broken.json").write_text("not json")
+    bad_tg = {"kind": "type_graph", "name": "t", "node_types": ["A"]}
+    bad_tg["edge_types"] = {"e": {"source": "C", "target": "A"}}
+    Path("bad_tg.json").write_text(json.dumps(bad_tg))
+    bad_graph = {"kind": "graph", "type_graph": "banking", "edges": []}
+    bad_graph["nodes"] = [{"id": "n", "type": "Nope"}]
+    Path("bad_graph.json").write_text(json.dumps(bad_graph))
+    files = ["broken.json", BANK_GRAPH_FILE, "bad_tg.json", "bad_graph.json"]
+    code, out, _ = run(capsys, "--no-color", "validate", *files, TYPE_GRAPH_FILE)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL broken.json: not valid JSON: Expecting value: line 1 column 1 (char 0)",
+        "FAIL bad_tg.json: invalid: edge type 'e' has unknown source type 'C'",
+        f"ok {TYPE_GRAPH_FILE}",
+        f"ok {BANK_GRAPH_FILE}",
+        "FAIL bad_graph.json: unknown-node-type [n]: node type 'Nope' not declared",
+    ]
+
+
 def test_types_flag_extends_the_registry(tmp_path, capsys):
     from effectgraph import Edge, EdgeType, EffectOrientedRule, Rule, TypeGraph
     from effectgraph.documents import encode_rule

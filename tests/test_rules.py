@@ -364,6 +364,29 @@ def test_shift_nacs_keeps_the_first_overlap_of_each_shape():
     ]
 
 
+def test_shift_nacs_reroots_the_codomain_when_a_nac_shares_its_lineage():
+    """A NAC that is a later step of the codomain's lineage reroots the
+    shared store when it is read; the overlaps must still draw their
+    candidates from the codomain, so the result is that of the same NACs
+    rebuilt in lineages of their own."""
+    tg = TypeGraph("ab", frozenset({"A", "B"}), {"e": EdgeType("A", "B")})
+    root = TypedGraph(tg, {"k": "B"}, {})
+    wide = root.with_elements(nodes={"other": "A"}, edges={"e1": Edge("e", "other", "k")})
+    grown = root.with_elements(nodes={"n2": "A"}, edges={"f": Edge("e", "n2", "k")})
+    step = apply_rule(Rule(root, root, grown), wide, Morphism.inclusion(root, wide))
+    nacs = [Nac(root.with_elements(nodes={"x": "B"})), Nac(step.output)]
+
+    def rebuilt(g: TypedGraph) -> TypedGraph:
+        return TypedGraph(g.type_graph, dict(g.nodes), dict(g.edges))
+
+    shifted = shift_nacs(Morphism.inclusion(root, wide), nacs)
+    expected = shift_nacs(
+        Morphism.inclusion(root, rebuilt(wide)), [Nac(rebuilt(n.forbidden)) for n in nacs]
+    )
+    assert len(expected) == 4
+    assert shifted == expected
+
+
 def test_nac_sets_equivalent_detects_difference():
     root = TypedGraph(CHAIN, {"k": "B"}, {})
     with_edge = Nac(
