@@ -212,55 +212,49 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     color = _color_enabled(args)
     registry = _registry(args)
+
+    def register(doc: dict) -> None:
+        tg = decode_type_graph(doc)
+        registry[tg.name] = tg
+
     decoders = {
+        "type_graph": register,
         "graph": lambda doc: decode_graph(doc, registry),
         "rule": lambda doc: decode_rule(doc, registry),
         "match": decode_match,
         "trace": decode_trace,
         "audit_report": decode_audit_report,
     }
-    failures = 0
-
-    def report(path: str, problems: list[str]) -> None:
-        nonlocal failures
-        if problems:
-            failures += 1
-            for problem in problems:
-                print(f"{_paint('FAIL', '31', color)} {path}: {problem}")
-        else:
-            print(f"{_paint('ok', '32', color)} {path}")
-
-    remaining: list[tuple[str, dict]] = []
+    docs: list[tuple[str, dict | ParseError]] = []
     for path in args.files:
         try:
-            doc = _load(_read(path))
+            docs.append((path, _load(_read(path))))
         except ParseError as exc:
-            report(path, [str(exc)])
-            continue
-        if doc.get("kind") == "type_graph":
-            # Register first so later files can refer to this type graph.
-            try:
-                tg = decode_type_graph(doc)
-                registry[tg.name] = tg
-                report(path, [])
-            except (ParseError, ValidationError) as exc:
-                report(path, [str(exc)])
-        else:
-            remaining.append((path, doc))
-    for path, doc in remaining:
-        kind = doc.get("kind")
-        decoder = decoders.get(kind) if isinstance(kind, str) else None
-        if decoder is None:
-            report(path, [f"unknown document kind {kind!r}"])
-            continue
+            docs.append((path, exc))
+    # Unreadable files and type graphs first, each in the order given, so
+    # that a type graph registers before the files that refer to it.
+    docs.sort(key=lambda d: isinstance(d[1], dict) and d[1].get("kind") != "type_graph")
+    failures = 0
+    for path, doc in docs:
         try:
+            if isinstance(doc, ParseError):
+                raise doc
+            kind = doc.get("kind")
+            decoder = decoders.get(kind) if isinstance(kind, str) else None
+            if decoder is None:
+                raise ParseError(f"unknown document kind {kind!r}")
             decoder(doc)
         except ValidationError as exc:
-            report(path, [str(d) for d in exc.diagnostics])
+            problems = [str(d) for d in exc.diagnostics]
         except ParseError as exc:
-            report(path, [str(exc)])
+            problems = [str(exc)]
         else:
-            report(path, [])
+            problems = []
+        failures += bool(problems)
+        for problem in problems:
+            print(f"{_paint('FAIL', '31', color)} {path}: {problem}")
+        if not problems:
+            print(f"{_paint('ok', '32', color)} {path}")
     return 1 if failures else 0
 
 

@@ -229,8 +229,8 @@ class TypedGraph:
     def __init__(
         self, type_graph: TypeGraph, nodes: Mapping[str, str], edges: Mapping[str, Edge]
     ) -> None:
-        own = _copy(nodes), _copy(edges)
-        self.__dict__.update(type_graph=type_graph, _own=own, _link=None)
+        store = _Store(_copy(nodes), _copy(edges))
+        self.__dict__.update(type_graph=type_graph, _store=store, _link=None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -244,14 +244,6 @@ class TypedGraph:
 
     def __reduce__(self) -> tuple:  # copies start a lineage of their own
         return TypedGraph, (self.type_graph, dict(self.nodes), dict(self.edges))
-
-    @cached_property
-    def _store(self) -> _Store:
-        """A built graph's store: its own copies, copied again if handed out."""
-        nodes, edges = self.__dict__.pop("_own")
-        if "nodes" in self.__dict__ or "edges" in self.__dict__:
-            nodes, edges = nodes.copy(), edges.copy()
-        return _Store(nodes, edges)
 
     def _rooted(self) -> _Store:
         """The lineage's store, rerooted to this graph: the deltas from the
@@ -321,13 +313,11 @@ class TypedGraph:
 
     @cached_property
     def nodes(self) -> Mapping[str, str]:
-        own = self.__dict__.get("_own")  # a built graph's, until a store takes them
-        return MappingProxyType(own[0] if own else self._rooted().nodes.copy())
+        return MappingProxyType(self._rooted().nodes.copy())
 
     @cached_property
     def edges(self) -> Mapping[str, Edge]:
-        own = self.__dict__.get("_own")
-        return MappingProxyType(own[1] if own else self._rooted().edges.copy())
+        return MappingProxyType(self._rooted().edges.copy())
 
     @property
     def sorted_nodes(self) -> tuple[str, ...]:
@@ -712,7 +702,7 @@ def find_injective_extensions(
                 edge_map.update(zip(remaining, combo))
                 yield from extend(extend, pos + 1)
         else:
-            yield Morphism(pattern, host, dict(node_map), dict(edge_map))
+            yield Morphism(pattern, host, node_map, edge_map)
             if host._link is not None:
                 host._rooted()
 

@@ -200,6 +200,8 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
         def overlaps(overlaps, i: int) -> Iterator[None]:
             if i == len(extras):
                 yield
+                # Reading a NAC of the codomain's lineage reroots the store to
+                # it before the first candidate is drawn, so reroot it back.
                 if target._link is not None:
                     target._rooted()
                 return
@@ -223,12 +225,10 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
                 images.discard(y)
 
         for _ in overlaps(overlaps, 0):
-            taken = set(target.nodes) | set(target.edges)
             nodes, edges, ends = dict(target.nodes), dict(target.edges), dict(names)
             for n in extra_nodes:
                 if n not in ends:
-                    ends[n] = fresh_id(n, taken.__contains__)
-                    taken.add(ends[n])
+                    ends[n] = fresh_id(n, lambda x: x in nodes or x in edges)
                     nodes[ends[n]] = n_graph.nodes[n]
             for eid in extra_edges:
                 if eid in same:
@@ -236,8 +236,7 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
                 e = n_graph.edges[eid]
                 if e.src not in ends or e.tgt not in ends:
                     break
-                new = fresh_id(eid, taken.__contains__)
-                taken.add(new)
+                new = fresh_id(eid, lambda x: x in nodes or x in edges)
                 edges[new] = Edge(e.type, ends[e.src], ends[e.tgt])
             else:
                 candidate = Nac(TypedGraph(target.type_graph, nodes, edges))

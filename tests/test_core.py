@@ -25,7 +25,7 @@ from effectgraph import (
     shift_nacs,
     validate_graph,
 )
-from effectgraph.core import fresh_id
+from effectgraph.core import fresh_id, is_id_subgraph
 from effectgraph.fixtures import bank_graph, ensure_account_rule
 
 from gen import empty_graph, grow, random_graph, random_type_graph
@@ -88,6 +88,27 @@ def test_validate_graph_flags_foreign_type_graph():
     other = TypeGraph("other", frozenset({"A"}), {})
     diags = validate_graph(empty_graph(other), PAIR)
     assert [d.code for d in diags] == ["type-graph-mismatch"]
+
+
+def test_reprs_summarise_graphs_and_maps():
+    g = pair_graph()
+    assert repr(PAIR) == "TypeGraph('pair', 2 node types, 2 edge types)"
+    assert repr(g) == "TypedGraph(3 nodes, 2 edges over 'pair')"
+    m = Morphism(g, g, {"x": "y", "y": "x", "z": "z"}, {})
+    assert repr(m) == "Morphism({'x': 'y', 'y': 'x', 'z': 'z'}, {})"
+
+
+def test_a_graph_leaves_comparison_with_another_kind_to_it():
+    g = pair_graph()
+    assert g.__eq__(1) is NotImplemented
+    assert (g == 1) is False
+
+
+def test_is_id_subgraph_compares_edges_by_type_and_ends():
+    g = pair_graph()
+    moved = TypedGraph(PAIR, dict(g.nodes), {"e1": Edge("ab", "y", "z")})
+    assert is_id_subgraph(TypedGraph(PAIR, dict(g.nodes), {"e1": g.edges["e1"]}), g)
+    assert not is_id_subgraph(moved, g)
 
 
 def test_with_elements_rejects_collisions_and_missing_endpoints():

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from effectgraph import (
+    Diagnostic,
     Edge,
     EdgeType,
     EffectOrientedRule,
@@ -177,6 +178,19 @@ def test_validate_selection_reports_foreign_elements():
     # "a" is a potential creation, not a potential deletion.
     assert ("not-potential", "a") in codes
     assert ("not-potential", "ghost") in codes
+
+
+def test_validate_selection_reports_foreign_edges():
+    provision = ensure_account_rule()
+    bogus = InducedSelection(
+        ElementSet(frozenset(), frozenset({"accounts_c_a"})),
+        ElementSet(frozenset(), frozenset({"ghost"})),
+    )
+    # "accounts_c_a" is a potential creation, not a potential deletion.
+    assert validate_selection(provision, bogus) == [
+        Diagnostic("not-potential", "accounts_c_a", "not a potential deletion edge"),
+        Diagnostic("not-potential", "ghost", "not a potential creation edge"),
+    ]
 
 
 def test_validate_selection_requires_edge_closure():

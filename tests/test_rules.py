@@ -110,6 +110,18 @@ def test_validate_rule_reports_an_ill_formed_nac_graph():
     ]
 
 
+def test_validate_rule_reports_a_side_over_another_type_graph():
+    r = swap_rule()
+    other = TypeGraph("other", CHAIN.node_types, CHAIN.edge_types)
+    rhs = TypedGraph(other, dict(r.rhs.nodes), dict(r.rhs.edges))
+    assert validate_rule(Rule(r.lhs, r.interface, rhs)) == [
+        Diagnostic("type-graph-mismatch", None, "rhs uses another type graph"),
+        Diagnostic(
+            "type-graph-mismatch", None, "rhs: graph is typed over 'other', expected 'chain'"
+        ),
+    ]
+
+
 def host_with_two_hooks() -> TypedGraph:
     return TypedGraph(
         CHAIN,
