@@ -28,6 +28,8 @@ from effectgraph import (
     shift_nacs,
 )
 
+from effectgraph.fixtures import banking_type_graph
+
 from oracles import rule_applicable
 
 
@@ -161,3 +163,28 @@ def instances(
             continue
         yield eor, host, rng.choice(pms)
         produced += 1
+
+
+def seeded_bank(n: int, seed: int) -> TypedGraph:
+    """The benchmark's generated bank (``bench/bank.py``): clients
+    ``c0..c{n-1}`` of one bank, each holding up to two accounts, each
+    account backed by a portfolio with probability 0.5."""
+    rng = random.Random(seed)
+    nodes = {"b": "Bank"}
+    edges = {}
+    for i in range(n):
+        c = f"c{i}"
+        nodes[c] = "Client"
+        edges[f"owns_client_b_{c}"] = Edge("owns_client", "b", c)
+        for j in range(rng.randint(0, 2)):
+            a = f"a{i}_{j}"
+            nodes[a] = "Account"
+            edges[f"accounts_{c}_{a}"] = Edge("accounts", c, a)
+            edges[f"owns_account_b_{a}"] = Edge("owns_account", "b", a)
+            if rng.random() < 0.5:
+                p = f"p{i}_{j}"
+                nodes[p] = "Portfolio"
+                edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
+                edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
+                edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
+    return TypedGraph(banking_type_graph(), nodes, edges)

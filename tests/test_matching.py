@@ -61,7 +61,7 @@ from effectgraph.semantics import (
     find_match,
 )
 
-from gen import empty_graph, empty_selection, instances, random_graph
+from gen import empty_graph, empty_selection, instances, random_graph, seeded_bank
 from oracles import (
     compose,
     induced,
@@ -792,31 +792,6 @@ def test_transform_applies_the_first_maximal_result():
             assert t.base_prematch == first.base_prematch
             applied += 1
     assert applied > 600
-
-
-def seeded_bank(n: int, seed: int) -> TypedGraph:
-    """The benchmark's generated bank (``bench/bank.py``): clients
-    ``c0..c{n-1}`` of one bank, each holding up to two accounts, each
-    account backed by a portfolio with probability 0.5."""
-    rng = random.Random(seed)
-    nodes = {"b": "Bank"}
-    edges = {}
-    for i in range(n):
-        c = f"c{i}"
-        nodes[c] = "Client"
-        edges[f"owns_client_b_{c}"] = Edge("owns_client", "b", c)
-        for j in range(rng.randint(0, 2)):
-            a = f"a{i}_{j}"
-            nodes[a] = "Account"
-            edges[f"accounts_{c}_{a}"] = Edge("accounts", c, a)
-            edges[f"owns_account_b_{a}"] = Edge("owns_account", "b", a)
-            if rng.random() < 0.5:
-                p = f"p{i}_{j}"
-                nodes[p] = "Portfolio"
-                edges[f"portfolio_{a}_{p}"] = Edge("portfolio", a, p)
-                edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
-                edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
-    return TypedGraph(banking_type_graph(), nodes, edges)
 
 
 def test_a_chain_of_steps_builds_each_induced_rule_once(monkeypatch):

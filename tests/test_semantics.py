@@ -31,7 +31,7 @@ from effectgraph.fixtures import (
     shared_accounts_graph,
 )
 
-from gen import empty_graph, empty_selection
+from gen import empty_graph, empty_selection, seeded_bank
 
 
 def prematch_at(eor, host, client) -> PreMatch:
@@ -222,3 +222,18 @@ def test_audit_accepts_the_honest_empty_host_creation():
         ("portfolios_c_p", "skipped:not-a-graph"),
         ("portfolio_a_p", "skipped:not-a-graph"),
     }
+
+
+def test_the_audit_leaves_a_chain_step_at_the_root():
+    """40 locally complete ``ensure_account`` steps, each audited: every
+    creation the audit skips as not a graph is decided without reading the
+    input, so the output stays the root of its lineage and the next step
+    replays no delta."""
+    provision = ensure_account_rule()
+    host = seeded_bank(200, 3)
+    for i in range(40):
+        pm = prematch_at(provision, host, f"c{i}")
+        t = transform(provision, host, "locally_complete", pm)
+        audit_effect(t)
+        assert t.result.output._link is None, i
+        host = t.result.output
