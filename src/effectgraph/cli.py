@@ -74,12 +74,12 @@ def _paint(text: str, code: str, enabled: bool) -> str:
 
 def _read(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        try:
-            p = fixture_path(path)
-        except FileNotFoundError:
-            raise ParseError(f"no such file: {path}") from None
-    return p.read_text(encoding="utf-8")
+    try:
+        return (p if p.is_file() else fixture_path(path)).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8 (RFC 8259)
+        raise ParseError(f"not valid JSON: {exc}") from None
 
 
 def _registry(args: argparse.Namespace) -> dict[str, TypeGraph]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Mapping, NoReturn
 
 from .core import (
+    DanglingViolation,
     Diagnostic,
     Edge,
     EdgeType,
@@ -38,7 +39,7 @@ from .effect import (
     build_induced_rule,
 )
 from .matching import InvalidPreMatch, PreMatch, validate_prematch
-from .rules import Nac, Rule, apply_rule, shift_nacs
+from .rules import Nac, Rule, _apply, shift_nacs
 from .semantics import (
     STRATEGIES,
     AuditEntry,
@@ -280,22 +281,14 @@ def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
 
 
 def _actions_of(eor: EffectOrientedRule) -> dict[str, str]:
-    base, maximal = eor.base, eor.maximal
-    interface = eor.interface
-    tags: dict[str, str] = {}
-    for xid in list(maximal.lhs.nodes) + list(maximal.lhs.edges):
-        if xid in interface.nodes or xid in interface.edges:
-            tags[xid] = "preserve"
-        elif xid in base.lhs.nodes or xid in base.lhs.edges:
-            tags[xid] = "delete"
-        else:
-            tags[xid] = "delete_potential"
-    for xid in list(maximal.rhs.nodes) + list(maximal.rhs.edges):
-        if xid in tags:
-            continue
-        in_base = xid in base.rhs.nodes or xid in base.rhs.edges
-        tags[xid] = "create" if in_base else "create_potential"
-    return tags
+    """The action tag of every element of the maximal rule's sides: that of
+    the first graph holding it, in the order of :data:`ACTIONS`."""
+    lhs, rhs = eor.maximal.lhs, eor.maximal.rhs
+    graphs = list(zip(ACTIONS, (eor.interface, eor.base.lhs, lhs, eor.base.rhs, rhs)))
+    return {
+        xid: next(a for a, g in graphs if xid in g.nodes or xid in g.edges)
+        for xid in (*lhs.nodes, *lhs.edges, *rhs.nodes, *rhs.edges)
+    }
 
 
 def _element_entry(
@@ -340,17 +333,6 @@ def encode_rule(name: str, eor: EffectOrientedRule) -> str:
             "nacs": nac_blocks,
         }
     )
-
-
-_EDGE_ENDPOINT_ACTIONS = {
-    "preserve": {"preserve"},
-    "delete": {"preserve", "delete"},
-    "create": {"preserve", "create"},
-    # Potential edges may not touch mandatory-action nodes: the edge could
-    # then never (creation) or not safely (deletion) be left unselected.
-    "delete_potential": {"preserve", "delete_potential"},
-    "create_potential": {"preserve", "create_potential"},
-}
 
 
 def _read_elements(
@@ -405,8 +387,10 @@ def decode_rule(
         for endpoint in (e.src, e.tgt):
             if endpoint not in node_types:
                 raise ParseError("edge endpoint is not a declared node", eid)
-            allowed = _EDGE_ENDPOINT_ACTIONS[action_of[eid]]
-            if action_of[endpoint] not in allowed:
+            # Potential edges may not touch mandatory-action nodes: the edge
+            # could then never (creation) or not safely (deletion) be left
+            # unselected.  Every edge may touch preserved nodes.
+            if action_of[endpoint] not in ("preserve", action_of[eid]):
                 problems.append(
                     Diagnostic(
                         "inconsistent-tags",
@@ -632,8 +616,10 @@ def rebuild_transformation(
     ):
         raise ValidationError(["recorded match does not extend the base match"])
     try:
-        record = apply_rule(induced.rule, host, match)
-    except (EffectGraphError, ValueError) as exc:
+        # The checks above and the pre-match's NACs, which the induced rule's
+        # shifted NACs inherit, are all that apply_rule would check again.
+        record = _apply(induced.rule, host, match)
+    except DanglingViolation as exc:
         raise ValidationError([f"trace is not applicable: {exc}"]) from None
     if (
         dict(record.comatch.node_map) != trace.comatch[0]

@@ -181,10 +181,10 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
     agree up to a root-fixing isomorphism are deduplicated, keeping the
     first found.  The overlaps come from one recursion over the NAC-only
     nodes, then edges, in ascending id order: each is first left out, then
-    identified with each unused element of its type bucket or edge class.
+    identified with each unused element of its type bucket or edge class,
+    read from the codomain's snapshots, which never change.
     """
     target = b.dst_graph
-    store = target._rooted()
     shifted: list[Nac] = []
     for nac in nacs:
         n_graph = nac.forbidden
@@ -200,21 +200,17 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
         def overlaps(overlaps, i: int) -> Iterator[None]:
             if i == len(extras):
                 yield
-                # Reading a NAC of the codomain's lineage reroots the store to
-                # it before the first candidate is drawn, so reroot it back.
-                if target._link is not None:
-                    target._rooted()
                 return
             yield from overlaps(overlaps, i + 1)
             x = extras[i]
             if i < len(extra_nodes):
                 found, images = names, used_nodes
-                candidates = store.nodes_by_type.get(n_graph.nodes[x], ())
+                candidates = target.nodes_by_type.get(n_graph.nodes[x], ())
             else:
                 found, images = same, used_edges
                 e = n_graph.edges[x]
                 key = e.type, names.get(e.src), names.get(e.tgt)
-                candidates = () if None in key else store.edge_classes.get(key, ())
+                candidates = () if None in key else target.edge_classes.get(key, ())
             for y in candidates:
                 if y in images:
                     continue

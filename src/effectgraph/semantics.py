@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (
-    EffectGraphError,
-    ElementSet,
-    Morphism,
-    TypedGraph,
-    find_injective_extensions,
-)
+from .core import EffectGraphError, ElementSet, Morphism, TypedGraph
 from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
     MatchResult,
@@ -129,19 +123,6 @@ def transform(
     )
 
 
-def _interface_plus_element(
-    interface: TypedGraph, source: TypedGraph, element: str
-) -> TypedGraph | None:
-    """The interface extended by one source element, or ``None`` when an
-    edge's endpoints are not all interface nodes."""
-    if element in source.nodes:
-        return interface.with_elements(nodes={element: source.nodes[element]})
-    edge = source.edges[element]
-    if edge.src not in interface.nodes or edge.tgt not in interface.nodes:
-        return None
-    return interface.with_elements(edges={element: edge})
-
-
 def _justify(
     kind: str,
     elements: ElementSet,
@@ -158,27 +139,35 @@ def _justify(
     every way of extending ``m`` on the interface onto it in ``target``
     must land on an image of ``m``: each is recorded under ``clause`` with
     the element and its image as witness, and the first that does not
-    raises :class:`AuditFailure` with ``failure``."""
-    on_interface = (
-        {n: m.node_map[n] for n in interface.nodes},
-        {e: m.edge_map[e] for e in interface.edges},
-    )
+    raises :class:`AuditFailure` with ``failure``.  For one element those
+    ways are its type bucket in ``target``, or for an edge between
+    interface nodes its class between their images, less the images of the
+    interface."""
+    on_nodes = {m.node_map[n] for n in interface.nodes}
+    on_edges = {m.edge_map[e] for e in interface.edges}
     for element in sorted(elements.nodes) + sorted(elements.edges):
         is_node = element in side.nodes
         if element in (acted.nodes if is_node else acted.edges):
             yield AuditEntry(kind, element, "alternative-action")
             continue
-        extended = _interface_plus_element(interface, side, element)
-        if extended is None:
-            yield AuditEntry(kind, element, "skipped:not-a-graph")
-            continue
-        extensions = list(find_injective_extensions(extended, target, on_interface))
+        # ``target`` is read only for an element that needs it: rerooting it
+        # for a skipped edge would move a chain's store back to the input.
+        if is_node:
+            ids = target._rooted().nodes_by_type.get(side.nodes[element], ())
+            extensions = [y for y in ids if y not in on_nodes]
+        else:
+            e = side.edges[element]
+            if e.src not in interface.nodes or e.tgt not in interface.nodes:
+                yield AuditEntry(kind, element, "skipped:not-a-graph")
+                continue
+            key = e.type, m.node_map[e.src], m.node_map[e.tgt]
+            ids = target._rooted().edge_classes.get(key, ())
+            extensions = [y for y in ids if y not in on_edges]
         if not extensions:
             yield AuditEntry(kind, element, "no-extension")
             continue
         images = m.node_images if is_node else m.edge_images
-        for ext in extensions:
-            image = (ext.node_map if is_node else ext.edge_map)[element]
+        for image in extensions:
             if image not in images:
                 raise AuditFailure(element, f"host element {image!r} {failure}")
             yield AuditEntry(kind, element, clause, ((element, image),))

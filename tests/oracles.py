@@ -11,7 +11,9 @@ application-condition questions by brute force over every small host, and
 ``oracle_locally_complete`` finds every locally complete match by brute
 force over every selection of an effect-oriented rule, as judged by
 ``is_locally_complete``; ``is_compatible``, ``check_base_subrule`` and
-``is_plain`` are further checks on results and rules.
+``is_plain`` are further checks on results and rules.  ``reference_audit``
+is the effect audit that extends the interface embedding by each element
+through the general injective search.
 ``reference_encode_graph`` and ``reference_decode_graph`` are the graph
 codecs built on :func:`canonical_text` and on separate structure,
 endpoint and :func:`validate_graph` passes, which the direct emitter and
@@ -28,6 +30,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from effectgraph.core import (
     Edge,
     EffectGraphError,
+    ElementSet,
     Morphism,
     TypeGraph,
     TypedGraph,
@@ -58,6 +61,12 @@ from effectgraph.rules import (
     nac_sets_equivalent,
     satisfies_nacs,
     shift_nacs,
+)
+from effectgraph.semantics import (
+    AuditEntry,
+    AuditFailure,
+    AuditReport,
+    EffectTransformation,
 )
 
 
@@ -459,6 +468,87 @@ def oracle_locally_complete(
                 results.append(mr)
     results.sort(key=MatchResult.sort_key)
     return results
+
+
+def _interface_plus_element(
+    interface: TypedGraph, source: TypedGraph, element: str
+) -> TypedGraph | None:
+    """The interface extended by one source element, or ``None`` when an
+    edge's endpoints are not all interface nodes."""
+    if element in source.nodes:
+        return interface.with_elements(nodes={element: source.nodes[element]})
+    edge = source.edges[element]
+    if edge.src not in interface.nodes or edge.tgt not in interface.nodes:
+        return None
+    return interface.with_elements(edges={element: edge})
+
+
+def _reference_justify(
+    kind: str,
+    elements: ElementSet,
+    acted: ElementSet,
+    side: TypedGraph,
+    target: TypedGraph,
+    m: Morphism,
+    interface: TypedGraph,
+    clause: str,
+    failure: str,
+) -> Iterator[AuditEntry]:
+    """The entries of ``elements`` as the library's ``_justify`` gives
+    them, each element's extensions found by searching for the injective
+    morphisms of the interface plus that element into ``target``."""
+    on_interface = (
+        {n: m.node_map[n] for n in interface.nodes},
+        {e: m.edge_map[e] for e in interface.edges},
+    )
+    for element in sorted(elements.nodes) + sorted(elements.edges):
+        is_node = element in side.nodes
+        if element in (acted.nodes if is_node else acted.edges):
+            yield AuditEntry(kind, element, "alternative-action")
+            continue
+        extended = _interface_plus_element(interface, side, element)
+        if extended is None:
+            yield AuditEntry(kind, element, "skipped:not-a-graph")
+            continue
+        extensions = list(find_injective_extensions(extended, target, on_interface))
+        if not extensions:
+            yield AuditEntry(kind, element, "no-extension")
+            continue
+        images = m.node_images if is_node else m.edge_images
+        for ext in extensions:
+            image = (ext.node_map if is_node else ext.edge_map)[element]
+            if image not in images:
+                raise AuditFailure(element, f"host element {image!r} {failure}")
+            yield AuditEntry(kind, element, clause, ((element, image),))
+
+
+def reference_audit(t: EffectTransformation) -> AuditReport:
+    """What :func:`~effectgraph.semantics.audit_effect` reports for ``t``,
+    or the same :class:`AuditFailure`."""
+    eor, record, sel = t.eor, t.result, t.selection
+    deletions = _reference_justify(
+        "deletion",
+        eor.potential_deletions,
+        sel.del_extra,
+        eor.maximal.lhs,
+        record.output,
+        record.comatch,
+        eor.interface,
+        "alternative-creation",
+        "was neither deleted nor reused",
+    )
+    creations = _reference_justify(
+        "creation",
+        eor.potential_creations - sel.preserve_extra,
+        ElementSet(),
+        eor.maximal.rhs,
+        record.input,
+        record.match,
+        eor.interface,
+        "alternative-action",
+        "could have been reused instead of creating",
+    )
+    return AuditReport((*deletions, *creations))
 
 
 def reference_encode_graph(g: TypedGraph) -> str:

@@ -245,6 +245,35 @@ def test_missing_file_exits_1(capsys):
     assert "no such file" in err
 
 
+def test_a_file_that_is_not_utf8_is_not_valid_json(tmp_path, capsys):
+    """JSON text is UTF-8: other bytes are reported like any other text
+    that does not parse, by ``validate`` and by a command that reads it."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    problem = (
+        "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    )
+    code, out, _ = run(capsys, "validate", str(binary))
+    assert code == 1
+    assert out.splitlines() == [f"FAIL {binary}: {problem}"]
+    code, out, err = run(
+        capsys,
+        "apply",
+        "--rule",
+        ENSURE_ACCOUNT_FILE,
+        "--graph",
+        str(binary),
+        "--strategy",
+        "globally-maximal",
+        "--out",
+        str(tmp_path / "out.json"),
+    )
+    assert code == 1
+    assert (out, err) == ("", f"error: {problem}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_apply_writes_output_and_trace(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     trace_file = tmp_path / "trace.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -35,6 +36,7 @@ from effectgraph import (
     rebuild_transformation,
     transform,
     validate_graph,
+    validate_rule,
 )
 from effectgraph import fixtures
 from effectgraph.documents import ACTIONS
@@ -306,6 +308,73 @@ def test_rule_decoder_enforces_endpoint_action_compatibility():
     name, eor = decode_rule(ok, types)
     assert name == "probe"
     assert set(eor.base.rhs.edges) == {"e"}
+
+
+def test_an_edge_may_use_preserved_nodes_and_nodes_of_its_own_action():
+    """Of the 25 pairs of edge and endpoint tags, the decoder accepts those
+    where the endpoint is preserved or has the edge's own tag, and reports
+    every other as ``inconsistent-tags``."""
+    types = builtin_type_graphs()
+    accepted = []
+    for edge_action in ACTIONS:
+        for node_action in ACTIONS:
+            doc = _rule_doc(
+                [
+                    {"id": "c", "type": "Client", "action": "preserve"},
+                    {"id": "a", "type": "Account", "action": node_action},
+                    {
+                        "id": "e",
+                        "type": "accounts",
+                        "src": "c",
+                        "tgt": "a",
+                        "action": edge_action,
+                    },
+                ]
+            )
+            try:
+                decode_rule(doc, types)
+            except ValidationError as err:
+                assert [str(d) for d in err.diagnostics] == [
+                    f"inconsistent-tags [e]: {edge_action} edge may not use "
+                    f"{node_action} node 'a'"
+                ]
+            else:
+                accepted.append((edge_action, node_action))
+    assert accepted == [
+        (edge, node) for edge in ACTIONS for node in ACTIONS if node in ("preserve", edge)
+    ]
+    assert len(accepted) == 9
+
+
+# The SHA-256 of the ``encode_rule`` texts of 500 seeded random effect
+# rules, computed before the action tags were read off the graphs in the
+# order of ``ACTIONS``.
+RULE_TEXT_DIGEST = "71e6b4a812702ff9cd8dcd8b19767a3cc666bd207998269a627e3393a613c920"
+
+
+def test_rule_text_digest_is_unchanged():
+    texts = []
+    for seed in range(500):
+        rng = random.Random(seed)
+        tg = random_type_graph(rng)
+        texts.append(encode_rule("r", random_effect_rule(rng, tg)))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == RULE_TEXT_DIGEST
+
+
+def test_an_interface_id_outside_the_lhs_is_tagged_preserve():
+    """A rule whose interface holds an id of the rhs alone is invalid
+    (``interface-not-included``), yet it still encodes: each element gets
+    the tag of the first graph holding it, in the order of ``ACTIONS``, so
+    that id is tagged ``preserve``."""
+    tg = banking_type_graph()
+    lhs = TypedGraph(tg, {"c": "Client"}, {})
+    interface = TypedGraph(tg, {"c": "Client", "k": "Account"}, {})
+    rhs = TypedGraph(tg, {"c": "Client", "k": "Account", "n": "Account"}, {})
+    rule = Rule(lhs, interface, rhs)
+    assert [d.code for d in validate_rule(rule)] == ["interface-not-included"]
+    doc = json.loads(encode_rule("r", EffectOrientedRule(rule, rule)))
+    actions = {entry["id"]: entry["action"] for entry in doc["elements"]}
+    assert actions == {"c": "preserve", "k": "preserve", "n": "create"}
 
 
 def test_rule_nacs_round_trip_and_shift():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from effectgraph import (
     AuditFailure,
+    DanglingViolation,
     Edge,
     EdgeType,
     EffectOrientedRule,
@@ -21,6 +24,8 @@ from effectgraph import (
     apply_rule,
     audit_effect,
     build_induced_rule,
+    find_all_locally_complete,
+    find_base_prematches,
     transform,
 )
 from effectgraph.fixtures import (
@@ -31,7 +36,8 @@ from effectgraph.fixtures import (
     shared_accounts_graph,
 )
 
-from gen import empty_graph, empty_selection, seeded_bank
+from gen import empty_graph, empty_selection, instances, seeded_bank
+from oracles import reference_audit
 
 
 def prematch_at(eor, host, client) -> PreMatch:
@@ -237,3 +243,74 @@ def test_the_audit_leaves_a_chain_step_at_the_root():
         audit_effect(t)
         assert t.result.output._link is None, i
         host = t.result.output
+
+
+def _audit_outcome(audit, t):
+    """The entries ``audit`` reports for ``t`` and ``None``, or no entries
+    and the element and message of its failure."""
+    try:
+        return audit(t).entries, None
+    except AuditFailure as exc:
+        return (), (exc.element, str(exc))
+
+
+def _transformations(eor, host, pm):
+    """A transformation for every locally complete match at ``pm``, then
+    the base rule's at ``pm`` when it does not dangle."""
+    if pm is None:
+        return
+    for mr in find_all_locally_complete(eor, host, pm):
+        m = mr.match
+        yield _manual_transformation(
+            eor, host, mr.induced.selection, m.node_map, m.edge_map, pm
+        )
+    base = pm.morphism
+    try:
+        yield _manual_transformation(
+            eor, host, empty_selection(), base.node_map, base.edge_map, pm
+        )
+    except DanglingViolation:
+        pass
+
+
+def test_audit_agrees_with_the_search_based_reference():
+    """On seeded instances, and on their hosts with some edges doubled, the
+    audit reports what the reference that extends the interface embedding
+    by each element through the injective search reports: the same
+    entries, or the same failure.  The base rule fails the audit wherever
+    a potential creation could be reused; between them the inputs reach
+    every clause, for nodes and for edges."""
+    seen, transformations, failures = set(), 0, 0
+    for seed in range(100):
+        for eor, host, pm in instances(seed, 1):
+            rng = random.Random(seed)
+            edges = sorted(host.edges.items())
+            parallel = host.with_elements(
+                edges={f"{e}'": x for e, x in edges if rng.random() < 0.5}
+            )
+            parallel_pm = next(find_base_prematches(eor, parallel), None)
+            sides = {"deletion": eor.maximal.lhs, "creation": eor.maximal.rhs}
+            for g, p in (host, pm), (parallel, parallel_pm):
+                for t in _transformations(eor, g, p):
+                    expected = _audit_outcome(reference_audit, t)
+                    assert _audit_outcome(audit_effect, t) == expected, seed
+                    entries, failure = expected
+                    transformations += 1
+                    if failure is not None:
+                        failures += 1
+                        node = any(failure[0] in side.nodes for side in sides.values())
+                        seen.add(("failure", node))
+                    for entry in entries:
+                        node = entry.element in sides[entry.kind].nodes
+                        seen.add((entry.kind, entry.clause, node))
+    assert transformations > 800 and failures > 100
+    clauses = [("deletion", "alternative-creation"), ("deletion", "no-extension")]
+    clauses += [("deletion", "alternative-action"), ("creation", "no-extension")]
+    clauses += [("creation", "alternative-action")]
+    assert seen == {
+        *((kind, clause, node) for kind, clause in clauses for node in (True, False)),
+        ("deletion", "skipped:not-a-graph", False),
+        ("creation", "skipped:not-a-graph", False),
+        ("failure", True),
+        ("failure", False),
+    }
