@@ -387,9 +387,8 @@ def decode_rule(
         for endpoint in (e.src, e.tgt):
             if endpoint not in node_types:
                 raise ParseError("edge endpoint is not a declared node", eid)
-            # Potential edges may not touch mandatory-action nodes: the edge
-            # could then never (creation) or not safely (deletion) be left
-            # unselected.  Every edge may touch preserved nodes.
+            # Potential edges may not touch mandatory-action nodes: the edge could
+            # then never (creation) or not safely (deletion) be left unselected.
             if action_of[endpoint] not in ("preserve", action_of[eid]):
                 problems.append(
                     Diagnostic(
