@@ -583,6 +583,110 @@ def test_help_and_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+# The help texts at 80 columns, pinned so that a change to how the parser
+# is built cannot change what any subcommand documents.
+_HELP = {
+    "": (
+        "usage: effectgraph [-h] [--no-color]\n"
+        "                   {validate,match,apply,induced,bounds,audit} ...\n"
+        "\n"
+        "Typed-graph rewriting with effect-oriented rules.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,match,apply,induced,bounds,audit}\n"
+        "    validate            check document files\n"
+        "    match               find matches under a strategy\n"
+        "    apply               transform a graph and write the result\n"
+        "    induced             list or count induced selections\n"
+        "    bounds              print selection-count bounds\n"
+        "    audit               verify a recorded transformation\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --no-color            disable colored output\n"
+    ),
+    "validate": (
+        "usage: effectgraph validate [-h] [--types FILE] FILE [FILE ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  FILE\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --types FILE  additional type graph file (repeatable)\n"
+    ),
+    "match": (
+        "usage: effectgraph match [-h] [--types FILE] --rule FILE --graph FILE\n"
+        "                         [--strategy {locally-complete,locally-maximal,globally-maximal}]\n"
+        "                         [--base-match FILE] [--all]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --types FILE          additional type graph file (repeatable)\n"
+        "  --rule FILE\n"
+        "  --graph FILE\n"
+        "  --strategy {locally-complete,locally-maximal,globally-maximal}\n"
+        "  --base-match FILE\n"
+        "  --all                 print every result\n"
+    ),
+    "apply": (
+        "usage: effectgraph apply [-h] [--types FILE] --rule FILE --graph FILE\n"
+        "                         [--strategy {locally-complete,locally-maximal,globally-maximal}]\n"
+        "                         [--base-match FILE] --out FILE [--trace FILE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --types FILE          additional type graph file (repeatable)\n"
+        "  --rule FILE\n"
+        "  --graph FILE\n"
+        "  --strategy {locally-complete,locally-maximal,globally-maximal}\n"
+        "  --base-match FILE\n"
+        "  --out FILE\n"
+        "  --trace FILE          record the transformation\n"
+    ),
+    "induced": (
+        "usage: effectgraph induced [-h] [--types FILE] --rule FILE\n"
+        "                           [--filter {none,weak-left,left,weak-right,right}]\n"
+        "                           [--count-only]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --types FILE          additional type graph file (repeatable)\n"
+        "  --rule FILE\n"
+        "  --filter {none,weak-left,left,weak-right,right}\n"
+        "  --count-only\n"
+    ),
+    "bounds": (
+        "usage: effectgraph bounds [-h] [--types FILE] --rule FILE\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --types FILE  additional type graph file (repeatable)\n"
+        "  --rule FILE\n"
+    ),
+    "audit": (
+        "usage: effectgraph audit [-h] [--types FILE] --rule FILE --graph FILE --out\n"
+        "                         FILE --trace FILE [--report FILE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --types FILE   additional type graph file (repeatable)\n"
+        "  --rule FILE\n"
+        "  --graph FILE\n"
+        "  --out FILE\n"
+        "  --trace FILE\n"
+        "  --report FILE  write the audit report\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_texts_are_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr().out == _HELP[command]
+
+
 def test_no_color_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "--no-color", "validate", TYPE_GRAPH_FILE)
     assert code == 0

@@ -209,6 +209,47 @@ def test_validate_selection_requires_edge_closure():
         build_induced_rule(provision, open_edge)
 
 
+def test_validate_selection_reports_every_clause_on_both_sides_in_order():
+    """Every ``not-potential`` finding, deletion side first and nodes before
+    edges, each by id; ``not-closed`` findings only when there is none."""
+    tg = banking_type_graph()
+    client = {"c": "Client"}
+    lhs = TypedGraph(
+        tg,
+        {**client, "d": "Account", "f": "Account"},
+        {"cd": Edge("accounts", "c", "d"), "cf": Edge("accounts", "c", "f")},
+    )
+    rhs = TypedGraph(tg, {**client, "a": "Account"}, {"ca": Edge("accounts", "c", "a")})
+    base = TypedGraph(tg, client, {})
+    eor = EffectOrientedRule(Rule(base, base, base), Rule(lhs, base, rhs))
+    assert validate_effect_rule(eor) == []
+    foreign = InducedSelection(
+        ElementSet(frozenset({"zz", "a", "d"}), frozenset({"ca", "cd"})),
+        ElementSet(frozenset({"d"}), frozenset({"cd", "ca"})),
+    )
+    assert validate_selection(eor, foreign) == [
+        Diagnostic("not-potential", "a", "not a potential deletion node"),
+        Diagnostic("not-potential", "zz", "not a potential deletion node"),
+        Diagnostic("not-potential", "ca", "not a potential deletion edge"),
+        Diagnostic("not-potential", "d", "not a potential creation node"),
+        Diagnostic("not-potential", "cd", "not a potential creation edge"),
+    ]
+    unclosed = InducedSelection(
+        ElementSet(frozenset(), frozenset({"cf", "cd"})),
+        ElementSet(frozenset(), frozenset({"ca"})),
+    )
+    deletion = "selected deletion edge has an unselected potential endpoint"
+    creation = (
+        "preserved creation edge has an endpoint outside the interface and the "
+        "preserved nodes"
+    )
+    assert validate_selection(eor, unclosed) == [
+        Diagnostic("not-closed", "cd", deletion),
+        Diagnostic("not-closed", "cf", deletion),
+        Diagnostic("not-closed", "ca", creation),
+    ]
+
+
 def test_build_induced_rule_shapes_the_span():
     provision = ensure_account_rule()
     sel = InducedSelection(
