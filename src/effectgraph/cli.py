@@ -296,60 +296,45 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-color", action="store_true", help="disable colored output"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_types(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--types",
-            action="append",
-            metavar="FILE",
-            help="additional type graph file (repeatable)",
-        )
-
-    p = sub.add_parser("validate", help="check document files")
-    add_types(p)
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.set_defaults(func=cmd_validate)
-
-    def add_rule(p: argparse.ArgumentParser, *graphs: str) -> None:
-        add_types(p)
-        for flag in ("--rule", *graphs):
-            p.add_argument(flag, required=True, metavar="FILE")
-
-    def add_match_args(p: argparse.ArgumentParser) -> None:
-        add_rule(p, "--graph")
-        p.add_argument(
-            "--strategy",
-            choices=_STRATEGY_CHOICES,
-            default="locally-complete",
-        )
-        p.add_argument("--base-match", metavar="FILE")
-
-    p = sub.add_parser("match", help="find matches under a strategy")
-    add_match_args(p)
-    p.add_argument("--all", action="store_true", help="print every result")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("apply", help="transform a graph and write the result")
-    add_match_args(p)
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--trace", metavar="FILE", help="record the transformation")
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("induced", help="list or count induced selections")
-    add_rule(p)
-    p.add_argument("--filter", choices=_FILTER_CHOICES, default="none")
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_induced)
-
-    p = sub.add_parser("bounds", help="print selection-count bounds")
-    add_rule(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("audit", help="verify a recorded transformation")
-    add_rule(p, "--graph", "--out", "--trace")
-    p.add_argument("--report", metavar="FILE", help="write the audit report")
-    p.set_defaults(func=cmd_audit)
-
+    repeatable = "additional type graph file (repeatable)"
+    types = ("--types", {"action": "append", "metavar": "FILE", "help": repeatable})
+    file = {"required": True, "metavar": "FILE"}
+    match = [
+        ("--rule", file),
+        ("--graph", file),
+        ("--strategy", {"choices": _STRATEGY_CHOICES, "default": "locally-complete"}),
+        ("--base-match", {"metavar": "FILE"}),
+    ]
+    # Each subcommand's name, help, handler and the arguments after --types.
+    commands = (
+        ("validate", "check document files", cmd_validate, [
+            ("files", {"nargs": "+", "metavar": "FILE"}),
+        ]),
+        ("match", "find matches under a strategy", cmd_match, [
+            *match,
+            ("--all", {"action": "store_true", "help": "print every result"}),
+        ]),
+        ("apply", "transform a graph and write the result", cmd_apply, [
+            *match,
+            ("--out", file),
+            ("--trace", {"metavar": "FILE", "help": "record the transformation"}),
+        ]),
+        ("induced", "list or count induced selections", cmd_induced, [
+            ("--rule", file),
+            ("--filter", {"choices": _FILTER_CHOICES, "default": "none"}),
+            ("--count-only", {"action": "store_true"}),
+        ]),
+        ("bounds", "print selection-count bounds", cmd_bounds, [("--rule", file)]),
+        ("audit", "verify a recorded transformation", cmd_audit, [
+            *((flag, file) for flag in ("--rule", "--graph", "--out", "--trace")),
+            ("--report", {"metavar": "FILE", "help": "write the audit report"}),
+        ]),
+    )
+    for name, summary, handler, arguments in commands:
+        p = sub.add_parser(name, help=summary)
+        for flag, options in (types, *arguments):
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

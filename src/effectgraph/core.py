@@ -102,14 +102,11 @@ class TypeGraph:
             self, "edge_types", MappingProxyType(dict(self.edge_types))
         )
         for name, et in self.edge_types.items():
-            if et.source not in self.node_types:
-                raise ValueError(
-                    f"edge type {name!r} has unknown source type {et.source!r}"
-                )
-            if et.target not in self.node_types:
-                raise ValueError(
-                    f"edge type {name!r} has unknown target type {et.target!r}"
-                )
+            for end, node_type in (("source", et.source), ("target", et.target)):
+                if node_type not in self.node_types:
+                    raise ValueError(
+                        f"edge type {name!r} has unknown {end} type {node_type!r}"
+                    )
 
     def __repr__(self) -> str:
         return (
@@ -343,26 +340,6 @@ class TypedGraph:
         """Node id to the sorted ids of its incident edges."""
         incidence = self._rooted().incidence
         return MappingProxyType({n: tuple(ids) for n, ids in incidence.items()})
-
-    def with_elements(
-        self,
-        nodes: Mapping[str, str] | None = None,
-        edges: Mapping[str, Edge] | None = None,
-    ) -> TypedGraph:
-        """A new graph with extra elements; added ids must be fresh."""
-        new_nodes = dict(self.nodes)
-        new_edges = dict(self.edges)
-        for nid, ntype in (nodes or {}).items():
-            if nid in new_nodes or nid in new_edges:
-                raise ValueError(f"id {nid!r} already present")
-            new_nodes[nid] = ntype
-        for eid, edge in (edges or {}).items():
-            if eid in new_nodes or eid in new_edges:
-                raise ValueError(f"id {eid!r} already present")
-            if edge.src not in new_nodes or edge.tgt not in new_nodes:
-                raise ValueError(f"edge {eid!r} has missing endpoints")
-            new_edges[eid] = edge
-        return TypedGraph(self.type_graph, new_nodes, new_edges)
 
     def __repr__(self) -> str:
         return (

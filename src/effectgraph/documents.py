@@ -30,6 +30,7 @@ from .core import (
     TypeGraph,
     TypedGraph,
     check_morphism,
+    element_difference,
     validate_graph,
 )
 from .effect import (
@@ -308,21 +309,20 @@ def _element_entry(
 
 
 def encode_rule(name: str, eor: EffectOrientedRule) -> str:
+    """Canonical text; ``ValueError`` unless both maximal sides hold the interface."""
     lhs, rhs = eor.maximal.lhs, eor.maximal.rhs
+    for side in (lhs, rhs):  # only the sides' ids are tagged
+        Morphism.inclusion(eor.interface, side)
     elements = [
         _element_entry(xid, lhs if xid in lhs.nodes or xid in lhs.edges else rhs, tag)
         for xid, tag in _actions_of(eor).items()
     ]
     elements.sort(key=lambda entry: entry["id"])
     nac_blocks = []
-    base_lhs = eor.base.lhs
     for nac in eor.base.nacs:
-        g = nac.forbidden
-        extra = sorted(g.nodes.keys() - base_lhs.nodes.keys())
-        extra += sorted(g.edges.keys() - base_lhs.edges.keys())
-        entries = [_element_entry(xid, g) for xid in extra]
-        entries.sort(key=lambda entry: entry["id"])
-        nac_blocks.append({"elements": entries})
+        extra = element_difference(nac.forbidden, eor.base.lhs)
+        ids = sorted([*extra.nodes, *extra.edges])
+        nac_blocks.append({"elements": [_element_entry(x, nac.forbidden) for x in ids]})
     nac_blocks.sort(key=canonical_text)
     return canonical_text(
         {

@@ -165,40 +165,29 @@ def validate_selection(
 ) -> list[Diagnostic]:
     """Containment and edge-closure violations of ``sel`` against ``eor``."""
     out: list[Diagnostic] = []
-    deletions, creations = eor.potential_deletions, eor.potential_creations
-    for xid in sorted(sel.del_extra.nodes - deletions.nodes):
-        out.append(Diagnostic("not-potential", xid, "not a potential deletion node"))
-    for xid in sorted(sel.del_extra.edges - deletions.edges):
-        out.append(Diagnostic("not-potential", xid, "not a potential deletion edge"))
-    for xid in sorted(sel.preserve_extra.nodes - creations.nodes):
-        out.append(Diagnostic("not-potential", xid, "not a potential creation node"))
-    for xid in sorted(sel.preserve_extra.edges - creations.edges):
-        out.append(Diagnostic("not-potential", xid, "not a potential creation edge"))
+    # Per side: the selected and the potential elements, the graph of the
+    # selected edges, the nodes their ends may be, and the not-closed message.
+    sides = (
+        ("deletion", sel.del_extra, eor.potential_deletions, eor.maximal.lhs,
+         eor.base.lhs.nodes.keys() | sel.del_extra.nodes,
+         "selected deletion edge has an unselected potential endpoint"),
+        ("creation", sel.preserve_extra, eor.potential_creations, eor.maximal.rhs,
+         eor.interface.nodes.keys() | sel.preserve_extra.nodes,
+         "preserved creation edge has an endpoint outside the interface and the "
+         "preserved nodes"),
+    )
+    for side, chosen, potential, *_ in sides:
+        foreign = chosen - potential
+        for kind, ids in (("node", foreign.nodes), ("edge", foreign.edges)):
+            problem = f"not a potential {side} {kind}"
+            out.extend(Diagnostic("not-potential", x, problem) for x in sorted(ids))
     if out:
         return out
-    lhs_nodes = eor.base.lhs.nodes.keys() | sel.del_extra.nodes
-    for eid in sorted(sel.del_extra.edges):
-        e = eor.maximal.lhs.edges[eid]
-        if e.src not in lhs_nodes or e.tgt not in lhs_nodes:
-            out.append(
-                Diagnostic(
-                    "not-closed",
-                    eid,
-                    "selected deletion edge has an unselected potential endpoint",
-                )
-            )
-    kept_nodes = eor.interface.nodes.keys() | sel.preserve_extra.nodes
-    for eid in sorted(sel.preserve_extra.edges):
-        e = eor.maximal.rhs.edges[eid]
-        if e.src not in kept_nodes or e.tgt not in kept_nodes:
-            out.append(
-                Diagnostic(
-                    "not-closed",
-                    eid,
-                    "preserved creation edge has an endpoint outside the "
-                    "interface and the preserved nodes",
-                )
-            )
+    for _, chosen, _, graph, ends, problem in sides:
+        for eid in sorted(chosen.edges):
+            e = graph.edges[eid]
+            if e.src not in ends or e.tgt not in ends:
+                out.append(Diagnostic("not-closed", eid, problem))
     return out
 
 

@@ -227,17 +227,13 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
                     ends[n] = fresh_id(n, lambda x: x in nodes or x in edges)
                     nodes[ends[n]] = n_graph.nodes[n]
             for eid in extra_edges:
-                if eid in same:
-                    continue
-                e = n_graph.edges[eid]
-                if e.src not in ends or e.tgt not in ends:
-                    break
-                new = fresh_id(eid, lambda x: x in nodes or x in edges)
-                edges[new] = Edge(e.type, ends[e.src], ends[e.tgt])
-            else:
-                candidate = Nac(TypedGraph(target.type_graph, nodes, edges))
-                if not any(_same_rooted_nac(target, candidate, k) for k in shifted):
-                    shifted.append(candidate)
+                if eid not in same:
+                    e = n_graph.edges[eid]
+                    new = fresh_id(eid, lambda x: x in nodes or x in edges)
+                    edges[new] = Edge(e.type, ends[e.src], ends[e.tgt])
+            candidate = Nac(TypedGraph(target.type_graph, nodes, edges))
+            if not any(_same_rooted_nac(target, candidate, k) for k in shifted):
+                shifted.append(candidate)
     shifted.sort(
         key=lambda nac: (
             len(nac.forbidden.nodes),

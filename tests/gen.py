@@ -30,7 +30,7 @@ from effectgraph import (
 
 from effectgraph.fixtures import banking_type_graph
 
-from oracles import rule_applicable
+from oracles import rule_applicable, with_elements
 
 
 def empty_graph(tg: TypeGraph) -> TypedGraph:
@@ -75,7 +75,7 @@ def grow(
             tgts = [n for n, t in pool if t == ends.target]
             if srcs and tgts:
                 edges[f"{prefix}_{et}_{i}"] = Edge(et, rng.choice(srcs), rng.choice(tgts))
-    return base.with_elements(nodes, edges)
+    return with_elements(base, nodes, edges)
 
 
 def random_graph(

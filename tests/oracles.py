@@ -14,6 +14,8 @@ force over every selection of an effect-oriented rule, as judged by
 ``is_plain`` are further checks on results and rules.  ``reference_audit``
 is the effect audit that extends the interface embedding by each element
 through the general injective search.
+``with_elements`` extends a graph by fresh elements, which is how most
+tests build their graphs.
 ``reference_encode_graph`` and ``reference_decode_graph`` are the graph
 codecs built on :func:`canonical_text` and on separate structure,
 endpoint and :func:`validate_graph` passes, which the direct emitter and
@@ -72,6 +74,27 @@ from effectgraph.semantics import (
 
 class NonCommuting(EffectGraphError):
     """A square of morphisms that must commute does not."""
+
+
+def with_elements(
+    g: TypedGraph,
+    nodes: Mapping[str, str] | None = None,
+    edges: Mapping[str, Edge] | None = None,
+) -> TypedGraph:
+    """A new graph: ``g`` with extra elements; added ids must be fresh."""
+    new_nodes = dict(g.nodes)
+    new_edges = dict(g.edges)
+    for nid, ntype in (nodes or {}).items():
+        if nid in new_nodes or nid in new_edges:
+            raise ValueError(f"id {nid!r} already present")
+        new_nodes[nid] = ntype
+    for eid, edge in (edges or {}).items():
+        if eid in new_nodes or eid in new_edges:
+            raise ValueError(f"id {eid!r} already present")
+        if edge.src not in new_nodes or edge.tgt not in new_nodes:
+            raise ValueError(f"edge {eid!r} has missing endpoints")
+        new_edges[eid] = edge
+    return TypedGraph(g.type_graph, new_nodes, new_edges)
 
 
 def identity(g: TypedGraph) -> Morphism:
@@ -476,11 +499,11 @@ def _interface_plus_element(
     """The interface extended by one source element, or ``None`` when an
     edge's endpoints are not all interface nodes."""
     if element in source.nodes:
-        return interface.with_elements(nodes={element: source.nodes[element]})
+        return with_elements(interface, nodes={element: source.nodes[element]})
     edge = source.edges[element]
     if edge.src not in interface.nodes or edge.tgt not in interface.nodes:
         return None
-    return interface.with_elements(edges={element: edge})
+    return with_elements(interface, edges={element: edge})
 
 
 def _reference_justify(

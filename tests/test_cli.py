@@ -44,6 +44,7 @@ from effectgraph.fixtures import (
 )
 
 from gen import empty_graph, empty_selection
+from oracles import with_elements
 
 pytestmark = pytest.mark.usefixtures("plain_output")
 
@@ -439,8 +440,8 @@ def test_types_flag_extends_the_registry(tmp_path, capsys):
 
     tiny = TypeGraph("tiny2", frozenset({"N"}), {"e": EdgeType("N", "N")})
     interface = TypedGraph(tiny, {"k": "N"}, {})
-    maximal_rhs = interface.with_elements(
-        nodes={"m": "N"}, edges={"em": Edge("e", "k", "m")}
+    maximal_rhs = with_elements(
+        interface, nodes={"m": "N"}, edges={"em": Edge("e", "k", "m")}
     )
     eor = EffectOrientedRule(
         Rule(interface, interface, interface),
@@ -680,7 +681,7 @@ _HELP = {
 }
 
 
-@pytest.mark.parametrize("command", list(_HELP))
+@pytest.mark.parametrize("command", list(_HELP), ids=lambda c: c or "top-level")
 def test_help_texts_are_unchanged(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     assert main([command, "--help"] if command else ["--help"]) == 0

@@ -40,6 +40,7 @@ from oracles import (
     is_pullback_square,
     pushout,
     same_maps,
+    with_elements,
 )
 
 PAIR = TypeGraph(
@@ -115,11 +116,11 @@ def test_is_id_subgraph_compares_edges_by_type_and_ends():
 def test_with_elements_rejects_collisions_and_missing_endpoints():
     g = pair_graph()
     with pytest.raises(ValueError, match="already present"):
-        g.with_elements(nodes={"x": "A"})
+        with_elements(g, nodes={"x": "A"})
     with pytest.raises(ValueError, match="already present"):
-        g.with_elements(edges={"e1": Edge("aa", "x", "y")})
+        with_elements(g, edges={"e1": Edge("aa", "x", "y")})
     with pytest.raises(ValueError, match="missing endpoints"):
-        g.with_elements(edges={"e9": Edge("aa", "x", "ghost")})
+        with_elements(g, edges={"e9": Edge("aa", "x", "ghost")})
 
 
 def test_cached_views_are_consistent():
@@ -231,7 +232,7 @@ def test_check_morphism_reports_each_violation_kind():
 
 def test_check_morphism_reports_a_spurious_edge_mapping():
     g = pair_graph()
-    host = g.with_elements(edges={"e3": Edge("aa", "x", "y")})
+    host = with_elements(g, edges={"e3": Edge("aa", "x", "y")})
     ids = Morphism.inclusion(g, host)
     extra = Morphism(g, host, ids.node_map, {**ids.edge_map, "ghost": "e3"})
     assert [(d.code, d.element) for d in check_morphism(extra)] == [
@@ -313,7 +314,7 @@ def test_find_injective_extensions_respects_partial_assignment():
     with pytest.raises(ValueError, match="not injective"):
         list(find_injective_extensions(g, host, ({"x": "u1", "y": "u1"}, {})))
     # Each other refusal of a partial map; e3 runs parallel to e2.
-    parallel = g.with_elements(edges={"e3": Edge("aa", "x", "y")})
+    parallel = with_elements(g, edges={"e3": Edge("aa", "x", "y")})
     for pattern, partial, message in [
         (g, ({"w": "u1"}, {}), "unknown pattern node 'w'"),
         (g, ({"z": "u1"}, {}), "sends node 'z' to incompatible 'u1'"),
@@ -384,8 +385,8 @@ def _enumeration_parts(seed: int) -> list:
     tg = random_type_graph(rng)
     pattern = random_graph(rng, tg, max_nodes=3, max_edges=4, prefix="p")
     host = random_graph(rng, tg, max_nodes=5, max_edges=8, prefix="h")
-    host = host.with_elements(
-        edges={f"{eid}'": e for eid, e in sorted(host.edges.items()) if rng.random() < 0.4}
+    host = with_elements(
+        host, edges={f"{eid}'": e for eid, e in sorted(host.edges.items()) if rng.random() < 0.4}
     )
     found = list(find_injective_extensions(pattern, host))
     parts = [[m.sort_key() for m in found]]
@@ -418,7 +419,7 @@ def test_enumeration_digest_is_unchanged():
 def test_find_injective_extensions_leaves_no_garbage_cycles():
     """Finished and dropped streams are freed by reference counting alone."""
     client = ensure_account_rule().base.lhs
-    held = client.with_elements({"a": "Account"}, {"e": Edge("accounts", "c", "a")})
+    held = with_elements(client, {"a": "Account"}, {"e": Edge("accounts", "c", "a")})
     host = bank_graph()
     gc.collect()
     gc.disable()
@@ -436,8 +437,8 @@ def test_shift_nacs_leaves_no_garbage_cycles():
     """Shifting NACs, which enumerates overlaps recursively, is freed by
     reference counting alone."""
     root = TypedGraph(PAIR, {"k": "B"}, {})
-    forbidden = root.with_elements({"n": "A"}, {"ne": Edge("ab", "n", "k")})
-    wide = root.with_elements({"other": "A"})
+    forbidden = with_elements(root, {"n": "A"}, {"ne": Edge("ab", "n", "k")})
+    wide = with_elements(root, {"other": "A"})
     inclusion = Morphism.inclusion(root, wide)
     gc.collect()
     gc.disable()
@@ -594,8 +595,8 @@ def test_pushout_of_inclusions(seed):
 
 def test_pushout_renames_clashing_ids():
     shared = TypedGraph(PAIR, {"k": "A"}, {})
-    left = shared.with_elements(nodes={"n": "A"})
-    right = shared.with_elements(nodes={"n": "B"})
+    left = with_elements(shared, nodes={"n": "A"})
+    right = with_elements(shared, nodes={"n": "B"})
     d, _, in_right = pushout(
         Morphism.inclusion(shared, left), Morphism.inclusion(shared, right)
     )
@@ -606,7 +607,7 @@ def test_pushout_renames_clashing_ids():
 
 def test_pushout_rejects_mismatched_legs():
     a = TypedGraph(PAIR, {"k": "A"}, {})
-    b = a.with_elements(nodes={"n": "A"})
+    b = with_elements(a, nodes={"n": "A"})
     with pytest.raises(ValueError, match="share their source"):
         pushout(Morphism.inclusion(a, b), Morphism.inclusion(b, b))
     squash = Morphism(

@@ -55,7 +55,7 @@ from effectgraph.fixtures import banking_type_graph, ensure_account_rule
 from effectgraph.matching import _leaves
 
 from gen import empty_graph, instances, random_graph, random_plain_rule, random_type_graph
-from oracles import compose, identity, is_pullback_square, same_maps
+from oracles import compose, identity, is_pullback_square, same_maps, with_elements
 
 INDEXES = ("nodes_by_type", "edge_classes", "incidence")
 
@@ -69,8 +69,8 @@ CHAIN = TypeGraph(
 def swap_rule() -> Rule:
     """Delete an A-node hanging off a B-node, create a fresh B-successor."""
     interface = TypedGraph(CHAIN, {"k": "B"}, {})
-    lhs = interface.with_elements(nodes={"d": "A"}, edges={"de": Edge("ab", "d", "k")})
-    rhs = interface.with_elements(nodes={"c": "B"}, edges={"ce": Edge("bb", "k", "c")})
+    lhs = with_elements(interface, nodes={"d": "A"}, edges={"de": Edge("ab", "d", "k")})
+    rhs = with_elements(interface, nodes={"c": "B"}, edges={"ce": Edge("bb", "k", "c")})
     return Rule(lhs, interface, rhs)
 
 

@@ -53,6 +53,7 @@ from effectgraph.fixtures import (
 )
 
 from gen import random_effect_rule, random_type_graph
+from oracles import with_elements
 
 
 def test_canonical_text_layout():
@@ -324,20 +325,21 @@ def test_rule_text_digest_is_unchanged():
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == RULE_TEXT_DIGEST
 
 
-def test_an_interface_id_outside_the_lhs_is_tagged_preserve():
-    """A rule whose interface holds an id of the rhs alone is invalid
-    (``interface-not-included``), yet it still encodes: each element gets
-    the tag of the first graph holding it, in the order of ``ACTIONS``, so
-    that id is tagged ``preserve``."""
+@pytest.mark.parametrize(
+    "rhs_nodes", [{"k": "Account", "n": "Account"}, {}], ids=["rhs-only", "neither-side"]
+)
+def test_a_rule_whose_interface_leaves_a_maximal_side_does_not_encode(rhs_nodes):
+    """Only the maximal sides' ids are tagged, so an interface id of the rhs
+    alone, or of neither side, would be lost or retagged: such a rule
+    (``interface-not-included``) is refused rather than encoded as another."""
     tg = banking_type_graph()
     lhs = TypedGraph(tg, {"c": "Client"}, {})
     interface = TypedGraph(tg, {"c": "Client", "k": "Account"}, {})
-    rhs = TypedGraph(tg, {"c": "Client", "k": "Account", "n": "Account"}, {})
+    rhs = TypedGraph(tg, {"c": "Client", **rhs_nodes}, {})
     rule = Rule(lhs, interface, rhs)
-    assert [d.code for d in validate_rule(rule)] == ["interface-not-included"]
-    doc = json.loads(encode_rule("r", EffectOrientedRule(rule, rule)))
-    actions = {entry["id"]: entry["action"] for entry in doc["elements"]}
-    assert actions == {"c": "preserve", "k": "preserve", "n": "create"}
+    assert "interface-not-included" in [d.code for d in validate_rule(rule)]
+    with pytest.raises(ValueError, match="not an id-subgraph"):
+        encode_rule("r", EffectOrientedRule(rule, rule))
 
 
 def test_rule_nacs_round_trip_and_shift():
@@ -377,8 +379,8 @@ def test_rule_nacs_round_trip_and_shift():
 def test_prematch_edge_inference():
     tg = banking_type_graph()
     interface = TypedGraph(tg, {"c": "Client"}, {})
-    lhs = interface.with_elements(
-        nodes={"a": "Account"}, edges={"ea": Edge("accounts", "c", "a")}
+    lhs = with_elements(
+        interface, nodes={"a": "Account"}, edges={"ea": Edge("accounts", "c", "a")}
     )
     base = Rule(lhs, interface, interface)
     eor = EffectOrientedRule(base, base)
@@ -386,7 +388,7 @@ def test_prematch_edge_inference():
     pm = prematch_from_maps(eor, host, {"c": "c1", "a": "a1"}, {})
     assert pm.morphism.edge_map == {"ea": "accounts_c1_a1"}
 
-    doubled = host.with_elements(edges={"dup": Edge("accounts", "c1", "a1")})
+    doubled = with_elements(host, edges={"dup": Edge("accounts", "c1", "a1")})
     with pytest.raises(ValidationError, match="no unique host image"):
         prematch_from_maps(eor, doubled, {"c": "c1", "a": "a1"}, {})
     with pytest.raises(ValidationError, match="not a valid injection"):
@@ -395,8 +397,8 @@ def test_prematch_edge_inference():
         )
     # With a base NAC a bad map is reported the same way: the NAC search
     # runs once, on a valid injection.
-    second = lhs.with_elements(
-        nodes={"b": "Account"}, edges={"eb": Edge("accounts", "c", "b")}
+    second = with_elements(
+        lhs, nodes={"b": "Account"}, edges={"eb": Edge("accounts", "c", "b")}
     )
     guarded = Rule(lhs, interface, interface, (Nac(second),))
     guarded_eor = EffectOrientedRule(guarded, guarded)
@@ -490,7 +492,7 @@ def test_replay_cross_checks_the_recorded_facts():
     pm = prematch_from_maps(teardown, shared, {"c": "c1"}, {})
     t = transform(teardown, shared, "locally_complete", pm)
     assert t.result.deleted.nodes == {"a4"}
-    held = shared.with_elements(edges={"accounts_c9_a4": Edge("accounts", "c9", "a4")})
+    held = with_elements(shared, edges={"accounts_c9_a4": Edge("accounts", "c9", "a4")})
     trace = decode_trace(encode_trace(t, "ensure_no_account"))
     with pytest.raises(ValidationError, match="trace is not applicable"):
         rebuild_transformation(teardown, held, trace)

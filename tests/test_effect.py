@@ -51,6 +51,7 @@ from oracles import (
     check_subrule_embedding,
     identity,
     is_plain,
+    with_elements,
 )
 
 
@@ -118,7 +119,7 @@ def test_sixteen_potential_edges_are_counted_without_listing():
     tg = TypeGraph("pair", frozenset({"N"}), {"e": EdgeType("N", "N")})
     ends = TypedGraph(tg, {"u": "N", "v": "N"}, {})
     sixteen = {f"e{i:02}": Edge("e", "u", "v") for i in range(16)}
-    parallel = ends.with_elements({}, sixteen)
+    parallel = with_elements(ends, {}, sixteen)
     eor = EffectOrientedRule(Rule(ends, ends, ends), Rule(ends, ends, parallel))
     for selection_filter in effect.SELECTION_FILTERS:
         best = float("inf")
@@ -323,7 +324,7 @@ def test_effect_rule_validation_flags_interface_mismatch():
 def test_effect_rule_validation_passes_on_an_ill_formed_rule():
     provision = ensure_account_rule()
     base, m = provision.base, provision.maximal
-    crossed = m.rhs.with_elements(edges={"bad": Edge("portfolio", "c", "p")})
+    crossed = with_elements(m.rhs, edges={"bad": Edge("portfolio", "c", "p")})
     eor = EffectOrientedRule(base, Rule(m.lhs, m.interface, crossed, m.nacs))
     assert [(d.code, d.element, d.message) for d in validate_effect_rule(eor)] == [
         (
@@ -344,7 +345,7 @@ def test_only_a_hand_built_rule_has_its_nac_equivalence_checked(monkeypatch):
 
     def nac(node: str, edge: str) -> Nac:
         grown = {"x": node}, {"h": Edge(edge, "c", "x")}
-        return Nac(base.lhs.with_elements(*grown))
+        return Nac(with_elements(base.lhs, *grown))
 
     guarded = Rule(base.lhs, base.interface, base.rhs, (nac("Account", "accounts"),))
     shifted = shift_nacs(Morphism.inclusion(base.lhs, m.lhs), guarded.nacs)
@@ -405,8 +406,8 @@ def test_effect_rule_whose_base_is_not_included_by_id_cannot_be_built():
     # sends x to y passes the general check, but the effect-oriented rule is
     # read by ids: the selection that performs y would delete both x and y.
     k = TypedGraph(banking_type_graph(), {"k": "Client"}, {})
-    base = Rule(k.with_elements({"x": "Client"}), k, k)
-    maximal = Rule(k.with_elements({"y": "Client"}), k, k)
+    base = Rule(with_elements(k, {"x": "Client"}), k, k)
+    maximal = Rule(with_elements(k, {"y": "Client"}), k, k)
     sent = SubruleEmbedding(
         base,
         maximal,

@@ -71,6 +71,7 @@ from oracles import (
     restricted,
     rule_applicable,
     same_maps,
+    with_elements,
 )
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,8 @@ def test_find_base_prematches_lists_every_client():
 def guarded_provision() -> EffectOrientedRule:
     """``ensure_account`` for clients that hold no account yet."""
     provision = ensure_account_rule()
-    forbidden = provision.base.lhs.with_elements(
-        nodes={"held": "Account"}, edges={"he": Edge("accounts", "c", "held")}
+    forbidden = with_elements(
+        provision.base.lhs, nodes={"held": "Account"}, edges={"he": Edge("accounts", "c", "held")}
     )
     guarded_base = Rule(
         provision.base.lhs,
@@ -345,8 +346,8 @@ def test_globally_maximal_prefers_the_provisioned_client():
 def test_globally_maximal_is_nondeterministic_across_equal_clients():
     provision = ensure_account_rule()
     host = bank_graph()
-    twin = host.with_elements(
-        nodes={"c3": "Client", "a5": "Account", "p5": "Portfolio"},
+    twin = with_elements(
+        host, nodes={"c3": "Client", "a5": "Account", "p5": "Portfolio"},
         edges={
             "accounts_c3_a5": Edge("accounts", "c3", "a5"),
             "portfolio_a5_p5": Edge("portfolio", "a5", "p5"),
@@ -512,11 +513,11 @@ ABSORB_TG = TypeGraph(
 def absorb_rule() -> EffectOrientedRule:
     """One potential deletion and one potential creation of the same type."""
     interface = TypedGraph(ABSORB_TG, {"c": "Client"}, {})
-    maximal_lhs = interface.with_elements(
-        nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
+    maximal_lhs = with_elements(
+        interface, nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
     )
-    maximal_rhs = interface.with_elements(
-        nodes={"a_c": "Account"}, edges={"e_c": Edge("accounts", "c", "a_c")}
+    maximal_rhs = with_elements(
+        interface, nodes={"a_c": "Account"}, edges={"e_c": Edge("accounts", "c", "a_c")}
     )
     base = Rule(interface, interface, interface)
     maximal = Rule(maximal_lhs, interface, maximal_rhs)
@@ -550,8 +551,8 @@ def test_no_free_candidate_anywhere_means_no_match():
     """When the lone deletion candidate dangles and nothing absorbs it, a
     blocked extension still exists, so no completion is possible at all."""
     interface = TypedGraph(ABSORB_TG, {"c": "Client"}, {})
-    maximal_lhs = interface.with_elements(
-        nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
+    maximal_lhs = with_elements(
+        interface, nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
     )
     eor = EffectOrientedRule(
         Rule(interface, interface, interface),
@@ -1033,12 +1034,12 @@ def linked_rules() -> tuple[EffectOrientedRule, EffectOrientedRule]:
     reuses or creates a linked account with a portfolio, the other deletes
     a linked account where it can."""
     client = TypedGraph(LINKED_TG, {"c": "Client"}, {})
-    linked = client.with_elements(
-        {"a": "Account"},
+    linked = with_elements(
+        client, {"a": "Account"},
         {"accounts_c_a": Edge("accounts", "c", "a"), "link_a": Edge("link", "a", "a")},
     )
-    backed = linked.with_elements(
-        {"p": "Portfolio"},
+    backed = with_elements(
+        linked, {"p": "Portfolio"},
         {
             "portfolio_a_p": Edge("portfolio", "a", "p"),
             "portfolios_c_p": Edge("portfolios", "c", "p"),

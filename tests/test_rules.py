@@ -41,6 +41,7 @@ from oracles import (
     is_isomorphic,
     is_pullback_square,
     same_maps,
+    with_elements,
 )
 
 CHAIN = TypeGraph(
@@ -53,11 +54,11 @@ CHAIN = TypeGraph(
 def swap_rule() -> Rule:
     """Delete an A-node hanging off a B-node, create a fresh B-successor."""
     interface = TypedGraph(CHAIN, {"k": "B"}, {})
-    lhs = interface.with_elements(
-        nodes={"d": "A"}, edges={"de": Edge("ab", "d", "k")}
+    lhs = with_elements(
+        interface, nodes={"d": "A"}, edges={"de": Edge("ab", "d", "k")}
     )
-    rhs = interface.with_elements(
-        nodes={"c": "B"}, edges={"ce": Edge("bb", "k", "c")}
+    rhs = with_elements(
+        interface, nodes={"c": "B"}, edges={"ce": Edge("bb", "k", "c")}
     )
     return Rule(lhs, interface, rhs)
 
@@ -69,7 +70,7 @@ def test_validate_rule_accepts_well_formed_span():
 def test_validate_rule_reports_span_violations():
     interface = TypedGraph(CHAIN, {"k": "B"}, {})
     lhs = TypedGraph(CHAIN, {"d": "A"}, {})  # interface node missing
-    rhs = interface.with_elements(nodes={"d": "A"})  # reuses a deleted id
+    rhs = with_elements(interface, nodes={"d": "A"})  # reuses a deleted id
     codes = {d.code for d in validate_rule(Rule(lhs, interface, rhs))}
     assert "interface-not-included" in codes
     assert "lhs-rhs-overlap" in codes
@@ -92,7 +93,7 @@ def test_validate_rule_reports_unrooted_nac():
 
 def test_validate_rule_reports_an_ill_formed_side_graph():
     r = swap_rule()
-    crossed = r.rhs.with_elements(edges={"bad": Edge("ab", "k", "c")})
+    crossed = with_elements(r.rhs, edges={"bad": Edge("ab", "k", "c")})
     assert validate_rule(Rule(r.lhs, r.interface, crossed)) == [
         Diagnostic(
             "endpoint-type-mismatch",
@@ -104,7 +105,7 @@ def test_validate_rule_reports_an_ill_formed_side_graph():
 
 def test_validate_rule_reports_an_ill_formed_nac_graph():
     r = swap_rule()
-    odd = Nac(r.lhs.with_elements(nodes={"z": "Z"}))
+    odd = Nac(with_elements(r.lhs, nodes={"z": "Z"}))
     assert validate_rule(Rule(r.lhs, r.interface, r.rhs, (odd,))) == [
         Diagnostic("unknown-node-type", "z", "NAC 0: node type 'Z' not declared")
     ]
@@ -147,7 +148,7 @@ def test_apply_rule_hand_checked_result():
 
 def test_apply_rule_created_ids_skip_taken_suffixes():
     r = swap_rule()
-    host = host_with_two_hooks().with_elements(nodes={"c#1": "B", "c#2": "B"})
+    host = with_elements(host_with_two_hooks(), nodes={"c#1": "B", "c#2": "B"})
     m = Morphism(r.lhs, host, {"k": "b1", "d": "a1"}, {"de": "f1"})
     t = apply_rule(r, host, m)
     assert "c#3" in t.output.nodes
@@ -166,8 +167,8 @@ def test_apply_rule_identity_rule_is_a_no_op():
 
 def test_apply_rule_rejects_dangling_deletion():
     r = swap_rule()
-    host = host_with_two_hooks().with_elements(
-        nodes={"b2": "B"}, edges={"extra": Edge("ab", "a1", "b2")}
+    host = with_elements(
+        host_with_two_hooks(), nodes={"b2": "B"}, edges={"extra": Edge("ab", "a1", "b2")}
     )
     m = Morphism(r.lhs, host, {"k": "b1", "d": "a1"}, {"de": "f1"})
     with pytest.raises(DanglingViolation):
@@ -199,8 +200,8 @@ def test_apply_rule_rejects_bad_matches():
 def test_apply_rule_rejects_nac_violation():
     r = swap_rule()
     # Forbid a second A-node attached to the same hook.
-    forbidden = r.lhs.with_elements(
-        nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
+    forbidden = with_elements(
+        r.lhs, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
     )
     guarded = Rule(r.lhs, r.interface, r.rhs, (Nac(forbidden),))
     host = host_with_two_hooks()
@@ -274,8 +275,8 @@ def test_apply_rule_is_reversible_up_to_isomorphism(seed):
 
 def test_satisfies_nacs_hand_case():
     r = swap_rule()
-    forbidden = r.lhs.with_elements(
-        nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
+    forbidden = with_elements(
+        r.lhs, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
     )
     nacs = (Nac(forbidden),)
     crowded = host_with_two_hooks()
@@ -292,10 +293,10 @@ def test_satisfies_nacs_hand_case():
 def test_shift_along_identity_is_semantically_neutral():
     r = swap_rule()
     nacs = [
-        Nac(r.lhs.with_elements(nodes={"n": "A"})),
+        Nac(with_elements(r.lhs, nodes={"n": "A"})),
         Nac(
-            r.lhs.with_elements(
-                nodes={"n": "B"}, edges={"ne": Edge("bb", "k", "n")}
+            with_elements(
+                r.lhs, nodes={"n": "B"}, edges={"ne": Edge("bb", "k", "n")}
             )
         ),
     ]
@@ -331,10 +332,10 @@ def test_shift_nacs_overlap_example():
     """Shifting over a codomain that already holds a forbidden-shaped part
     must produce both the disjoint and the overlapping variant."""
     root = TypedGraph(CHAIN, {"k": "B"}, {})
-    forbidden = root.with_elements(
-        nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
+    forbidden = with_elements(
+        root, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}
     )
-    wide = root.with_elements(nodes={"other": "A"})
+    wide = with_elements(root, nodes={"other": "A"})
     shifted = shift_nacs(Morphism.inclusion(root, wide), [Nac(forbidden)])
     assert len(shifted) == 2
     sizes = sorted(len(n.forbidden.nodes) for n in shifted)
@@ -353,17 +354,17 @@ def test_shift_nacs_keeps_the_first_overlap_of_each_shape():
     id order, each first left out and then identified with each candidate;
     of isomorphic overlaps the first one found is kept."""
     root = TypedGraph(CHAIN, {"k": "B"}, {})
-    forbidden = root.with_elements(nodes={"n1": "A", "n2": "A"})
-    wide = root.with_elements(nodes={"other": "A"})
+    forbidden = with_elements(root, nodes={"n1": "A", "n2": "A"})
+    wide = with_elements(root, nodes={"other": "A"})
     inclusion = Morphism.inclusion(root, wide)
     assert _nac_shapes(shift_nacs(inclusion, [Nac(forbidden)])) == [
         ({"k", "other", "n1#1"}, {}),
         ({"k", "other", "n1#1", "n2#1"}, {}),
     ]
-    hooked = forbidden.with_elements(
-        edges={"e1": Edge("ab", "n1", "k"), "e2": Edge("ab", "n2", "k")}
+    hooked = with_elements(
+        forbidden, edges={"e1": Edge("ab", "n1", "k"), "e2": Edge("ab", "n2", "k")}
     )
-    wide = wide.with_elements(edges={"f": Edge("ab", "other", "k")})
+    wide = with_elements(wide, edges={"f": Edge("ab", "other", "k")})
     inclusion = Morphism.inclusion(root, wide)
     f = ("other", "k")
     assert _nac_shapes(shift_nacs(inclusion, [Nac(hooked)])) == [
@@ -383,10 +384,10 @@ def test_shift_nacs_reroots_the_codomain_when_a_nac_shares_its_lineage():
     rebuilt in lineages of their own."""
     tg = TypeGraph("ab", frozenset({"A", "B"}), {"e": EdgeType("A", "B")})
     root = TypedGraph(tg, {"k": "B"}, {})
-    wide = root.with_elements(nodes={"other": "A"}, edges={"e1": Edge("e", "other", "k")})
-    grown = root.with_elements(nodes={"n2": "A"}, edges={"f": Edge("e", "n2", "k")})
+    wide = with_elements(root, nodes={"other": "A"}, edges={"e1": Edge("e", "other", "k")})
+    grown = with_elements(root, nodes={"n2": "A"}, edges={"f": Edge("e", "n2", "k")})
     step = apply_rule(Rule(root, root, grown), wide, Morphism.inclusion(root, wide))
-    nacs = [Nac(root.with_elements(nodes={"x": "B"})), Nac(step.output)]
+    nacs = [Nac(with_elements(root, nodes={"x": "B"})), Nac(step.output)]
 
     def rebuilt(g: TypedGraph) -> TypedGraph:
         return TypedGraph(g.type_graph, dict(g.nodes), dict(g.edges))
@@ -402,22 +403,22 @@ def test_shift_nacs_reroots_the_codomain_when_a_nac_shares_its_lineage():
 def test_nac_sets_equivalent_detects_difference():
     root = TypedGraph(CHAIN, {"k": "B"}, {})
     with_edge = Nac(
-        root.with_elements(nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")})
+        with_elements(root, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")})
     )
-    node_only = Nac(root.with_elements(nodes={"n": "A"}))
+    node_only = Nac(with_elements(root, nodes={"n": "A"}))
     renamed = Nac(
-        root.with_elements(nodes={"m": "A"}, edges={"me": Edge("ab", "m", "k")})
+        with_elements(root, nodes={"m": "A"}, edges={"me": Edge("ab", "m", "k")})
     )
     assert nac_sets_equivalent(root, [with_edge], [renamed])
     assert not nac_sets_equivalent(root, [with_edge], [node_only])
     assert not nac_sets_equivalent(root, [], [node_only])
     # A NAC that extends another adds nothing to the set.
     # The same shape hung off another root node is another condition.
-    pair = root.with_elements(nodes={"j": "B"})
-    at_k = Nac(pair.with_elements(nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}))
-    at_j = Nac(pair.with_elements(nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "j")}))
+    pair = with_elements(root, nodes={"j": "B"})
+    at_k = Nac(with_elements(pair, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "k")}))
+    at_j = Nac(with_elements(pair, nodes={"n": "A"}, edges={"ne": Edge("ab", "n", "j")}))
     assert not nac_sets_equivalent(pair, [at_k], [at_j])
-    wider = Nac(with_edge.forbidden.with_elements(nodes={"x": "B"}))
+    wider = Nac(with_elements(with_edge.forbidden, nodes={"x": "B"}))
     assert nac_sets_equivalent(root, [with_edge], [with_edge, wider])
     assert not nac_sets_equivalent(root, [wider], [with_edge, wider])
     with pytest.raises(ValueError, match="not rooted"):
@@ -430,8 +431,8 @@ def test_nac_equivalence_sees_nacs_larger_than_five_nodes():
     tg = TypeGraph("star", frozenset({"A", "B"}), {"ab": EdgeType("A", "B")})
     root = TypedGraph(tg, {"a": "A"}, {})
     nac = Nac(
-        root.with_elements(
-            nodes={f"b{i}": "B" for i in range(5)},
+        with_elements(
+            root, nodes={f"b{i}": "B" for i in range(5)},
             edges={f"e{i}": Edge("ab", "a", f"b{i}") for i in range(5)},
         )
     )
@@ -460,8 +461,8 @@ def _extend(
 ) -> TypedGraph:
     """``g`` plus ``extra_nodes`` fresh nodes and one or two fresh edges,
     which run parallel to other edges only if ``parallel``."""
-    g = g.with_elements(
-        nodes={f"{prefix}n{i}": rng.choice("AB") for i in range(extra_nodes)}
+    g = with_elements(
+        g, nodes={f"{prefix}n{i}": rng.choice("AB") for i in range(extra_nodes)}
     )
     slots = [
         (name, u, v)
@@ -478,7 +479,7 @@ def _extend(
             slots = [s for s in slots if s not in occupied]
         if slots:
             edges[f"{prefix}e{i}"] = Edge(*rng.choice(slots))
-    return g.with_elements(edges=edges)
+    return with_elements(g, edges=edges)
 
 
 def _renamed(nac: Nac, root: TypedGraph, prefix: str, swap: bool = False) -> Nac:
@@ -559,7 +560,7 @@ def test_nac_equivalence_agrees_with_the_bounded_oracle():
 def test_subrule_embedding_by_inclusion_checks_out():
     small = swap_rule()
     big_interface = small.interface
-    big_lhs = small.lhs.with_elements(nodes={"extra": "A"})
+    big_lhs = with_elements(small.lhs, nodes={"extra": "A"})
     big_rhs = small.rhs
     big = Rule(big_lhs, big_interface, big_rhs)
     assert check_subrule_embedding(SubruleEmbedding.by_inclusion(small, big))
@@ -567,7 +568,7 @@ def test_subrule_embedding_by_inclusion_checks_out():
 
 def test_subrule_embedding_rejects_nac_mismatch():
     small = swap_rule()
-    forbidden = small.lhs.with_elements(nodes={"n": "A"})
+    forbidden = with_elements(small.lhs, nodes={"n": "A"})
     small_guarded = Rule(small.lhs, small.interface, small.rhs, (Nac(forbidden),))
     big = Rule(small.lhs, small.interface, small.rhs)  # drops the NAC
     assert not check_subrule_embedding(

@@ -37,7 +37,7 @@ from effectgraph.fixtures import (
 )
 
 from gen import empty_graph, empty_selection, instances, seeded_bank
-from oracles import reference_audit
+from oracles import reference_audit, with_elements
 
 
 def prematch_at(eor, host, client) -> PreMatch:
@@ -148,11 +148,11 @@ ABSORB_TG = TypeGraph(
 
 def test_audit_records_reuse_witness_for_skipped_deletion():
     interface = TypedGraph(ABSORB_TG, {"c": "Client"}, {})
-    maximal_lhs = interface.with_elements(
-        nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
+    maximal_lhs = with_elements(
+        interface, nodes={"a_d": "Account"}, edges={"e_d": Edge("accounts", "c", "a_d")}
     )
-    maximal_rhs = interface.with_elements(
-        nodes={"a_c": "Account"}, edges={"e_c": Edge("accounts", "c", "a_c")}
+    maximal_rhs = with_elements(
+        interface, nodes={"a_c": "Account"}, edges={"e_c": Edge("accounts", "c", "a_c")}
     )
     eor = EffectOrientedRule(
         Rule(interface, interface, interface),
@@ -285,8 +285,8 @@ def test_audit_agrees_with_the_search_based_reference():
         for eor, host, pm in instances(seed, 1):
             rng = random.Random(seed)
             edges = sorted(host.edges.items())
-            parallel = host.with_elements(
-                edges={f"{e}'": x for e, x in edges if rng.random() < 0.5}
+            parallel = with_elements(
+                host, edges={f"{e}'": x for e, x in edges if rng.random() < 0.5}
             )
             parallel_pm = next(find_base_prematches(eor, parallel), None)
             sides = {"deletion": eor.maximal.lhs, "creation": eor.maximal.rhs}
