@@ -49,10 +49,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 
 class EffectGraphError(Exception):
@@ -69,8 +68,35 @@ class DanglingViolation(EffectGraphError):
         self.node_id = node_id
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Value:
+    """A frozen value.  A subclass names its ``_fields``, and its
+    ``__init__`` sets them once through ``__dict__``, where a
+    ``cached_property`` caches too.  Values of one class are equal when
+    their fields are; they are unhashable unless the subclass says how."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Diagnostic(NamedTuple):
     """A single validation finding, tied to the offending element."""
 
     code: str
@@ -82,31 +108,28 @@ class Diagnostic:
         return f"{self.code}{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class EdgeType:
+class EdgeType(NamedTuple):
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class TypeGraph:
+class TypeGraph(_Value):
     """Declares the node types and the typed edges allowed between them."""
 
-    name: str
-    node_types: frozenset[str]
-    edge_types: Mapping[str, EdgeType]
+    _fields = ("name", "node_types", "edge_types")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_types", frozenset(self.node_types))
-        object.__setattr__(
-            self, "edge_types", MappingProxyType(dict(self.edge_types))
-        )
-        for name, et in self.edge_types.items():
+    def __init__(
+        self, name: str, node_types: Iterable[str], edge_types: Mapping[str, EdgeType]
+    ) -> None:
+        node_types = frozenset(node_types)
+        edge_types = MappingProxyType(dict(edge_types))
+        for et_name, et in edge_types.items():
             for end, node_type in (("source", et.source), ("target", et.target)):
-                if node_type not in self.node_types:
+                if node_type not in node_types:
                     raise ValueError(
-                        f"edge type {name!r} has unknown {end} type {node_type!r}"
+                        f"edge type {et_name!r} has unknown {end} type {node_type!r}"
                     )
+        self.__dict__.update(name=name, node_types=node_types, edge_types=edge_types)
 
     def __repr__(self) -> str:
         return (
@@ -115,8 +138,9 @@ class TypeGraph:
         )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge, which is also the key of its class: parallel edges are equal."""
+
     type: str
     src: str
     tgt: str
@@ -145,20 +169,19 @@ class _Store:
         return buckets
 
     @cached_property
-    def edge_classes(self) -> dict[tuple[str, str, str], tuple[str, ...]]:
+    def edge_classes(self) -> dict[Edge, tuple[str, ...]]:
         """Classes are small: each is a sorted tuple, replaced when patched."""
         classes: dict = {}
         shared = []  # classes of parallel edges: lists until sorted
         for eid, e in self.edges.items():
-            key = (e.type, e.src, e.tgt)
-            ids = classes.get(key)
+            ids = classes.get(e)
             if ids is None:
-                classes[key] = (eid,)
+                classes[e] = (eid,)
             elif type(ids) is list:
                 ids.append(eid)
             else:
-                classes[key] = [ids[0], eid]
-                shared.append(key)
+                classes[e] = [ids[0], eid]
+                shared.append(e)
         for key in shared:
             classes[key] = tuple(sorted(classes[key]))
         return classes
@@ -194,14 +217,12 @@ class _Store:
         if "edge_classes" in self.__dict__:
             classes = self.edge_classes
             for eid, e in gone_edges.items():
-                key = (e.type, e.src, e.tgt)
-                ids = classes.pop(key)
+                ids = classes.pop(e)
                 if len(ids) > 1:
-                    classes[key] = tuple(x for x in ids if x != eid)
+                    classes[e] = tuple(x for x in ids if x != eid)
             for eid, e in new_edges.items():
-                key = (e.type, e.src, e.tgt)
-                ids = classes.get(key)
-                classes[key] = (eid,) if ids is None else tuple(sorted((*ids, eid)))
+                ids = classes.get(e)
+                classes[e] = (eid,) if ids is None else tuple(sorted((*ids, eid)))
         if "incidence" in self.__dict__:
             incidence = self.incidence
             for eid, e in gone_edges.items():
@@ -215,7 +236,7 @@ class _Store:
                     insort(incidence[n], eid)
 
 
-class TypedGraph:
+class TypedGraph(_Value):
     """An immutable graph typed over a :class:`TypeGraph`.
 
     ``nodes`` maps node id to node type name; ``edges`` maps edge id to an
@@ -223,21 +244,13 @@ class TypedGraph:
     equal when their type graphs, nodes and edges are.
     """
 
+    _fields = ("type_graph", "nodes", "edges")
+
     def __init__(
         self, type_graph: TypeGraph, nodes: Mapping[str, str], edges: Mapping[str, Edge]
     ) -> None:
         store = _Store(_copy(nodes), _copy(edges))
         self.__dict__.update(type_graph=type_graph, _store=store, _link=None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypedGraph):
-            return NotImplemented
-        return self is other or (self.type_graph, self.nodes, self.edges) == (
-            other.type_graph, other.nodes, other.edges
-        )
 
     def __reduce__(self) -> tuple:  # copies start a lineage of their own
         return TypedGraph, (self.type_graph, dict(self.nodes), dict(self.edges))
@@ -331,8 +344,8 @@ class TypedGraph:
         return MappingProxyType({t: tuple(ids) for t, ids in by_type.items() if ids})
 
     @cached_property
-    def edge_classes(self) -> Mapping[tuple[str, str, str], tuple[str, ...]]:
-        """Edge ids grouped by (type, src, tgt); parallel edges share a class."""
+    def edge_classes(self) -> Mapping[Edge, tuple[str, ...]]:
+        """Edge ids by their :class:`Edge`, a (type, src, tgt) key they share."""
         return MappingProxyType(self._rooted().edge_classes.copy())
 
     @cached_property
@@ -348,16 +361,16 @@ class TypedGraph:
         )
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(_Value):
     """A set of graph elements, split into nodes and edges."""
 
-    nodes: frozenset[str] = frozenset()
-    edges: frozenset[str] = frozenset()
+    _fields = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+    def __init__(self, nodes: Iterable[str] = (), edges: Iterable[str] = ()) -> None:
+        self.__dict__.update(nodes=frozenset(nodes), edges=frozenset(edges))
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -380,18 +393,20 @@ def element_difference(a: TypedGraph, b: TypedGraph) -> ElementSet:
     )
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Value):
     """A typed graph morphism given by explicit node and edge id maps."""
 
-    src_graph: TypedGraph
-    dst_graph: TypedGraph
-    node_map: Mapping[str, str]
-    edge_map: Mapping[str, str]
+    _fields = ("src_graph", "dst_graph", "node_map", "edge_map")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", MappingProxyType(_copy(self.node_map)))
-        object.__setattr__(self, "edge_map", MappingProxyType(_copy(self.edge_map)))
+    def __init__(
+        self, src_graph: TypedGraph, dst_graph: TypedGraph,
+        node_map: Mapping[str, str], edge_map: Mapping[str, str],
+    ) -> None:
+        self.__dict__.update(
+            src_graph=src_graph, dst_graph=dst_graph,
+            node_map=MappingProxyType(_copy(node_map)),
+            edge_map=MappingProxyType(_copy(edge_map)),
+        )
 
     @classmethod
     def inclusion(cls, sub: TypedGraph, sup: TypedGraph) -> Morphism:
@@ -628,11 +643,10 @@ def find_injective_extensions(
     # host classes, and the endpoint closure puts a class's pre-assigned
     # edges in its own: a class fits when its host class is as large, and
     # its free edges avoid only the pre-assigned images.
-    classes: dict[tuple[str, str, str], list[str]] = {}
+    classes: dict[Edge, list[str]] = {}
     for eid in sorted(p_edges):
-        e = p_edges[eid]
-        classes.setdefault((e.type, e.src, e.tgt), []).append(eid)
-    touching: dict[str, list[tuple[str, str, str]]] = {n: [] for n in p_nodes}
+        classes.setdefault(p_edges[eid], []).append(eid)
+    touching: dict[str, list[Edge]] = {n: [] for n in p_nodes}
     for cls in classes:
         _, ps, pt = cls
         touching[ps].append(cls)
@@ -644,11 +658,11 @@ def find_injective_extensions(
         for cls, ids in sorted(classes.items())
     ]
 
-    def host_class(cls: tuple[str, str, str]) -> tuple[str, ...]:
+    def host_class(cls: Edge) -> tuple[str, ...]:
         etype, ps, pt = cls
         return store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())
 
-    def fits(cls: tuple[str, str, str]) -> bool:
+    def fits(cls: Edge) -> bool:
         _, ps, pt = cls
         if ps not in node_map or pt not in node_map:
             return True

@@ -16,8 +16,7 @@ elements glued onto the base left-hand side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Collection, Iterable, Mapping, NoReturn
+from typing import Any, Collection, Iterable, Mapping, NamedTuple, NoReturn
 
 from .core import (
     DanglingViolation,
@@ -231,8 +230,7 @@ def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
     raw_nodes, raw_edges = doc.get("nodes"), doc.get("edges")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ParseError("nodes and edges must be lists")
-    node_types = tg.node_types
-    ends = {name: (et.source, et.target) for name, et in tg.edge_types.items()}
+    node_types, edge_types = tg.node_types, tg.edge_types
     nodes: dict[str, str] = {}
     edges: dict[str, Edge] = {}
     typed = True
@@ -267,7 +265,7 @@ def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
         src_type, tgt_type = nodes.get(src), nodes.get(tgt)
         if src_type is None or tgt_type is None:
             dangling = dangling or eid
-        elif ends.get(etype) != (src_type, tgt_type):
+        elif edge_types.get(etype) != (src_type, tgt_type):
             typed = False
     if dangling is not None:
         raise ParseError("edge endpoint is not a declared node", dangling)
@@ -303,16 +301,18 @@ def _element_entry(
     if xid in g.nodes:
         entry["type"] = g.nodes[xid]
     else:
-        e = g.edges[xid]
-        entry.update(type=e.type, src=e.src, tgt=e.tgt)
+        entry.update(g.edges[xid]._asdict())
     return entry
 
 
 def encode_rule(name: str, eor: EffectOrientedRule) -> str:
-    """Canonical text; ``ValueError`` unless both maximal sides hold the interface."""
+    """Canonical text; ``ValueError`` unless both maximal sides hold the
+    interface and the maximal interface is the base one."""
     lhs, rhs = eor.maximal.lhs, eor.maximal.rhs
-    for side in (lhs, rhs):  # only the sides' ids are tagged
-        Morphism.inclusion(eor.interface, side)
+    # Only the sides' ids are tagged, and only the base interface's preserved.
+    k = eor.interface
+    for sub, sup in ((k, lhs), (k, rhs), (eor.maximal.interface, k)):
+        Morphism.inclusion(sub, sup)
     elements = [
         _element_entry(xid, lhs if xid in lhs.nodes or xid in lhs.edges else rhs, tag)
         for xid, tag in _actions_of(eor).items()
@@ -502,8 +502,7 @@ def prematch_from_maps(
 # traces
 
 
-@dataclass(frozen=True)
-class TraceData:
+class TraceData(NamedTuple):
     """The raw content of a trace document."""
 
     rule: str
@@ -647,17 +646,7 @@ def encode_audit_report(report: AuditReport) -> str:
     return canonical_text(
         {
             "kind": "audit_report",
-            "entries": [
-                {
-                    "kind": entry.kind,
-                    "element": entry.element,
-                    "clause": entry.clause,
-                    "witness": None
-                    if entry.witness is None
-                    else [[k, v] for k, v in entry.witness],
-                }
-                for entry in report.entries
-            ],
+            "entries": [entry._asdict() for entry in report.entries],
         }
     )
 

@@ -14,9 +14,8 @@ and everything else keeps the base behaviour.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     Diagnostic,
@@ -25,6 +24,7 @@ from .core import (
     Morphism,
     TypedGraph,
     _edge_kinds,
+    _Value,
     element_difference,
     is_id_subgraph,
 )
@@ -37,18 +37,17 @@ class InvalidSelection(EffectGraphError):
     """A selection violates containment or edge closure."""
 
 
-@dataclass(frozen=True)
-class EffectOrientedRule:
+class EffectOrientedRule(_Value):
     """A base rule and a maximal rule containing it by id, else ``ValueError``."""
 
-    base: Rule
-    maximal: Rule
+    _fields = ("base", "maximal")
 
-    def __post_init__(self) -> None:
-        b, m = self.base, self.maximal
+    def __init__(self, base: Rule, maximal: Rule) -> None:
+        b, m = base, maximal
         for sub, sup in ((b.lhs, m.lhs), (b.interface, m.interface), (b.rhs, m.rhs)):
             if not is_id_subgraph(sub, sup):
                 raise ValueError("not an id-subgraph; no inclusion exists")
+        self.__dict__.update(base=base, maximal=maximal)
 
     @property
     def interface(self) -> TypedGraph:
@@ -134,8 +133,7 @@ def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
-class InducedSelection:
+class InducedSelection(NamedTuple):
     """Which potential deletions to perform and which potential creations
     to match in the host instead of creating."""
 
@@ -150,8 +148,7 @@ class InducedSelection:
         return self.del_extra.sort_key() + self.preserve_extra.sort_key()
 
 
-@dataclass(frozen=True)
-class InducedRule:
+class InducedRule(NamedTuple):
     selection: InducedSelection
     rule: Rule
 

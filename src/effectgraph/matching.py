@@ -9,8 +9,7 @@ public ``find_*`` functions drive it, and none enumerates the selections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Edge,
@@ -19,6 +18,7 @@ from .core import (
     Morphism,
     TypedGraph,
     _edge_kinds,
+    _Value,
     check_morphism,
     dangling_node,
     find_injective_extensions,
@@ -37,16 +37,17 @@ class InvalidPreMatch(EffectGraphError):
     the base left-hand side."""
 
 
-@dataclass(frozen=True)
-class PreMatch:
+class PreMatch(_Value):
     """A morphism from the base lhs; :func:`validate_prematch` checks that
     it is injective and satisfies the base NACs."""
 
-    morphism: Morphism
+    _fields = ("morphism",)
+
+    def __init__(self, morphism: Morphism) -> None:
+        self.__dict__["morphism"] = morphism
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """An induced rule together with its match and the pre-match it extends."""
 
     induced: InducedRule
@@ -57,7 +58,6 @@ class MatchResult:
         return self.induced.selection.sort_key() + self.match.sort_key()
 
 
-@dataclass
 class MatchStats:
     """Counters filled in by :func:`find_locally_complete`,
     :func:`find_locally_maximal` and :func:`find_globally_maximal`.
@@ -79,9 +79,11 @@ class MatchStats:
     ``full_passes`` counts the times :func:`find_locally_complete` ran the
     full search after its greedy pass found nothing."""
 
-    backtracks: int = 0
-    examined: int = 0
-    full_passes: int = 0
+    def __init__(
+        self, backtracks: int = 0, examined: int = 0, full_passes: int = 0
+    ) -> None:
+        self.backtracks, self.examined = backtracks, examined
+        self.full_passes = full_passes
 
 
 def find_base_prematches(
@@ -104,7 +106,7 @@ def validate_prematch(
         raise InvalidPreMatch(f"pre-match is not a valid injection: {problems[0]}")
     if not satisfies_nacs(pm.morphism, eor.base.nacs):
         raise InvalidPreMatch("pre-match violates a base NAC")
-    object.__setattr__(pm, "_rule", eor)
+    pm.__dict__["_rule"] = eor
 
 
 def _entered(eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch) -> None:

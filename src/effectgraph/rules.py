@@ -16,9 +16,8 @@ embedding, with its pullback squares, is a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Diagnostic,
@@ -27,6 +26,7 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
+    _Value,
     check_morphism,
     deleted_images,
     find_injective_extensions,
@@ -44,8 +44,7 @@ class NacViolated(EffectGraphError):
     """A rule was applied at a match that violates one of its NACs."""
 
 
-@dataclass(frozen=True)
-class Nac:
+class Nac(NamedTuple):
     """A negative application condition.
 
     ``forbidden`` contains the rule's left-hand side as an id-subgraph plus
@@ -55,17 +54,16 @@ class Nac:
     forbidden: TypedGraph
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Value):
     """A span ``lhs >= interface <= rhs`` with NACs rooted at ``lhs``."""
 
-    lhs: TypedGraph
-    interface: TypedGraph
-    rhs: TypedGraph
-    nacs: tuple[Nac, ...] = ()
+    _fields = ("lhs", "interface", "rhs", "nacs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nacs", tuple(self.nacs))
+    def __init__(
+        self, lhs: TypedGraph, interface: TypedGraph, rhs: TypedGraph,
+        nacs: Iterable[Nac] = (),
+    ) -> None:
+        self.__dict__.update(lhs=lhs, interface=interface, rhs=rhs, nacs=tuple(nacs))
 
     @property
     def left_inclusion(self) -> Morphism:
@@ -76,8 +74,7 @@ class Rule:
         return Morphism.inclusion(self.interface, self.rhs)
 
 
-@dataclass(frozen=True)
-class TransformationRecord:
+class TransformationRecord(_Value):
     """Everything produced by one rule application.
 
     The record keeps the delta of the step: the host ids it ``deleted`` and
@@ -88,13 +85,16 @@ class TransformationRecord:
     with its morphisms.
     """
 
-    rule: Rule
-    input: TypedGraph
-    output: TypedGraph
-    match: Morphism
-    comatch: Morphism
-    deleted: ElementSet
-    created: ElementSet
+    _fields = ("rule", "input", "output", "match", "comatch", "deleted", "created")
+
+    def __init__(
+        self, rule: Rule, input: TypedGraph, output: TypedGraph, match: Morphism,
+        comatch: Morphism, deleted: ElementSet, created: ElementSet,
+    ) -> None:
+        self.__dict__.update(
+            rule=rule, input=input, output=output, match=match, comatch=comatch,
+            deleted=deleted, created=created,
+        )
 
     @cached_property
     def context(self) -> TypedGraph:

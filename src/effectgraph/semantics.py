@@ -17,8 +17,7 @@ effective as claimed and raises :class:`AuditFailure`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import EffectGraphError, ElementSet, Morphism, TypedGraph
 from .effect import EffectOrientedRule, InducedSelection
@@ -50,8 +49,7 @@ class AuditFailure(EffectGraphError):
         self.element = element
 
 
-@dataclass(frozen=True)
-class EffectTransformation:
+class EffectTransformation(NamedTuple):
     """A transformation obtained by one of the matching strategies."""
 
     eor: EffectOrientedRule
@@ -61,16 +59,14 @@ class EffectTransformation:
     base_prematch: PreMatch
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     kind: str  # "deletion" or "creation"
     element: str
     clause: str
     witness: tuple[tuple[str, str], ...] | None = None
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     entries: tuple[AuditEntry, ...]
 
 

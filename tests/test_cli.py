@@ -697,9 +697,12 @@ def test_no_color_flag_is_accepted(capsys):
 def test_importing_the_cli_leaves_out_importlib_resources():
     """The fixtures are found next to the package's source, so a process
     that ``site`` has not already given ``importlib.resources`` does not
-    pay for importing it."""
+    pay for importing it.  The value types are built without
+    ``dataclasses``, so neither it nor the ``inspect`` it imports is
+    loaded either."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import effectgraph.cli, sys; print('importlib.resources' in sys.modules)"
+    names = ("importlib.resources", "dataclasses", "inspect")
+    probe = f"import effectgraph.cli, sys; print([m in sys.modules for m in {names!r}])"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -707,4 +710,4 @@ def test_importing_the_cli_leaves_out_importlib_resources():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False, False]"

@@ -160,6 +160,17 @@ def test_indexes_equal_a_global_sort():
         assert built == _indexes_by_global_sort(g)
 
 
+def test_an_edge_is_its_own_class_key():
+    """An :class:`Edge` equals and hashes like its ``(type, src, tgt)``
+    tuple, so the class keys are the edges and a plain tuple finds them."""
+    e = Edge("ab", "x", "z")
+    assert e == ("ab", "x", "z") and hash(e) == hash(("ab", "x", "z"))
+    g = pair_graph()
+    assert g.edge_classes[("ab", "x", "z")] == ("e1",)
+    assert all(type(key) is Edge for key in g.edge_classes)
+    assert all(g.edges[ids[0]] is key for key, ids in g._rooted().edge_classes.items())
+
+
 def test_edge_classes_sort_a_large_class_and_keep_singletons():
     # The 2,000 parallel edges arrive in descending id order, so their class
     # must be sorted; the singletons and the self-loop stay one-edge classes.

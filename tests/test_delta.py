@@ -24,7 +24,6 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
 import pytest
@@ -111,7 +110,7 @@ def expected_created_ids(r: Rule, context: TypedGraph) -> dict[str, str]:
 
 def test_a_graph_refuses_assignment_and_its_copy_starts_a_lineage():
     host = TypedGraph(CHAIN, {"a": "A", "b": "B"}, {"f": Edge("ab", "a", "b")})
-    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'nodes'"):
+    with pytest.raises(AttributeError, match="cannot assign to field 'nodes'"):
         host.nodes = {}
     assert host.incidence == {"a": ("f",), "b": ("f",)}  # builds the store
     twin = copy.copy(host)

@@ -342,6 +342,19 @@ def test_a_rule_whose_interface_leaves_a_maximal_side_does_not_encode(rhs_nodes)
         encode_rule("r", EffectOrientedRule(rule, rule))
 
 
+def test_a_rule_whose_maximal_interface_outgrows_the_base_one_does_not_encode():
+    """An id of the maximal interface alone would be tagged as a potential
+    deletion, and the text would decode to another rule: such a rule
+    (``interface-mismatch``) is refused rather than encoded as another."""
+    tg = banking_type_graph()
+    c = TypedGraph(tg, {"c": "Client"}, {})
+    ck = TypedGraph(tg, {"c": "Client", "k": "Account"}, {})
+    eor = EffectOrientedRule(Rule(c, c, c), Rule(ck, ck, ck))
+    assert "interface-mismatch" in [d.code for d in validate_effect_rule(eor)]
+    with pytest.raises(ValueError, match="not an id-subgraph"):
+        encode_rule("r", eor)
+
+
 def test_rule_nacs_round_trip_and_shift():
     tg = banking_type_graph()
     doc = _rule_doc(
