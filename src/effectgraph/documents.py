@@ -119,10 +119,7 @@ def encode_type_graph(tg: TypeGraph) -> str:
             "kind": "type_graph",
             "name": tg.name,
             "node_types": sorted(tg.node_types),
-            "edge_types": {
-                name: {"source": et.source, "target": et.target}
-                for name, et in tg.edge_types.items()
-            },
+            "edge_types": {name: et._asdict() for name, et in tg.edge_types.items()},
         }
     )
 

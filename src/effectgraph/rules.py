@@ -239,7 +239,7 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
             len(nac.forbidden.nodes),
             len(nac.forbidden.edges),
             tuple(sorted(nac.forbidden.nodes.items())),
-            tuple(sorted((k, v.type, v.src, v.tgt) for k, v in nac.forbidden.edges.items())),
+            tuple(sorted(nac.forbidden.edges.items())),
         )
     )
     return tuple(shifted)
