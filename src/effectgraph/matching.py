@@ -82,7 +82,8 @@ class MatchStats:
     def __init__(
         self, backtracks: int = 0, examined: int = 0, full_passes: int = 0
     ) -> None:
-        self.backtracks, self.examined = backtracks, examined
+        self.backtracks = backtracks
+        self.examined = examined
         self.full_passes = full_passes
 
 
