@@ -95,6 +95,10 @@ class _Value:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self) -> tuple:  # caches, and a graph's lineage, start afresh
+        fields = (getattr(self, f) for f in self._fields)  # the __init__ order
+        return type(self), tuple(dict(x) if isinstance(x, Mapping) else x for x in fields)
+
 
 class Diagnostic(NamedTuple):
     """A single validation finding, tied to the offending element."""
@@ -251,9 +255,6 @@ class TypedGraph(_Value):
     ) -> None:
         store = _Store(_copy(nodes), _copy(edges))
         self.__dict__.update(type_graph=type_graph, _store=store, _link=None)
-
-    def __reduce__(self) -> tuple:  # copies start a lineage of their own
-        return TypedGraph, (self.type_graph, dict(self.nodes), dict(self.edges))
 
     def _rooted(self) -> _Store:
         """The lineage's store, rerooted to this graph: the deltas from the
@@ -630,7 +631,8 @@ def find_injective_extensions(
 
     The stream is deterministic: free pattern nodes are processed in
     ascending id order, host candidates are tried in ascending id order, and
-    parallel-edge assignments follow ascending edge ids.  The stream
+    parallel-edge assignments follow ascending edge ids; a node next to a
+    bound one draws them from the image's edges.  The stream
     reroots the host's store each time it resumes.
     """
     # The pattern's snapshots come first: both graphs may share one store.
@@ -668,6 +670,17 @@ def find_injective_extensions(
             return True
         return len(host_class(cls)) >= len(classes[cls])
 
+    def candidates(v: str) -> Iterable[str]:
+        # Through a pattern edge to a bound node, the sorted other ends of its
+        # image's edges of that type and direction: the rest fail ``fits``.
+        for etype, ps, pt in touching[v]:
+            u, near, far = (ps, 1, 2) if pt == v else (pt, 2, 1)  # Edge items
+            if u in node_map:
+                incident = (store.edges[h] for h in store.incidence[node_map[u]])
+                ends = [e[far] for e in incident if e[0] == etype and e[near] == node_map[u]]
+                return sorted({x for x in ends if store.nodes[x] == p_nodes[v]})
+        return store.nodes_by_type.get(p_nodes[v], ())
+
     # ``extend`` binds the free nodes, then each class's free edges, and
     # calls itself through an argument, not a closure cell, so a finished or
     # dropped stream leaves no cycle.  A type bucket iterated across a yield
@@ -677,7 +690,7 @@ def find_injective_extensions(
             host._rooted()
         if pos < len(free_nodes):
             v = free_nodes[pos]
-            for x in store.nodes_by_type.get(p_nodes[v], ()):
+            for x in candidates(v):
                 if x in used:
                     continue
                 node_map[v] = x

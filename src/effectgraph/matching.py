@@ -262,9 +262,14 @@ def _leaves(
         return True
 
     def growable(i: int) -> list[int]:
-        """The positions from ``i`` on that can still bind: all but the edges
-        whose host class has no free edge left, dead edges included."""
-        return [*range(i, n_nodes)] + [
+        """The positions from ``i`` on that can still bind: all but the nodes
+        whose type has no free host node and the edges whose host class has
+        no free edge left, dead edges included."""
+        by_type = store.nodes_by_type
+        return [
+            j for j in range(i, n_nodes)
+            if len(by_type.get(keys[j], ())) > used_types.get(keys[j], 0)
+        ] + [
             j
             for j in range(max(i, n_nodes), len(elements))
             if keys[j] is None
@@ -308,7 +313,7 @@ def _leaves(
             for e, u in anchored.values():
                 supported.update(reach(node_map[u])[e.type, e.src == u])
             supported -= used_nodes
-            rest = [j for j in grow[1:] if j not in anchored]  # growable(i + 1)
+            rest = [j for j in grow if j > i and j not in anchored]  # growable(i + 1)
             shared = size + 1 + len(rest)
             yield from sorted(supported)  # bucket order
         for x in candidates:
@@ -405,6 +410,30 @@ def _largest_leaves(
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)
     return sorted(best.leaves, key=MatchResult.sort_key)
+
+
+def _at_bound(
+    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch | None
+) -> list[MatchResult]:
+    """The least match at the rule's bound, the largest closed selection, that
+    extends ``pm`` or else a base pre-match: alone in a list, if any.  Matches
+    come in key order, and a node map's first edge map is its least; parallel
+    host edges swap freely, so the checks hold for all its edge maps or none:
+    that its deletions dangle no edge and, without ``pm``, the base NACs."""
+    pd, pc, rhs = eor.potential_deletions, eor.potential_creations, eor.maximal.rhs
+    ends = eor.interface.nodes.keys() | pc.nodes  # not created by the base rule
+    closed = [e for e in pc.edges if {rhs.edges[e].src, rhs.edges[e].tgt} <= ends]
+    induced = build_induced_rule(eor, InducedSelection(pd, ElementSet(pc.nodes, closed)))
+    base, gone, nacs = eor.base.lhs, eor._plan[6], () if pm else eor.base.nacs
+    partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
+    for m in find_injective_extensions(induced.rule.lhs, host, partial):
+        nm, em = m.node_map, m.edge_map
+        restricted = {v: nm[v] for v in base.nodes}, {e: em[e] for e in base.edges}
+        on_base = Morphism(base, host, *restricted)
+        deleted = map(nm.get, gone.nodes | pd.nodes), {em[e] for e in gone.edges | pd.edges}
+        if dangling_node(host, *deleted) is None and satisfies_nacs(on_base, nacs):
+            return [MatchResult(induced, m, pm or PreMatch(on_base))]
+    return []
 
 
 def find_locally_complete(

@@ -26,6 +26,7 @@ from .matching import (
     PreMatch,
     _entered,
     _largest_leaves,
+    _at_bound,
     find_base_prematches,
     find_locally_complete,
 )
@@ -82,7 +83,8 @@ def find_match(
     The two local strategies require a pre-match; the global strategy
     refuses one.  Under the maximal strategies this is the first result of
     :func:`find_locally_maximal` or :func:`find_globally_maximal`, found
-    without building the other ties."""
+    without building the other ties: by a search in key order for a match at
+    the rule's bound, else by branch and bound (README, "Matching")."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == GLOBALLY_MAXIMAL:
@@ -98,7 +100,7 @@ def find_match(
     else:
         _entered(eor, host, pm)
         pms = [pm]
-    results = _largest_leaves(eor, host, pms, None, least=True)
+    results = _at_bound(eor, host, pm) or _largest_leaves(eor, host, pms, None, least=True)
     return results[0] if results else None
 
 

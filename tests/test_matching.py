@@ -756,11 +756,14 @@ def test_every_strategy_equals_the_brute_force_oracle():
     assert parallel > 0
 
 
-def test_transform_applies_the_first_maximal_result():
+def test_transform_applies_the_first_maximal_result(monkeypatch):
     """``find_match`` builds only the least match of the best size, and
     ``transform`` applies it; it is the first result of the public maximal
     searches, which build every tie.  The hosts are random instances,
-    tie-heavy banks and owned banks."""
+    tie-heavy banks and owned banks.  Both of ``find_match``'s paths answer
+    some of them: the pass at the rule's bound, which creates no
+    incumbent, and the branch and bound."""
+    incumbents, _ = counting(monkeypatch)
     cases = [
         (eor, host, [pm])
         for seed in (1105, 1010, 4711, 5150)
@@ -774,14 +777,16 @@ def test_transform_applies_the_first_maximal_result():
         for eor in (ensure_account_rule(), ensure_no_account_rule()):
             host = owned_bank(n)
             cases.append((eor, host, list(find_base_prematches(eor, host))))
-    applied = 0
+    applied, paths = 0, Counter()
     for eor, host, pms in cases:
         runs = [
             (LOCALLY_MAXIMAL, find_locally_maximal(eor, host, pm), pm) for pm in pms
         ]
         runs.append((GLOBALLY_MAXIMAL, find_globally_maximal(eor, host), None))
         for strategy, results, given in runs:
+            incumbents.clear()
             mr = find_match(eor, host, strategy, given)
+            paths["branch and bound" if incumbents else "bound"] += mr is not None
             t = transform(eor, host, strategy, given)
             if not results:
                 assert mr is None and t is None
@@ -793,6 +798,7 @@ def test_transform_applies_the_first_maximal_result():
             assert t.base_prematch == first.base_prematch
             applied += 1
     assert applied > 600
+    assert paths["bound"] > 0 and paths["branch and bound"] > 0
 
 
 def test_a_chain_of_steps_builds_each_induced_rule_once(monkeypatch):
@@ -891,22 +897,87 @@ def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch)
     assert seen[200][0] <= 10
 
 
+def without_portfolios(host: TypedGraph) -> TypedGraph:
+    """``host`` less its portfolios and their edges: no ``ensure_account``
+    match reaches the rule's bound."""
+    nodes = {x: t for x, t in host.nodes.items() if t != "Portfolio"}
+    edges = {e: d for e, d in host.edges.items() if {d.src, d.tgt} <= nodes.keys()}
+    return TypedGraph(host.type_graph, nodes, edges)
+
+
 def test_globally_maximal_transform_work_per_prematch_stays_flat(monkeypatch):
-    """The globally maximal ``transform`` examines at most 6 host elements
-    per base pre-match on banks of 200 and 2,000 clients, and keeps one of
-    at most 3 leaves offered: a pre-match that cannot beat the incumbent
-    costs its own bindings, not the rule's set-up or the host's size."""
+    """Below the rule's bound, on banks of 200 and 2,000 clients without
+    portfolios, the globally maximal ``transform`` examines at most 6 host
+    elements per base pre-match, and keeps one of at most 3 leaves offered:
+    a pre-match that cannot beat the incumbent costs its own bindings, not
+    the rule's set-up or the host's size.  A node type with no free host
+    node does not count towards what a branch can still bind."""
     incumbents, counters = counting(monkeypatch)
     provision = ensure_account_rule()
     for n in (200, 2000):
-        host = seeded_bank(n, 0)
+        host = without_portfolios(seeded_bank(n, 0))
         incumbents.clear()
         counters.clear()
         t = transform(provision, host, GLOBALLY_MAXIMAL)
         (best,), (stats,) = incumbents, counters
         assert best.least and len(best.leaves) == 1 and best.offered <= 3
         assert stats.examined <= 6 * len(list(find_base_prematches(provision, host)))
-        assert t.selection.size == 5
+        assert t.selection.size == 2
+
+
+def test_a_match_at_the_bound_keeps_to_the_base_nacs():
+    """``guarded_provision`` forbids the account that a match at the rule's
+    bound reuses, so every such match of the globally maximal ``find_match``
+    fails a base NAC.  The answer lies below the bound, as that of the public
+    search does: it reuses another client's account and portfolio."""
+    guarded, host = guarded_provision(), seeded_bank(20, 0)
+    mr = find_match(guarded, host, GLOBALLY_MAXIMAL)
+    assert mr == find_globally_maximal(guarded, host)[0]
+    assert mr.induced.size == 3 and "accounts_c_a" not in mr.match.edge_map
+
+
+def reading(host: TypedGraph) -> list[int]:
+    """Count, in the one-item list returned, what a search reads of the
+    warm indexes of ``host``'s store: the ids it draws from a type bucket
+    and the incident edges of each node it looks up."""
+    read = [0]
+
+    class Bucket(list):
+        def __iter__(self):
+            for x in list.__iter__(self):
+                read[0] += 1
+                yield x
+
+    class Incidence(dict):
+        def __getitem__(self, node):
+            ids = dict.__getitem__(self, node)
+            read[0] += len(ids)
+            return ids
+
+    store = host._rooted()
+    buckets = {t: Bucket(ids) for t, ids in store.nodes_by_type.items()}
+    store.__dict__.update(nodes_by_type=buckets, incidence=Incidence(store.incidence))
+    return read
+
+
+def test_globally_maximal_transform_at_the_bound_does_not_grow_with_the_host(
+    monkeypatch,
+):
+    """Where a match reaches the rule's bound, the globally maximal
+    ``transform`` applies the least one, at the backed account of least
+    id, without a branch and bound, and reads no more of the host on a bank
+    of 20,000 clients than on one of 200: the accounts that sort below the
+    answer and the incident edges of what it binds."""
+    incumbents, _ = counting(monkeypatch)
+    provision = ensure_account_rule()
+    read = {}
+    for n, account in ((200, "a102_0"), (2000, "a1000_0"), (20000, "a10001_0")):
+        host = seeded_bank(n, 0)
+        read[n] = reading(host)
+        t = transform(provision, host, GLOBALLY_MAXIMAL)
+        assert t.result.match.node_map["a"] == account and t.selection.size == 5
+        assert incumbents == []
+    assert 0 < read[20000][0] <= read[200][0]
 
 
 def decoded_rule(name: str) -> EffectOrientedRule:

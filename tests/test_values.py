@@ -1,5 +1,5 @@
-"""The contract of the public value types: how they print, compare, hash
-and refuse change.
+"""The contract of the public value types: how they print, compare, hash,
+refuse change and copy.
 
 One instance of each type is built twice, separately, and once more with
 one field changed.  ``MatchStats`` is left out: it is a mutable counter,
@@ -7,6 +7,9 @@ not a value.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 
@@ -247,6 +250,13 @@ def test_a_value_refuses_assignment_and_deletion(name):
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert getattr(value, field) is kept
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_a_value_survives_pickling_and_deep_copying(name):
+    value = build()[name]
+    for copied in pickle.loads(pickle.dumps(value)), copy.deepcopy(value):
+        assert copied == value and type(copied) is type(value)
 
 
 def test_morphism_maps_are_read_only_copies():
