@@ -631,8 +631,7 @@ def find_injective_extensions(
 
     The stream is deterministic: free pattern nodes are processed in
     ascending id order, host candidates are tried in ascending id order, and
-    parallel-edge assignments follow ascending edge ids; a node next to a
-    bound one draws them from the image's edges.  The stream
+    parallel-edge assignments follow ascending edge ids.  The stream
     reroots the host's store each time it resumes.
     """
     # The pattern's snapshots come first: both graphs may share one store.

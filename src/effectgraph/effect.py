@@ -67,6 +67,15 @@ class EffectOrientedRule(_Value):
         return {}
 
     @cached_property
+    def _bound(self) -> InducedRule:
+        """The induced rule of the largest closed selection: every potential
+        element but the creation edges at a node the base rule creates."""
+        pd, pc, rhs = self.potential_deletions, self.potential_creations, self.maximal.rhs
+        ends = self.interface.nodes.keys() | pc.nodes
+        closed = [e for e in pc.edges if {rhs.edges[e].src, rhs.edges[e].tgt} <= ends]
+        return build_induced_rule(self, InducedSelection(pd, ElementSet(pc.nodes, closed)))
+
+    @cached_property
     def _plan(self) -> tuple:
         """What the effect search (:func:`~effectgraph.matching._leaves`) needs
         of the rule alone: the ``(id, node type or edge, deleting, is node)``

@@ -415,16 +415,12 @@ def _largest_leaves(
 def _at_bound(
     eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch | None
 ) -> list[MatchResult]:
-    """The least match at the rule's bound, the largest closed selection, that
-    extends ``pm`` or else a base pre-match: alone in a list, if any.  Matches
-    come in key order, and a node map's first edge map is its least; parallel
-    host edges swap freely, so the checks hold for all its edge maps or none:
-    that its deletions dangle no edge and, without ``pm``, the base NACs."""
-    pd, pc, rhs = eor.potential_deletions, eor.potential_creations, eor.maximal.rhs
-    ends = eor.interface.nodes.keys() | pc.nodes  # not created by the base rule
-    closed = [e for e in pc.edges if {rhs.edges[e].src, rhs.edges[e].tgt} <= ends]
-    induced = build_induced_rule(eor, InducedSelection(pd, ElementSet(pc.nodes, closed)))
-    base, gone, nacs = eor.base.lhs, eor._plan[6], () if pm else eor.base.nacs
+    """The least match of the rule's bound that extends ``pm`` or else a base
+    pre-match, alone in a list if any.  Matches come in key order, and a node
+    map's first edge map is its least: parallel host edges swap freely, so
+    the checks (no dangling edge; without ``pm``, base NACs) pass all or none."""
+    induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[6], eor.potential_deletions
+    nacs = () if pm else eor.base.nacs
     partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
     for m in find_injective_extensions(induced.rule.lhs, host, partial):
         nm, em = m.node_map, m.edge_map

@@ -92,14 +92,13 @@ def find_match(
             raise StrategyArgumentMismatch(
                 "the globally maximal strategy searches all pre-matches itself"
             )
-        pms = find_base_prematches(eor, host)
     elif pm is None:
         raise StrategyArgumentMismatch(f"strategy {strategy!r} needs a pre-match")
     elif strategy == LOCALLY_COMPLETE:
         return find_locally_complete(eor, host, pm)
     else:
         _entered(eor, host, pm)
-        pms = [pm]
+    pms = find_base_prematches(eor, host) if pm is None else [pm]
     results = _at_bound(eor, host, pm) or _largest_leaves(eor, host, pms, None, least=True)
     return results[0] if results else None
 
