@@ -24,9 +24,9 @@ from .effect import EffectOrientedRule, InducedSelection
 from .matching import (
     MatchResult,
     PreMatch,
+    _at_bound,
     _entered,
     _largest_leaves,
-    _at_bound,
     find_base_prematches,
     find_locally_complete,
 )
@@ -84,7 +84,8 @@ def find_match(
     refuses one.  Under the maximal strategies this is the first result of
     :func:`find_locally_maximal` or :func:`find_globally_maximal`, found
     without building the other ties: by a search in key order for a match at
-    the rule's bound, else by branch and bound (README, "Matching")."""
+    the rule's bound, which costs the candidates that sort below it plus
+    their degree, and only if there is none by branch and bound."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == GLOBALLY_MAXIMAL:
