@@ -26,7 +26,6 @@ from .rules import (
     Rule,
     TransformationRecord,
     apply_rule,
-    nac_sets_equivalent,
     satisfies_nacs,
     shift_nacs,
     validate_rule,

@@ -468,14 +468,15 @@ def prematch_from_maps(
 ) -> PreMatch:
     """A validated base pre-match from raw id maps.
 
-    Edge images omitted from ``edge_map`` are inferred when the host has a
-    unique candidate; ambiguity is reported as a validation error."""
+    Edge images omitted from ``edge_map`` are inferred when both ends are
+    mapped and the host has a unique candidate; ambiguity is reported as a
+    validation error, and an unmapped end as a node without an image."""
     edge_map = dict(edge_map)
     for eid in eor.base.lhs.sorted_edges:
-        if eid in edge_map:
-            continue
         e = eor.base.lhs.edges[eid]
         src, tgt = node_map.get(e.src), node_map.get(e.tgt)
+        if eid in edge_map or src is None or tgt is None:
+            continue
         candidates = [
             h
             for h in host._rooted().edge_classes.get((e.type, src, tgt), ())

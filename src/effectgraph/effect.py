@@ -28,7 +28,7 @@ from .core import (
     element_difference,
     is_id_subgraph,
 )
-from .rules import Rule, nac_sets_equivalent, shift_nacs, validate_rule
+from .rules import Rule, shift_nacs
 
 SELECTION_FILTERS = ("none", "weak_left", "left", "weak_right", "right")
 
@@ -106,40 +106,6 @@ class EffectOrientedRule(_Value):
         spans = (0, n_del), (n_nodes, boundary), (n_del, n_nodes), (boundary, n_all)
         parts = tuple(tuple((j, elements[j][0]) for j in range(*a)) for a in spans)
         return tuple(elements), n_nodes, boundary, room, degree, adjacent, gone, parts
-
-
-def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
-    """Violations of the base/maximal shape: both rules well formed, the
-    interfaces identical, and the maximal NACs equivalent to the base NACs
-    shifted to the maximal lhs."""
-    out: list[Diagnostic] = []
-    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
-        for d in validate_rule(rule):
-            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
-    # The base interface is already included in the maximal one.
-    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
-        out.append(
-            Diagnostic(
-                "interface-mismatch",
-                None,
-                "base and maximal rule must share the interface exactly",
-            )
-        )
-    # Inclusions and identical interfaces K make both squares commute, and
-    # L_base ∩ K = K = R_base ∩ K makes them pullbacks: only NACs are left.
-    if not out and not nac_sets_equivalent(
-        eor.maximal.lhs,
-        eor.maximal.nacs,
-        shift_nacs(Morphism.inclusion(eor.base.lhs, eor.maximal.lhs), eor.base.nacs),
-    ):
-        out.append(
-            Diagnostic(
-                "embedding-invalid",
-                None,
-                "base rule does not embed into the maximal rule",
-            )
-        )
-    return out
 
 
 class InducedSelection(NamedTuple):

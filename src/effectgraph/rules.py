@@ -7,17 +7,15 @@ the image of ``K``, and glues in fresh copies of ``R \\ K``.
 
 NACs can be shifted along an injective morphism of their root
 (:func:`shift_nacs`); the result forbids the same host situations for the
-extended pattern.  Two NAC sets over one root are equivalent exactly when
-each NAC of either set receives a root-fixing injection from a NAC of the
-other (:func:`nac_sets_equivalent`); the test is exact for hosts of any
-size.  A rule embeds into another by id inclusion; the general subrule
-embedding, with its pullback squares, is a test oracle.
+extended pattern.  A rule embeds into another by id inclusion; the
+general subrule embedding, with its pullback squares, and the equivalence
+of two NAC sets are test oracles.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Diagnostic,
@@ -154,21 +152,13 @@ def satisfies_nacs(m: Morphism, nacs: Iterable[Nac]) -> bool:
     return True
 
 
-def _rooted_injection_exists(
-    root: TypedGraph, source: TypedGraph, target: TypedGraph
-) -> bool:
-    """Whether an injective morphism ``source -> target`` fixes ``root``
-    pointwise; both graphs must contain ``root`` as an id-subgraph."""
-    partial = ({n: n for n in root.nodes}, {e: e for e in root.edges})
-    return next(find_injective_extensions(source, target, partial), None) is not None
-
-
 def _same_rooted_nac(root: TypedGraph, a: Nac, b: Nac) -> bool:
     """Isomorphism of two NACs fixing the shared root pointwise."""
     fa, fb = a.forbidden, b.forbidden
     if len(fa.nodes) != len(fb.nodes) or len(fa.edges) != len(fb.edges):
         return False
-    return _rooted_injection_exists(root, fa, fb)
+    partial = ({n: n for n in root.nodes}, {e: e for e in root.edges})
+    return next(find_injective_extensions(fa, fb, partial), None) is not None
 
 
 def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
@@ -243,28 +233,6 @@ def shift_nacs(b: Morphism, nacs: Iterable[Nac]) -> tuple[Nac, ...]:
         )
     )
     return tuple(shifted)
-
-
-def nac_sets_equivalent(
-    lhs: TypedGraph, first: Sequence[Nac], second: Sequence[Nac]
-) -> bool:
-    """Semantic equivalence of two NAC sets rooted at ``lhs``: every
-    injective match of ``lhs`` into any host satisfies both sets or neither.
-
-    Decided exactly: the sets are equivalent iff every NAC of each set
-    receives a root-fixing injective morphism from some NAC of the other.
-    If one does, a host violating the first NAC violates the second; if
-    none does, that NAC itself, matched by the root inclusion, is a host
-    that violates one set and satisfies the other.  Raises ``ValueError``
-    for a NAC that does not contain ``lhs``."""
-    for nac in (*first, *second):
-        if not is_id_subgraph(lhs, nac.forbidden):
-            raise ValueError("NAC is not rooted at the lhs")
-    return all(
-        any(_rooted_injection_exists(lhs, b.forbidden, a.forbidden) for b in others)
-        for ones, others in ((first, second), (second, first))
-        for a in ones
-    )
 
 
 def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:

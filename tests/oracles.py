@@ -4,7 +4,9 @@ None of these is used by the library itself.  ``pushout`` (with its ``~k``
 ids) is the independent gluing that ``apply_rule`` is round-tripped
 through, ``is_pullback_square`` (with ``compose`` and ``same_maps``)
 checks its squares, and ``check_subrule_embedding`` is the general subrule
-embedding that ``validate_effect_rule`` decides by id inclusion.
+embedding that ``validate_effect_rule`` decides by id inclusion, with
+``nac_sets_equivalent`` for the NACs; ``decode_rule`` builds that shape by
+construction.
 ``is_isomorphic`` compares graphs up to renaming,
 ``enumerate_typed_graphs`` with ``bounded_nac_sets_equivalent`` decides
 application-condition questions by brute force over every small host, and
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from effectgraph.core import (
+    Diagnostic,
     Edge,
     EffectGraphError,
     ElementSet,
@@ -39,6 +42,7 @@ from effectgraph.core import (
     check_morphism,
     dangling_node,
     find_injective_extensions,
+    is_id_subgraph,
     validate_graph,
 )
 from effectgraph.documents import (
@@ -57,13 +61,7 @@ from effectgraph.effect import (
     enumerate_selections,
 )
 from effectgraph.matching import MatchResult, PreMatch, validate_prematch
-from effectgraph.rules import (
-    Nac,
-    Rule,
-    nac_sets_equivalent,
-    satisfies_nacs,
-    shift_nacs,
-)
+from effectgraph.rules import Nac, Rule, satisfies_nacs, shift_nacs, validate_rule
 from effectgraph.semantics import (
     AuditEntry,
     AuditFailure,
@@ -204,6 +202,67 @@ def check_subrule_embedding(e: SubruleEmbedding) -> bool:
     return squares_ok and nac_sets_equivalent(
         e.sup.lhs, e.sup.nacs, shift_nacs(e.iota_lhs, e.sub.nacs)
     )
+
+
+def nac_sets_equivalent(
+    lhs: TypedGraph, first: Sequence[Nac], second: Sequence[Nac]
+) -> bool:
+    """Semantic equivalence of two NAC sets rooted at ``lhs``: every
+    injective match of ``lhs`` into any host satisfies both sets or neither.
+
+    Decided exactly: the sets are equivalent iff every NAC of each set
+    receives a root-fixing injective morphism from some NAC of the other.
+    If one does, a host violating the first NAC violates the second; if
+    none does, that NAC itself, matched by the root inclusion, is a host
+    that violates one set and satisfies the other.  Raises ``ValueError``
+    for a NAC that does not contain ``lhs``."""
+    for nac in (*first, *second):
+        if not is_id_subgraph(lhs, nac.forbidden):
+            raise ValueError("NAC is not rooted at the lhs")
+
+    def rooted_injection_exists(source: TypedGraph, target: TypedGraph) -> bool:
+        partial = ({n: n for n in lhs.nodes}, {e: e for e in lhs.edges})
+        return next(find_injective_extensions(source, target, partial), None) is not None
+
+    return all(
+        any(rooted_injection_exists(b.forbidden, a.forbidden) for b in others)
+        for ones, others in ((first, second), (second, first))
+        for a in ones
+    )
+
+
+def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:
+    """Violations of the base/maximal shape: both rules well formed, the
+    interfaces identical, and the maximal NACs equivalent to the base NACs
+    shifted to the maximal lhs."""
+    out: list[Diagnostic] = []
+    for rule, label in ((eor.base, "base"), (eor.maximal, "maximal")):
+        for d in validate_rule(rule):
+            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
+    # The base interface is already included in the maximal one.
+    if not is_id_subgraph(eor.maximal.interface, eor.base.interface):
+        out.append(
+            Diagnostic(
+                "interface-mismatch",
+                None,
+                "base and maximal rule must share the interface exactly",
+            )
+        )
+    # Inclusions and identical interfaces K make both squares commute, and
+    # L_base ∩ K = K = R_base ∩ K makes them pullbacks: only NACs are left.
+    if not out and not nac_sets_equivalent(
+        eor.maximal.lhs,
+        eor.maximal.nacs,
+        shift_nacs(Morphism.inclusion(eor.base.lhs, eor.maximal.lhs), eor.base.nacs),
+    ):
+        out.append(
+            Diagnostic(
+                "embedding-invalid",
+                None,
+                "base rule does not embed into the maximal rule",
+            )
+        )
+    return out
 
 
 def induced(

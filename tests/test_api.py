@@ -74,7 +74,6 @@ PUBLIC_NAMES = [
     "find_locally_maximal",
     "fixture_path",
     "fixture_text",
-    "nac_sets_equivalent",
     "prematch_from_maps",
     "pushout_complement",
     "rebuild_transformation",

@@ -40,7 +40,6 @@ from effectgraph import (
 )
 from effectgraph import fixtures
 from effectgraph.documents import ACTIONS
-from effectgraph.effect import validate_effect_rule
 from effectgraph.fixtures import (
     bank_graph,
     banking_type_graph,
@@ -53,7 +52,7 @@ from effectgraph.fixtures import (
 )
 
 from gen import random_effect_rule, random_type_graph
-from oracles import with_elements
+from oracles import validate_effect_rule, with_elements
 
 
 def test_canonical_text_layout():
@@ -400,6 +399,9 @@ def test_prematch_edge_inference():
     host = bank_graph()
     pm = prematch_from_maps(eor, host, {"c": "c1", "a": "a1"}, {})
     assert pm.morphism.edge_map == {"ea": "accounts_c1_a1"}
+    # An edge with an unmapped end is not inferred: the fault is the node.
+    with pytest.raises(ValidationError, match=r"not-total \[a\]: node has no image"):
+        prematch_from_maps(eor, host, {"c": "c1"}, {})
 
     doubled = with_elements(host, edges={"dup": Edge("accounts", "c1", "a1")})
     with pytest.raises(ValidationError, match="no unique host image"):

@@ -23,7 +23,6 @@ from effectgraph import (
     apply_rule,
     check_morphism,
     find_injective_extensions,
-    nac_sets_equivalent,
     pushout_complement,
     satisfies_nacs,
     shift_nacs,
@@ -40,6 +39,7 @@ from oracles import (
     identity,
     is_isomorphic,
     is_pullback_square,
+    nac_sets_equivalent,
     same_maps,
     with_elements,
 )

@@ -26,6 +26,7 @@ from effectgraph import (
     build_induced_rule,
     find_all_locally_complete,
     find_base_prematches,
+    prematch_from_maps,
     transform,
 )
 from effectgraph.fixtures import (
@@ -36,7 +37,15 @@ from effectgraph.fixtures import (
     shared_accounts_graph,
 )
 
-from gen import empty_graph, empty_selection, instances, seeded_bank
+from gen import (
+    empty_graph,
+    empty_selection,
+    grow,
+    instances,
+    random_graph,
+    random_type_graph,
+    seeded_bank,
+)
 from oracles import reference_audit, with_elements
 
 
@@ -314,3 +323,65 @@ def test_audit_agrees_with_the_search_based_reference():
         ("failure", True),
         ("failure", False),
     }
+
+
+def _reapplied(eor, strategy, t):
+    """The second application under ``strategy``: at the image of the first
+    one's pre-match in its output, or without a pre-match when globally
+    maximal."""
+    out, comatch = t.result.output, t.result.comatch
+    pm = None
+    if strategy != "globally_maximal":
+        lhs = eor.base.lhs
+        nodes = {v: comatch.node_map[v] for v in lhs.nodes}
+        edges = {e: comatch.edge_map[e] for e in lhs.edges}
+        pm = prematch_from_maps(eor, out, nodes, edges)
+    return transform(eor, out, strategy, pm)
+
+
+def test_a_second_application_creates_nothing():
+    """The paper's effect guarantee: an action need not be performed when
+    its outcome is already present.  For an effect rule whose base rule is
+    an identity, with only potential creations and no NACs, a second
+    application at the image of the same pre-match finds a match and
+    creates nothing; under the globally maximal strategy the rule is
+    applied to the output again without a pre-match.  No oracle is needed,
+    so the hosts may be of any size: seeded random hosts, and the outputs of
+    a chain of ``ensure_account`` steps on bank(1000).
+
+    Only the maximal strategies are claimed by the definitions: the first
+    application embeds the whole maximal rhs in its output, so a largest
+    selection there reuses every potential creation.  For locally complete
+    the property is only checked empirically, on these inputs."""
+    strategies = ("locally_complete", "locally_maximal", "globally_maximal")
+    local = strategies[:2]
+    rng, checked, created = random.Random(5), 0, 0
+    while checked < 1000:
+        tg = random_type_graph(rng)
+        interface = random_graph(rng, tg, max_nodes=2, max_edges=1, prefix="k")
+        rhs = grow(rng, interface, rng.randint(1, 2), rng.randint(0, 3), "pc")
+        base = Rule(interface, interface, interface)
+        eor = EffectOrientedRule(base, Rule(interface, interface, rhs))
+        host = random_graph(rng, tg, max_nodes=12, max_edges=16)
+        pms = list(find_base_prematches(eor, host))
+        if not pms:
+            continue
+        pm = rng.choice(pms)
+        for strategy in strategies:
+            first = transform(eor, host, strategy, pm if strategy in local else None)
+            again = _reapplied(eor, strategy, first)
+            assert again.result.created == ElementSet(), (checked, strategy)
+            created += bool(first.result.created)
+        checked += 1
+    assert created > 1000
+
+    provision, bank = ensure_account_rule(), seeded_bank(1000, 0)
+    clients = sorted(n for n, t in bank.nodes.items() if t == "Client")
+    random.Random(5).shuffle(clients)
+    for strategy in strategies:
+        host = bank
+        for client in clients[:50]:
+            pm = prematch_from_maps(provision, host, {"c": client}, {})
+            t = transform(provision, host, strategy, pm if strategy in local else None)
+            assert _reapplied(provision, strategy, t).result.created == ElementSet()
+            host = t.result.output
