@@ -19,12 +19,12 @@ isomorphism and host enumeration are test oracles, not library code.
 A rewrite step does not copy its host.  A built graph and the graphs
 derived from it form a lineage, which owns one mutable store: the node and
 edge dicts and the indexes (``nodes_by_type``, ``edge_classes``,
-``incidence``) built so far.  The store holds one version, the root; every
-other version keeps a link towards the root with the delta back to itself
-(Baker's shallow binding).  A step patches the store in place and makes
-its output the root, the input keeping the reverse delta; reading another
-version reroots the store, replaying the deltas on the way and flipping
-their links.  So:
+``incidence``, and ``by_profile`` for each node type asked) built so far.
+The store holds one version, the root; every other version keeps a link
+towards the root with the delta back to itself (Baker's shallow binding).
+A step patches the store in place and makes its output the root, the input
+keeping the reverse delta; reading another version reroots the store,
+replaying the deltas on the way and flipping their links.  So:
 
 * a step costs O(|L| + |R|) however large the host is, and reading an
   older version costs its delta distance from the root;
@@ -157,11 +157,12 @@ def _copy(mapping: Mapping) -> dict:
 
 class _Store:
     """A lineage's root elements and the indexes built so far, patched by
-    every delta.  A type bucket stays when it empties: a suspended search
-    iterating it finds the same list when it resumes."""
+    every delta.  A type or profile bucket stays when it empties: a
+    suspended search iterating it finds the same list when it resumes."""
 
     def __init__(self, nodes: dict[str, str], edges: dict[str, Edge]) -> None:
         self.nodes, self.edges = nodes, edges
+        self.profiles, self.profile_of, self.lag = {}, {}, ()  # see by_profile
 
     @cached_property
     def nodes_by_type(self) -> dict[str, list[str]]:
@@ -202,9 +203,63 @@ class _Store:
             ids.sort()
         return buckets
 
+    def by_profile(self, ntype: str) -> dict[tuple, list[str]]:
+        """The sorted ids of the nodes of ``ntype`` by profile, built on first
+        use: the kinds (edge type, is source, is target) of a node's incident
+        edges as sorted (kind, count) pairs, which ``profile_of`` keeps.  The
+        index lags one delta (see :meth:`apply`): its readers catch up."""
+        self.catch_up()
+        if ntype not in self.profiles:
+            kinds: dict[str, list] = {n: [] for n in self.nodes_by_type.get(ntype, ())}
+            for etype, src, tgt in self.edges.values():
+                if src in kinds:
+                    kinds[src].append((etype, True, tgt == src))
+                if tgt in kinds and tgt != src:
+                    kinds[tgt].append((etype, False, True))
+            buckets, shared = self.profiles.setdefault(ntype, {}), {}  # equal shapes share
+            for n, found in kinds.items():  # in id order
+                key = tuple(sorted(found))
+                p = shared.get(key) or shared.setdefault(key, tuple(Counter(key).items()))
+                buckets.setdefault(p, []).append(n)
+                self.profile_of[n] = p
+        return self.profiles[ntype]
+
+    def catch_up(self) -> None:
+        """Patch the profile index with the delta it lags, if any: each node
+        touched has its kinds counted, then moves once."""
+        if not self.lag:
+            return
+        (gone_nodes, gone_edges, new_nodes, new_edges), self.lag = self.lag, ()
+        profiles, of, counts = self.profiles, self.profile_of, {}
+        for n in gone_nodes.keys() & of.keys():
+            ids = profiles[gone_nodes[n]][of.pop(n)]
+            del ids[bisect_left(ids, n)]
+        for sign, edges in ((-1, gone_edges), (1, new_edges)):
+            for n, t in new_nodes.items() if sign > 0 else ():  # an id may be both
+                if t in profiles:
+                    of[n] = ()
+                    insort(profiles[t].setdefault((), []), n)
+            for e in edges.values():
+                for n in {e.src, e.tgt} & of.keys():
+                    kinds = counts.get(n) or counts.setdefault(n, Counter(dict(of[n])))
+                    kinds[e.type, e.src == n, e.tgt == n] += sign
+        for n, kinds in counts.items():
+            buckets = profiles[self.nodes[n]]
+            p, ids = tuple(sorted((+kinds).items())), buckets[of[n]]
+            del ids[bisect_left(ids, n)]
+            insort(buckets.setdefault(p, []), n)
+            of[n] = p
+
     def apply(self, *delta: Mapping) -> None:
         """Remove the ``gone`` elements of ``delta``, then add the ``new``
-        ones (an id may be both), patching the built indexes in place."""
+        ones (an id may be both), patching the built indexes in place.  The
+        profile index lags one delta, so that a delta undone at once, as a
+        step is when its input is read again, costs it nothing."""
+        if self.lag and self.lag[2:] + self.lag[:2] == delta:
+            self.lag = ()
+        else:
+            self.catch_up()
+            self.lag = delta if self.profiles and any(delta) else ()
         gone_nodes, gone_edges, new_nodes, new_edges = delta
         for n in gone_nodes:
             del self.nodes[n]
@@ -710,13 +765,6 @@ def find_injective_extensions(
                 host._rooted()
 
     return extend(extend, 0)
-
-
-def _edge_kinds(g: TypedGraph | _Store, node: str) -> Iterator[tuple[str, bool, bool]]:
-    """The edges incident to ``node``, by type and direction."""
-    for h in g.incidence[node]:
-        e = g.edges[h]
-        yield e.type, e.src == node, e.tgt == node
 
 
 def dangling_node(

@@ -468,18 +468,19 @@ def prematch_from_maps(
 ) -> PreMatch:
     """A validated base pre-match from raw id maps.
 
-    Edge images omitted from ``edge_map`` are inferred when both ends are
-    mapped and the host has a unique candidate; ambiguity is reported as a
-    validation error, and an unmapped end as a node without an image."""
-    edge_map = dict(edge_map)
-    for eid in eor.base.lhs.sorted_edges:
-        e = eor.base.lhs.edges[eid]
-        src, tgt = node_map.get(e.src), node_map.get(e.tgt)
-        if eid in edge_map or src is None or tgt is None:
+    Edge images omitted from ``edge_map`` are inferred when both ends map
+    to host nodes of their types and the host has a unique candidate;
+    ambiguity is a validation error, and a bad end a fault of its node."""
+    edge_map, lhs = dict(edge_map), eor.base.lhs
+    for eid in lhs.sorted_edges:
+        e, types = lhs.edges[eid], lhs.nodes
+        ends = node_map.get(e.src), node_map.get(e.tgt)
+        nodes = host._rooted().nodes  # read after the pattern: they may share a store
+        if eid in edge_map or tuple(map(nodes.get, ends)) != (types[e.src], types[e.tgt]):
             continue
         candidates = [
             h
-            for h in host._rooted().edge_classes.get((e.type, src, tgt), ())
+            for h in host._rooted().edge_classes.get((e.type, *ends), ())
             if h not in edge_map.values()
         ]
         if len(candidates) != 1:

@@ -13,7 +13,6 @@ and everything else keeps the base behaviour.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -23,7 +22,6 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
-    _edge_kinds,
     _Value,
     element_difference,
     is_id_subgraph,
@@ -97,15 +95,16 @@ class EffectOrientedRule(_Value):
             for v, u in ((e.src, e.tgt), (e.tgt, e.src)):
                 if v in adjacent:
                     adjacent[v].append((j, e, u))
-        # A potential deletion node's incident edges, by kind and in number.
-        room = {n: Counter(_edge_kinds(lg, n)) for n in pd.nodes}
-        degree = {n: len(lg.incidence[n]) for n in pd.nodes}
+        store = lg._rooted()  # a potential deletion node's profile is its room
+        for t in {lg.nodes[n] for n in pd.nodes}:
+            store.by_profile(t)
+        room = {n: dict(store.profile_of[n]) for n in pd.nodes}
         gone = element_difference(self.base.lhs, self.interface)  # base deletions
         # The (position, id) of the elements in each part of a selection's key.
         n_del, n_all = len(pd.nodes), len(elements)
         spans = (0, n_del), (n_nodes, boundary), (n_del, n_nodes), (boundary, n_all)
         parts = tuple(tuple((j, elements[j][0]) for j in range(*a)) for a in spans)
-        return tuple(elements), n_nodes, boundary, room, degree, adjacent, gone, parts
+        return tuple(elements), n_nodes, boundary, room, adjacent, gone, parts
 
 
 class InducedSelection(NamedTuple):

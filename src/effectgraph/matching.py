@@ -9,6 +9,7 @@ public ``find_*`` functions drive it, and none enumerates the selections.
 
 from __future__ import annotations
 
+from heapq import merge
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -17,7 +18,6 @@ from .core import (
     ElementSet,
     Morphism,
     TypedGraph,
-    _edge_kinds,
     _Value,
     check_morphism,
     dangling_node,
@@ -63,8 +63,8 @@ class MatchStats:
     :func:`find_locally_maximal` and :func:`find_globally_maximal`.
 
     ``backtracks`` counts rejected candidates: host elements given up for a
-    potential element, either up front (a node whose incident edges the
-    deletion could never all remove) or after the search below them failed.
+    potential element, either up front (the free nodes whose incident edges
+    the deletion could never all remove) or after the search below failed.
     Candidates that a maximal search cuts without binding them, by its
     bound or, in :func:`~effectgraph.semantics.find_match`, by the key of a
     tie, are not counted.
@@ -73,8 +73,9 @@ class MatchStats:
     candidates: the incident edges of each bound node's image, which a
     maximal search scans once for supported candidates and dead edges,
     plus every element drawn from a type bucket or an edge class, used or
-    free.  A maximal search stops drawing from a bucket at the first
-    candidate that its bound cuts.
+    free; for a potential deletion node, the profiles of its type tested and
+    the candidates drawn from those that fit.  A maximal search stops
+    drawing from a bucket at the first candidate that its bound cuts.
 
     ``full_passes`` counts the times :func:`find_locally_complete` ran the
     full search after its greedy pass found nothing."""
@@ -163,9 +164,9 @@ def _leaves(
     ``edge_classes`` order) or is skipped; an edge with an unbound endpoint
     is skipped.  Only necessary conditions prune:
 
-    * a deletion-node candidate with more incident host edges, by type and
-      direction, than the rule node is rejected (it still counts as free);
-      the check stops at the first host edge the rule node has no room for;
+    * a deletion node tests each host profile of its type once and draws
+      only the nodes of those that fit its own, no more edges of any kind;
+      the free nodes of the others are rejected at once (they count as free);
     * a skip needs no more free candidates than same-typed nodes or
       same-class edges still to come, so every leaf is locally complete;
     * once the deletions are decided, :func:`dangling_node` checks them;
@@ -200,7 +201,7 @@ def _leaves(
     With ``greedy`` an element is skipped only when no candidate is free,
     and ``greedy.would_skip`` is set wherever the full search would skip
     although a candidate is free."""
-    elements, n_nodes, boundary, room, degree, adjacent, gone, parts = eor._plan
+    elements, n_nodes, boundary, room, adjacent, gone, parts = eor._plan
     pd, pc = eor.potential_deletions, eor.potential_creations
 
     node_map = dict(pm.morphism.node_map)
@@ -249,17 +250,15 @@ def _leaves(
         for j, e, _ in adjacent[v]:
             keys[j] = edge_key(e)
 
-    def deletable(x: str, v: str) -> bool:
-        """Whether deleting rule node ``v`` can remove every edge incident
-        to host node ``x``: no more of them, by type and direction."""
-        if len(store.incidence[x]) > degree[v]:
-            return False
-        left = dict(room[v])
-        for kind in _edge_kinds(store, x):
-            if not left.get(kind):
-                return False
-            left[kind] -= 1
-        return True
+    def fitting(v: str, ntype: str) -> tuple[Iterator[str], set[tuple]]:
+        """The nodes deletion node ``v`` can delete, in bucket order, and their
+        profiles, which fit ``v``'s; the free nodes of the others are rejected."""
+        buckets, of = store.by_profile(ntype), store.profile_of
+        stats.examined += len(buckets)
+        fit = {p for p in buckets if all(room[v].get(kind, 0) >= n for kind, n in p)}
+        taken = sum(store.nodes[u] == ntype and of[u] not in fit for u in used_nodes)
+        stats.backtracks += sum(len(buckets[p]) for p in buckets.keys() - fit) - taken
+        return merge(*(ids for p, ids in buckets.items() if p in fit)), fit
 
     def growable(i: int) -> list[int]:
         """The positions from ``i`` on that can still bind: all but the nodes
@@ -343,6 +342,7 @@ def _leaves(
             yield MatchResult(induced, match, pm)
             if host._link is not None:  # before the frames above resume
                 host._rooted()
+            store.catch_up()
             return
         xid, _, deleting, is_node = elements[i]
         key = keys[i]  # None has no candidates: the edge is skipped
@@ -356,12 +356,12 @@ def _leaves(
         candidates = index.get(key, ())
         if is_node:
             free = len(candidates) - used_types.get(key, 0)
+            candidates, fit = fitting(xid, key) if deleting else (candidates, None)
         else:
             free = sum(x not in used for x in candidates)
         for x in tries(i, size, candidates, used, grow):
-            if deleting and is_node and not deletable(x, xid):
-                stats.backtracks += 1
-                continue
+            if deleting and is_node and store.profile_of.get(x) not in fit:
+                continue  # a supported candidate, rejected by fitting()
             images[xid] = x
             used.add(x)
             if deleting:
@@ -419,7 +419,7 @@ def _at_bound(
     pre-match, alone in a list if any.  Matches come in key order, and a node
     map's first edge map is its least: parallel host edges swap freely, so
     the checks (no dangling edge; without ``pm``, base NACs) pass all or none."""
-    induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[6], eor.potential_deletions
+    induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[5], eor.potential_deletions
     nacs = () if pm else eor.base.nacs
     partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
     for m in find_injective_extensions(induced.rule.lhs, host, partial):

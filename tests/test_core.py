@@ -15,20 +15,31 @@ from effectgraph import (
     DanglingViolation,
     Edge,
     EdgeType,
+    MatchStats,
     Morphism,
     Nac,
     TypeGraph,
     TypedGraph,
+    apply_rule,
     check_morphism,
+    find_base_prematches,
     find_injective_extensions,
     pushout_complement,
     shift_nacs,
+    transform,
     validate_graph,
 )
 from effectgraph.core import fresh_id, is_id_subgraph
-from effectgraph.fixtures import bank_graph, ensure_account_rule
+from effectgraph.documents import prematch_from_maps
+from effectgraph.fixtures import (
+    bank_graph,
+    banking_type_graph,
+    ensure_account_rule,
+    ensure_no_account_rule,
+)
+from effectgraph.matching import _leaves
 
-from gen import empty_graph, grow, random_graph, random_type_graph
+from gen import empty_graph, grow, instances, random_graph, random_type_graph
 from oracles import (
     NonCommuting,
     compose,
@@ -187,6 +198,114 @@ def test_edge_classes_sort_a_large_class_and_keep_singletons():
 def test_incidence_counts_loops_once():
     g = TypedGraph(PAIR, {"x": "A"}, {"l": Edge("aa", "x", "x")})
     assert g.incidence == {"x": ("l",)}
+
+
+def _profiles_by_definition(g: TypedGraph, types) -> tuple[dict, dict]:
+    """The profile index of the node ``types`` and the node -> profile map,
+    from ``g``'s nodes and edges: a node's incident edges counted by (edge
+    type, is source, is target), as sorted (kind, count) pairs."""
+    of = {}
+    for n in sorted(n for n, t in g.nodes.items() if t in types):
+        incident = (e for e in g.edges.values() if n in (e.src, e.tgt))
+        of[n] = tuple(sorted(Counter((e.type, e.src == n, e.tgt == n) for e in incident).items()))
+    index: dict = {t: {} for t in types}
+    for n, p in of.items():
+        index[g.nodes[n]].setdefault(p, []).append(n)
+    return index, of
+
+
+def assert_profiles_match_definition(g: TypedGraph) -> None:
+    """The store's profile index, rerooted to ``g`` and caught up with the
+    delta it lags, without its empty buckets, and its node -> profile map
+    are those ``g`` defines."""
+    store = g._rooted()
+    store.catch_up()
+    kept = {t: {p: ids for p, ids in b.items() if ids} for t, b in store.profiles.items()}
+    assert (kept, store.profile_of) == _profiles_by_definition(g, store.profiles.keys())
+
+
+@pytest.mark.parametrize("seed", [23, 2323])
+def test_profile_index_follows_steps_and_reroots(seed):
+    """A rule with a potential deletion node builds its node type's profile
+    index on the host it reads; each step patches the index, and reading an
+    earlier version replays the deltas back into it.  After every move the
+    store's index and node -> profile map are those built from the nodes and
+    edges of the version read."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for eor, host, _ in instances(seed, 120):
+        if not eor.potential_deletions.nodes:
+            continue
+        versions = [host]
+        for _ in range(15):
+            g = rng.choice(versions)
+            seen["older"] += g._link is not None
+            pms = list(find_base_prematches(eor, g))
+            if not pms:
+                continue
+            t = transform(eor, g, "locally_complete", rng.choice(pms))
+            assert_profiles_match_definition(g)
+            if t is not None:
+                record = t.result
+                versions.append(record.output)
+                assert_profiles_match_definition(record.output)
+                assert_profiles_match_definition(rng.choice(versions))
+                seen["steps"] += 1
+                seen["recreated"] += bool(record.deleted.nodes & record.created.nodes)
+        seen["built"] += bool(host._rooted().profiles)
+    assert seen["built"] > 40 and seen["steps"] > 200, seen
+    assert seen["older"] > 100 and seen["recreated"] > 50, seen
+
+
+def test_a_suspended_teardown_resumes_on_its_profile_buckets():
+    """A teardown search is suspended at each leaf while the caller applies
+    that leaf and reads the output's profile index, which takes the leaf's
+    account out of the bucket the search draws from.  Resumed, the search
+    yields the leaves it yields without the interruption."""
+    nodes = {"c": "Client", "c2": "Client", "shared": "Account"}
+    edges = {"held": Edge("accounts", "c", "shared"), "also": Edge("accounts", "c2", "shared")}
+    for i in range(1, 7):
+        nodes[f"a{i}"] = "Account"
+        edges[f"h{i}"] = Edge("accounts", "c", f"a{i}")
+        if i % 2:  # a backed account, with its portfolio
+            nodes[f"p{i}"] = "Portfolio"
+            edges[f"ap{i}"] = Edge("portfolio", f"a{i}", f"p{i}")
+            edges[f"cp{i}"] = Edge("portfolios", "c", f"p{i}")
+    host = TypedGraph(banking_type_graph(), nodes, edges)
+    teardown = ensure_no_account_rule()
+    pm = prematch_from_maps(teardown, host, {"c": "c"}, {})
+
+    def leaves(interrupted: bool) -> list:
+        out = []
+        for leaf in _leaves(teardown, host, pm, MatchStats()):
+            out.append(leaf.match.sort_key())
+            if interrupted:
+                output = apply_rule(leaf.induced.rule, host, leaf.match).output
+                assert leaf.match.node_map["a"] not in output.nodes
+                assert_profiles_match_definition(output)
+        return out
+
+    want = leaves(False)
+    assert [dict(m[0])["a"] for m in want] == ["a1", "a3", "a5"]
+    assert leaves(True) == want
+    assert_profiles_match_definition(host)
+
+
+def test_a_step_undone_at_once_leaves_the_profile_index_alone():
+    """The profile index lags one delta, and a delta that undoes the lagging
+    one cancels it: a query's step that changes an account's profile, read
+    back at its input, patches nothing."""
+    host = bank_graph()
+    store = host._rooted()
+    store.by_profile("Account")
+    before = dict(store.profile_of)
+    provision = ensure_account_rule()
+    pm = prematch_from_maps(provision, host, {"c": "c2"}, {})
+    out = transform(provision, host, "locally_maximal", pm).result.output
+    assert _profiles_by_definition(out, {"Account"})[1]["a2"] != before["a2"]
+    host._rooted()
+    store.catch_up()
+    assert store.lag == () and all(store.profile_of[n] is p for n, p in before.items())
 
 
 def test_morphism_identity_and_composition_laws():

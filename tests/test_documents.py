@@ -402,6 +402,11 @@ def test_prematch_edge_inference():
     # An edge with an unmapped end is not inferred: the fault is the node.
     with pytest.raises(ValidationError, match=r"not-total \[a\]: node has no image"):
         prematch_from_maps(eor, host, {"c": "c1"}, {})
+    # Nor is one whose end maps to no host node or to a node of another type.
+    with pytest.raises(ValidationError, match=r"unknown-image \[a\]: image node 'nosuch'"):
+        prematch_from_maps(eor, host, {"c": "c1", "a": "nosuch"}, {})
+    with pytest.raises(ValidationError, match=r"type-not-preserved \[c\]: node of type 'Client'"):
+        prematch_from_maps(eor, host, {"c": "a1", "a": "a2"}, {})
 
     doubled = with_elements(host, edges={"dup": Edge("accounts", "c1", "a1")})
     with pytest.raises(ValidationError, match="no unique host image"):

@@ -478,6 +478,25 @@ def test_teardown_answers_no_match_in_one_pass():
     assert stats.full_passes == 0
 
 
+def test_teardown_examines_the_profiles_not_the_host():
+    """The accounts of an owned bank fall into two incidence profiles,
+    backed or not, and neither fits the rule's account: the teardown tests
+    each profile once and rejects every account in one step, so it
+    examines as much on a bank ten times the size."""
+    examined = set()
+    for n in (200, 2000):
+        host = owned_bank(n)
+        teardown = ensure_no_account_rule()
+        stats = MatchStats()
+        pm = prematch_at(teardown, host, "c0")
+        assert find_locally_complete(teardown, host, pm, stats) is None
+        assert stats.backtracks == n
+        profiles = host._rooted().profiles["Account"]
+        assert stats.examined <= len(profiles) + len(host.incidence["c0"])
+        examined.add(stats.examined)
+    assert len(examined) == 1
+
+
 @pytest.mark.parametrize("n", [200, 800])
 def test_maximal_work_per_result_does_not_grow_with_the_host(n):
     """The host elements a maximal search examines stay under one constant
