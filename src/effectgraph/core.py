@@ -22,17 +22,19 @@ edge dicts and the indexes (``nodes_by_type``, ``edge_classes``,
 ``incidence``, and ``by_profile`` for each node type asked) built so far.
 The store holds one version, the root; every other version keeps a link
 towards the root with the delta back to itself (Baker's shallow binding).
-A step patches the store in place and makes its output the root, the input
-keeping the reverse delta; reading another version reroots the store,
-replaying the deltas on the way and flipping their links.  So:
+A step reads its input and leaves the store there: its output links to the
+input, the root, with the step's delta.  Reading another version reroots
+the store, replaying the deltas on the way and flipping their links.  So:
 
-* a step costs O(|L| + |R|) however large the host is, and reading an
-  older version costs its delta distance from the root;
+* a step costs O(|L| + |R|) however large the host is, and reading a
+  version costs its delta distance from the root: an output never read
+  costs the store nothing;
 * ``nodes``, ``edges`` and the indexes are read-only snapshots that never
   change, built in O(|G|) on a version's first public read and cached;
   library code reads the store, rerooted to the graph it was given;
 * a version holds its neighbour towards the root, never the reverse, so a
-  version is kept alive only by versions farther from the root;
+  version is kept alive only by versions farther from the root, as an
+  output never read keeps its input;
 * reading moves the shared store: versions of one lineage must not be read
   from several threads at once.
 
@@ -157,12 +159,12 @@ def _copy(mapping: Mapping) -> dict:
 
 class _Store:
     """A lineage's root elements and the indexes built so far, patched by
-    every delta.  A type or profile bucket stays when it empties: a
+    every delta replayed.  A type or profile bucket stays when it empties: a
     suspended search iterating it finds the same list when it resumes."""
 
     def __init__(self, nodes: dict[str, str], edges: dict[str, Edge]) -> None:
         self.nodes, self.edges = nodes, edges
-        self.profiles, self.profile_of, self.lag = {}, {}, ()  # see by_profile
+        self.profiles, self.profile_of = {}, {}  # see by_profile
 
     @cached_property
     def nodes_by_type(self) -> dict[str, list[str]]:
@@ -206,9 +208,7 @@ class _Store:
     def by_profile(self, ntype: str) -> dict[tuple, list[str]]:
         """The sorted ids of the nodes of ``ntype`` by profile, built on first
         use: the kinds (edge type, is source, is target) of a node's incident
-        edges as sorted (kind, count) pairs, which ``profile_of`` keeps.  The
-        index lags one delta (see :meth:`apply`): its readers catch up."""
-        self.catch_up()
+        edges as sorted (kind, count) pairs, which ``profile_of`` keeps."""
         if ntype not in self.profiles:
             kinds: dict[str, list] = {n: [] for n in self.nodes_by_type.get(ntype, ())}
             for etype, src, tgt in self.edges.values():
@@ -224,42 +224,9 @@ class _Store:
                 self.profile_of[n] = p
         return self.profiles[ntype]
 
-    def catch_up(self) -> None:
-        """Patch the profile index with the delta it lags, if any: each node
-        touched has its kinds counted, then moves once."""
-        if not self.lag:
-            return
-        (gone_nodes, gone_edges, new_nodes, new_edges), self.lag = self.lag, ()
-        profiles, of, counts = self.profiles, self.profile_of, {}
-        for n in gone_nodes.keys() & of.keys():
-            ids = profiles[gone_nodes[n]][of.pop(n)]
-            del ids[bisect_left(ids, n)]
-        for sign, edges in ((-1, gone_edges), (1, new_edges)):
-            for n, t in new_nodes.items() if sign > 0 else ():  # an id may be both
-                if t in profiles:
-                    of[n] = ()
-                    insort(profiles[t].setdefault((), []), n)
-            for e in edges.values():
-                for n in {e.src, e.tgt} & of.keys():
-                    kinds = counts.get(n) or counts.setdefault(n, Counter(dict(of[n])))
-                    kinds[e.type, e.src == n, e.tgt == n] += sign
-        for n, kinds in counts.items():
-            buckets = profiles[self.nodes[n]]
-            p, ids = tuple(sorted((+kinds).items())), buckets[of[n]]
-            del ids[bisect_left(ids, n)]
-            insort(buckets.setdefault(p, []), n)
-            of[n] = p
-
     def apply(self, *delta: Mapping) -> None:
         """Remove the ``gone`` elements of ``delta``, then add the ``new``
-        ones (an id may be both), patching the built indexes in place.  The
-        profile index lags one delta, so that a delta undone at once, as a
-        step is when its input is read again, costs it nothing."""
-        if self.lag and self.lag[2:] + self.lag[:2] == delta:
-            self.lag = ()
-        else:
-            self.catch_up()
-            self.lag = delta if self.profiles and any(delta) else ()
+        ones (an id may be both), patching the built indexes in place."""
         gone_nodes, gone_edges, new_nodes, new_edges = delta
         for n in gone_nodes:
             del self.nodes[n]
@@ -293,6 +260,26 @@ class _Store:
             for eid, e in new_edges.items():
                 for n in {e.src, e.tgt}:
                     insort(incidence[n], eid)
+        if self.profiles:  # each node touched has its kinds counted, then moves once
+            profiles, of, counts = self.profiles, self.profile_of, {}
+            for n in gone_nodes.keys() & of.keys():
+                ids = profiles[gone_nodes[n]][of.pop(n)]
+                del ids[bisect_left(ids, n)]
+            for sign, edges in ((-1, gone_edges), (1, new_edges)):
+                for n, t in new_nodes.items() if sign > 0 else ():  # an id may be both
+                    if t in profiles:
+                        of[n] = ()
+                        insort(profiles[t].setdefault((), []), n)
+                for e in edges.values():
+                    for n in {e.src, e.tgt} & of.keys():
+                        kinds = counts.get(n) or counts.setdefault(n, Counter(dict(of[n])))
+                        kinds[e.type, e.src == n, e.tgt == n] += sign
+            for n, kinds in counts.items():
+                buckets = profiles[self.nodes[n]]
+                p, ids = tuple(sorted((+kinds).items())), buckets[of[n]]
+                del ids[bisect_left(ids, n)]
+                insort(buckets.setdefault(p, []), n)
+                of[n] = p
 
 
 class TypedGraph(_Value):
@@ -320,10 +307,10 @@ class TypedGraph(_Value):
                 path.append(g)
                 g = g._link[0]
             for g in reversed(path):
-                newer, delta = g._link
+                nearer, delta = g._link
                 if any(delta):  # a step that neither deleted nor created
                     self._store.apply(*delta)
-                newer.__dict__["_link"] = (g, delta[2:] + delta[:2])
+                nearer.__dict__["_link"] = (g, delta[2:] + delta[:2])
                 g.__dict__["_link"] = None
         return self._store
 
@@ -335,8 +322,9 @@ class TypedGraph(_Value):
         created_edges: Mapping[str, Edge] = MappingProxyType({}),
         floors: dict[str, int] | None = None,
     ) -> TypedGraph:
-        """This graph minus the deleted ids, plus the created elements: the
-        new root of this graph's lineage, made in O(delta).
+        """This graph minus the deleted ids, plus the created elements, made
+        in O(delta): this graph, read first, stays the root, and the result
+        keeps the delta from it, replayed when the result is read.
 
         Trusted, for constructions that hold by design: every deleted id is
         present, no edge is left dangling, and created ids are fresh once
@@ -346,13 +334,11 @@ class TypedGraph(_Value):
         store = self._rooted()
         gone_nodes = {n: store.nodes[n] for n in deleted_nodes}
         gone_edges = {e: store.edges[e] for e in deleted_edges}
-        store.apply(gone_nodes, gone_edges, created_nodes, created_edges)
+        delta = gone_nodes, gone_edges, created_nodes, created_edges
         out = object.__new__(TypedGraph)
-        out.__dict__.update(type_graph=self.type_graph, _store=store, _link=None)
+        out.__dict__.update(type_graph=self.type_graph, _store=store, _link=(self, delta))
         if floors is not None:
             out.__dict__["_floors"] = floors
-        reverse = created_nodes, created_edges, gone_nodes, gone_edges
-        self.__dict__["_link"] = (out, reverse)
         return out
 
     def _floors_without(self, deleted: Iterable[str]) -> dict[str, int]:

@@ -342,7 +342,6 @@ def _leaves(
             yield MatchResult(induced, match, pm)
             if host._link is not None:  # before the frames above resume
                 host._rooted()
-            store.catch_up()
             return
         xid, _, deleting, is_node = elements[i]
         key = keys[i]  # None has no candidates: the edge is skipped

@@ -243,9 +243,10 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     elements receive the :func:`fresh_id` ids ``ruleElementId#k`` (smallest
     free ``k``), so outputs are reproducible.
 
-    The output is derived from ``g`` as a delta applied in place to the
-    store of ``g``'s lineage, so a step costs O(|L| + |R|) however large
-    ``g`` is (see :mod:`effectgraph.core`).  The output carries the
+    The output is derived from ``g`` as a delta, which the store of
+    ``g``'s lineage replays when the output is first read, so a step costs
+    O(|L| + |R|) however large ``g`` is (see :mod:`effectgraph.core`).  The
+    output carries the
     fresh-id floors of ``g``, lowered below the deleted ids and raised to
     the created ones, so a chain of steps probes O(1) amortised ids per
     created element; a host that no step made probes from ``k = 1`` once.

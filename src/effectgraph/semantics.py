@@ -148,8 +148,8 @@ def _justify(
         if element in (acted.nodes if is_node else acted.edges):
             yield AuditEntry(kind, element, "alternative-action")
             continue
-        # ``target`` is read only for an element that needs it: rerooting it
-        # for a skipped edge would move a chain's store back to the input.
+        # ``target`` is read only for an element that needs it: reading a
+        # step's output replays the step, and the store stays at the input.
         if is_node:
             ids = target._rooted().nodes_by_type.get(side.nodes[element], ())
             extensions = [y for y in ids if y not in on_nodes]

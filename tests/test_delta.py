@@ -276,6 +276,32 @@ def test_an_input_dropped_after_its_output_is_read_is_freed():
     assert_indexes_match_rebuild(out)
 
 
+
+def test_an_unread_output_keeps_its_input_alive_and_is_freed_unread(replays):
+    """An output never read holds its input, the root, with the delta it
+    has not replayed: the input lives while the output does.  Dropped
+    unread, the output is freed, and the store, which never moved, holds
+    the input."""
+    r = swap_rule()
+    nodes = {"b1": "B", "a1": "A", "a2": "A"}
+    edges = {"f1": Edge("ab", "a1", "b1"), "f2": Edge("ab", "a2", "b1")}
+    host = TypedGraph(CHAIN, nodes, edges)
+    for name in INDEXES:
+        getattr(host, name)
+    alive, store = weakref.ref(host), host._store
+    m = Morphism(r.lhs, host, {"k": "b1", "d": "a1"}, {"de": "f1"})
+    out = apply_rule(r, host, m).output
+    del m, host
+    gc.collect()
+    assert alive() is not None and out._link[0] is alive()
+    host, unread = alive(), weakref.ref(out)
+    del out
+    gc.collect()
+    assert unread() is None and replays == []
+    assert host._link is None and (store.nodes, store.edges) == (nodes, edges)
+    assert_indexes_match_rebuild(host)
+    assert replays == []
+
 def test_match_validation_keeps_its_precedence():
     host = TypedGraph(CHAIN, {"a1": "A", "b1": "B"}, {})
     merge = TypedGraph(CHAIN, {"x": "A", "y": "A", "z": "B"}, {})

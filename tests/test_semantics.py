@@ -239,20 +239,61 @@ def test_audit_accepts_the_honest_empty_host_creation():
     }
 
 
-def test_the_audit_leaves_a_chain_step_at_the_root():
-    """40 locally complete ``ensure_account`` steps, each audited: every
-    creation the audit skips as not a graph is decided without reading the
-    input, so the output stays the root of its lineage and the next step
-    replays no delta."""
+def test_the_audit_leaves_a_chain_step_at_the_root(replays):
+    """40 locally complete ``ensure_account`` steps, each audited: the
+    audit reads only the step's input, for its creations, so the input
+    stays the root of its lineage, and each step replays one delta at
+    most, its input's, when it reads it."""
     provision = ensure_account_rule()
     host = seeded_bank(200, 3)
     for i in range(40):
         pm = prematch_at(provision, host, f"c{i}")
         t = transform(provision, host, "locally_complete", pm)
         audit_effect(t)
-        assert t.result.output._link is None, i
+        assert t.result.input._link is None and len(replays) <= i + 1, i
         host = t.result.output
 
+
+
+def _index_state(store) -> list[tuple]:
+    """Each index dict of ``store`` and each bucket list in one, with what
+    it holds: a dict's values are compared by identity, a list's by value."""
+    dicts = [store.nodes_by_type, store.edge_classes, store.incidence, store.profile_of]
+    dicts += store.profiles.values()
+    lists = [ids for d in dicts for ids in d.values() if type(ids) is list]
+    return [(d, list(d.items())) for d in dicts] + [(ids, ids[:]) for ids in lists]
+
+
+def test_a_warm_search_hosts_queries_patch_nothing(replays):
+    """The benchmark's three kinds of query, 30 of each, audited, on warm
+    hosts: a teardown that finds no match and a locally maximal
+    ``ensure_account`` on bank(100), whose account profiles are built, and
+    a globally maximal one on bank(20).  A step leaves its host at the
+    root, so no query replays a delta, and every index object is left as
+    it was."""
+    provision, teardown = ensure_account_rule(), ensure_no_account_rule()
+    big, small = seeded_bank(100, 0), seeded_bank(20, 0)
+    for g in (big, small):
+        g.nodes_by_type, g.edge_classes, g.incidence
+    big._rooted().by_profile("Account")
+    states = [_index_state(g._rooted()) for g in (big, small)]
+    rng, clients = random.Random(24), big.nodes_by_type["Client"]
+    for _ in range(30):
+        pm = prematch_at(teardown, big, rng.choice(clients))
+        assert transform(teardown, big, "locally_complete", pm) is None
+        pm = prematch_at(provision, big, rng.choice(clients))
+        audit_effect(transform(provision, big, "locally_maximal", pm))
+        audit_effect(transform(provision, small, "globally_maximal"))
+    assert replays == []
+    for g, state in zip((big, small), states):
+        now = _index_state(g._store)
+        assert len(now) == len(state)
+        for (x, held), (y, holds) in zip(state, now):
+            assert x is y and len(held) == len(holds)
+            if type(x) is dict:
+                assert all(k == j and v is w for (k, v), (j, w) in zip(held, holds))
+            else:
+                assert held == holds
 
 def _audit_outcome(audit, t):
     """The entries ``audit`` reports for ``t`` and ``None``, or no entries
