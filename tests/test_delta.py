@@ -276,7 +276,6 @@ def test_an_input_dropped_after_its_output_is_read_is_freed():
     assert_indexes_match_rebuild(out)
 
 
-
 def test_an_unread_output_keeps_its_input_alive_and_is_freed_unread(replays):
     """An output never read holds its input, the root, with the delta it
     has not replayed: the input lives while the output does.  Dropped
@@ -301,6 +300,7 @@ def test_an_unread_output_keeps_its_input_alive_and_is_freed_unread(replays):
     assert host._link is None and (store.nodes, store.edges) == (nodes, edges)
     assert_indexes_match_rebuild(host)
     assert replays == []
+
 
 def test_match_validation_keeps_its_precedence():
     host = TypedGraph(CHAIN, {"a1": "A", "b1": "B"}, {})

@@ -254,7 +254,6 @@ def test_the_audit_leaves_a_chain_step_at_the_root(replays):
         host = t.result.output
 
 
-
 def _index_state(store) -> list[tuple]:
     """Each index dict of ``store`` and each bucket list in one, with what
     it holds: a dict's values are compared by identity, a list's by value."""
@@ -294,6 +293,7 @@ def test_a_warm_search_hosts_queries_patch_nothing(replays):
                 assert all(k == j and v is w for (k, v), (j, w) in zip(held, holds))
             else:
                 assert held == holds
+
 
 def _audit_outcome(audit, t):
     """The entries ``audit`` reports for ``t`` and ``None``, or no entries
