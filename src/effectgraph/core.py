@@ -417,9 +417,6 @@ class ElementSet(_Value):
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
 
-    def __bool__(self) -> bool:
-        return bool(self.nodes) or bool(self.edges)
-
     def __sub__(self, other: ElementSet) -> ElementSet:
         return ElementSet(self.nodes - other.nodes, self.edges - other.edges)
 
@@ -626,7 +623,7 @@ def check_morphism(f: Morphism) -> list[Diagnostic]:
 
 
 def _normalise_partial(
-    pattern: TypedGraph,
+    p_nodes: Mapping[str, str], p_edges: Mapping[str, Edge],
     host: _Store,
     partial: tuple[Mapping[str, str], Mapping[str, str]] | None,
 ) -> tuple[dict[str, str], dict[str, str]]:
@@ -634,18 +631,18 @@ def _normalise_partial(
         return {}, {}
     node_map, edge_map = dict(partial[0]), dict(partial[1])
     for nid, img in node_map.items():
-        if nid not in pattern.nodes:
+        if nid not in p_nodes:
             raise ValueError(f"partial map mentions unknown pattern node {nid!r}")
-        if host.nodes.get(img) != pattern.nodes[nid]:
+        if host.nodes.get(img) != p_nodes[nid]:
             raise ValueError(f"partial map sends node {nid!r} to incompatible {img!r}")
     if len(set(node_map.values())) != len(node_map):
         raise ValueError("partial node map is not injective")
     for eid, img in edge_map.items():
-        if eid not in pattern.edges:
+        if eid not in p_edges:
             raise ValueError(f"partial map mentions unknown pattern edge {eid!r}")
         if img not in host.edges:
             raise ValueError(f"partial map sends edge {eid!r} to missing {img!r}")
-        pe, he = pattern.edges[eid], host.edges[img]
+        pe, he = p_edges[eid], host.edges[img]
         if pe.type != he.type:
             raise ValueError(f"partial map sends edge {eid!r} to a different type")
         # Pre-assigned edges pin down their endpoints' node images.
@@ -675,21 +672,20 @@ def find_injective_extensions(
     parallel-edge assignments follow ascending edge ids.  The stream
     reroots the host's store each time it resumes.
     """
-    # The pattern's snapshots come first: both graphs may share one store.
-    p_nodes, p_edges = pattern.nodes, pattern.edges
+    # The pattern's snapshots, its index's edge classes (sorted tuples of edge
+    # ids) among them, come first: both graphs may share one store.
+    p_nodes, p_edges, classes = pattern.nodes, pattern.edges, pattern.edge_classes
     store = host._rooted()
-    node_map, edge_map = _normalise_partial(pattern, store, partial)
+    node_map, edge_map = _normalise_partial(p_nodes, p_edges, store, partial)
     free_nodes = [n for n in sorted(p_nodes) if n not in node_map]
     used = set(node_map.values())
     # The node map is injective, so distinct pattern classes land in distinct
     # host classes, and the endpoint closure puts a class's pre-assigned
     # edges in its own: a class fits when its host class is as large, and
-    # its free edges avoid only the pre-assigned images.
-    classes: dict[Edge, list[str]] = {}
-    for eid in sorted(p_edges):
-        classes.setdefault(p_edges[eid], []).append(eid)
+    # its free edges avoid only the pre-assigned images.  ``candidates`` draws
+    # from a node's first class with a bound end, by least edge id.
     touching: dict[str, list[Edge]] = {n: [] for n in p_nodes}
-    for cls in classes:
+    for cls in sorted(classes, key=classes.get):
         _, ps, pt = cls
         touching[ps].append(cls)
         if pt != ps:
@@ -747,8 +743,7 @@ def find_injective_extensions(
                 yield from extend(extend, pos + 1)
         else:
             yield Morphism(pattern, host, node_map, edge_map)
-            if host._link is not None:
-                host._rooted()
+            host._rooted()
 
     return extend(extend, 0)
 

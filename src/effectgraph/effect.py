@@ -24,7 +24,6 @@ from .core import (
     TypedGraph,
     _Value,
     element_difference,
-    is_id_subgraph,
 )
 from .rules import Rule, shift_nacs
 
@@ -43,8 +42,7 @@ class EffectOrientedRule(_Value):
     def __init__(self, base: Rule, maximal: Rule) -> None:
         b, m = base, maximal
         for sub, sup in ((b.lhs, m.lhs), (b.interface, m.interface), (b.rhs, m.rhs)):
-            if not is_id_subgraph(sub, sup):
-                raise ValueError("not an id-subgraph; no inclusion exists")
+            Morphism.inclusion(sub, sup)
         self.__dict__.update(base=base, maximal=maximal)
 
     @property

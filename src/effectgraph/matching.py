@@ -80,12 +80,10 @@ class MatchStats:
     ``full_passes`` counts the times :func:`find_locally_complete` ran the
     full search after its greedy pass found nothing."""
 
-    def __init__(
-        self, backtracks: int = 0, examined: int = 0, full_passes: int = 0
-    ) -> None:
-        self.backtracks = backtracks
-        self.examined = examined
-        self.full_passes = full_passes
+    def __init__(self) -> None:
+        self.backtracks = 0
+        self.examined = 0
+        self.full_passes = 0
 
 
 def find_base_prematches(
@@ -137,22 +135,12 @@ class _Best:
             self.leaves.append(leaf)
 
 
-class _Greedy:
-    """The mark of a greedy pass, which skips an element only when no
-    candidate is free.  It records whether the pass visited a point where
-    the full search would also skip on purpose; if not, the two searches
-    visit the same tree."""
-
-    def __init__(self) -> None:
-        self.would_skip = False
-
-
 def _leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
     pm: PreMatch,
     stats: MatchStats,
-    greedy: _Greedy | None = None,
+    greedy: set[int] | None = None,
     best: _Best | None = None,
 ) -> Iterator[MatchResult]:
     """The effect-matching search: lazily, every locally complete match
@@ -198,9 +186,9 @@ def _leaves(
     leaf's :meth:`MatchResult.sort_key`.  So a leaf is built only when it beats
     the kept one, and the first unsupported candidate cut ends the drawing.
 
-    With ``greedy`` an element is skipped only when no candidate is free,
-    and ``greedy.would_skip`` is set wherever the full search would skip
-    although a candidate is free."""
+    With ``greedy``, a set, an element is skipped only when no candidate is
+    free, and the position ``i`` of each element that the full search would
+    skip although a candidate is free is added to the set."""
     elements, n_nodes, boundary, room, adjacent, gone, parts = eor._plan
     pd, pc = eor.potential_deletions, eor.potential_creations
 
@@ -340,8 +328,7 @@ def _leaves(
             induced = build_induced_rule(eor, sel)
             match = Morphism(induced.rule.lhs, host, node_map, edge_map)
             yield MatchResult(induced, match, pm)
-            if host._link is not None:  # before the frames above resume
-                host._rooted()
+            host._rooted()  # before the frames above resume
             return
         xid, _, deleting, is_node = elements[i]
         key = keys[i]  # None has no candidates: the edge is skipped
@@ -386,7 +373,7 @@ def _leaves(
             if greedy is None:
                 yield from place(place, i + 1, size)
             else:
-                greedy.would_skip = True
+                greedy.add(i)
 
     # Recursing through an argument, not a closure cell, leaves no cycle, so
     # the search state is freed as soon as the caller drops the generator.
@@ -450,9 +437,9 @@ def find_locally_complete(
     would visit the very same tree, and the answer is ``None`` at once."""
     _entered(eor, host, pm)
     stats = MatchStats() if stats is None else stats
-    greedy = _Greedy()
+    greedy: set[int] = set()
     leaf = next(_leaves(eor, host, pm, stats, greedy), None)
-    if leaf is not None or not greedy.would_skip:
+    if leaf is not None or not greedy:
         return leaf
     stats.full_passes += 1
     return min(_leaves(eor, host, pm, stats), key=MatchResult.sort_key, default=None)

@@ -261,8 +261,7 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
         raise NotInjective("match identifies distinct lhs elements")
     if not satisfies_nacs(m, r.nacs):
         raise NacViolated("a negative application condition matches the host")
-    if not is_id_subgraph(r.interface, r.lhs):
-        raise ValueError("not an id-subgraph; no inclusion exists")
+    Morphism.inclusion(r.interface, r.lhs)
     return _apply(r, g, m)
 
 

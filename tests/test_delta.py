@@ -628,6 +628,29 @@ def test_a_suspended_effect_search_reroots_when_it_resumes():
     assert seen > 10
 
 
+def test_a_pattern_from_the_hosts_lineage_matches_as_fresh_copies():
+    """A pattern may be a version of its host's own lineage, so both read
+    one store.  For each pair of a step's input and output, with either of
+    them read last before the search, the stream equals the one on fresh
+    copies of both graphs; so does a partial map to a created node."""
+    tg = TypeGraph("loops", frozenset({"N"}), {"e": EdgeType("N", "N")})
+    interface = TypedGraph(tg, {"k": "N"}, {})
+    parallel = {"c1": Edge("e", "k", "c"), "c2": Edge("e", "k", "c")}
+    grow = Rule(interface, interface, with_elements(interface, {"c": "N"}, parallel))
+    cases = [((0, 1), None, 4), ((1, 1), None, 8), ((0, 0), None, 2), ((0, 1), "c#1", 2)]
+    for (p, h), image, count in cases:
+        for last in (0, 1):
+            g = TypedGraph(tg, {"a": "N", "b": "N"}, {x: Edge("e", "a", "b") for x in "fg"})
+            record = apply_rule(grow, g, Morphism(grow.lhs, g, {"k": "a"}, {}))
+            step = (record.input, record.output)
+            step[last]._rooted()
+            partial = None if image is None else ({"b": image}, {})
+            got = maps(find_injective_extensions(step[p], step[h], partial))
+            fresh = [TypedGraph(tg, x.nodes, x.edges) for x in (step[p], step[h])]
+            assert got == maps(find_injective_extensions(*fresh, partial))
+            assert len(got) == count, ((p, h), image, last)
+
+
 def test_a_public_mapping_never_changes():
     """A mapping taken from a public property of any version, a built one
     read before its store exists included, stays as it was while other
