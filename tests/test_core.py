@@ -504,6 +504,36 @@ def test_find_injective_extensions_binds_every_node_before_the_edges():
     ]
 
 
+def test_find_injective_extensions_draws_through_the_least_edge_id():
+    """A free node next to two bound ones draws its candidates from the
+    incident edges of the image joined by its least pattern edge id, in
+    whatever order the pattern's edges were stored."""
+    host = TypedGraph(
+        PAIR,
+        {"hub": "A", "leaf": "A", **{f"b{i}": "B" for i in range(6)}},
+        {
+            **{f"h{i}": Edge("ab", "hub", f"b{i}") for i in range(6)},
+            **{f"l{i}": Edge("ab", "leaf", f"b{i}") for i in range(2)},
+        },
+    )
+    read: list[str] = []
+
+    class Reads(dict):
+        def __getitem__(self, node: str) -> list[str]:
+            read.append(node)
+            return dict.__getitem__(self, node)
+
+    store = host._rooted()
+    store.__dict__["incidence"] = Reads(store.incidence)
+    x, y = Edge("ab", "l", "v"), Edge("ab", "h", "v")
+    partial = ({"h": "hub", "l": "leaf"}, {})
+    for edges in ({"x": x, "y": y}, {"y": y, "x": x}):
+        pattern = TypedGraph(PAIR, {"h": "A", "l": "A", "v": "B"}, edges)
+        read.clear()
+        found = [m.node_map["v"] for m in find_injective_extensions(pattern, host, partial)]
+        assert found == ["b0", "b1"] and read == ["leaf"]
+
+
 # The SHA-256 of ``repr`` of ``_enumeration_parts`` over seeds 0-299,
 # computed before the injective search and the NAC shift were shortened.
 # Both must keep every result and its order.
