@@ -396,6 +396,24 @@ class TypedGraph(_Value):
         incidence = self._rooted().incidence
         return MappingProxyType({n: tuple(ids) for n, ids in incidence.items()})
 
+    @cached_property
+    def _pattern_plan(self) -> tuple:
+        """What :func:`find_injective_extensions` needs of this graph as its
+        pattern alone: its node ids in order, each node's classes of parallel
+        edges by least edge id, the classes with their edge ids in key order,
+        and the steps that bind the nodes, by the set of nodes bound before
+        they start (:func:`_node_steps`, built when a search first asks).
+        Every search of the pattern shares it, so it must not change but by
+        gaining steps."""
+        classes = self.edge_classes
+        touching: dict[str, list] = {n: [] for n in self.nodes}
+        for cls in sorted(classes, key=classes.get):
+            _, ps, pt = cls
+            touching[ps].append(cls)
+            if pt != ps:
+                touching[pt].append(cls)
+        return tuple(sorted(self.nodes)), touching, tuple(sorted(classes.items())), {}
+
     def __repr__(self) -> str:
         return (
             f"TypedGraph({len(self._rooted().nodes)} nodes, "
@@ -413,6 +431,11 @@ class ElementSet(_Value):
 
     def __hash__(self) -> int:
         return hash((self.nodes, self.edges))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ElementSet:
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -659,6 +682,33 @@ def _normalise_partial(
     return node_map, edge_map
 
 
+def _node_steps(pattern: TypedGraph, bound: frozenset[str]) -> tuple:
+    """The steps of :func:`find_injective_extensions` that bind the nodes
+    of ``pattern`` outside ``bound``, in id order.  Each is the node, its
+    type, the class it draws its candidates through, if any, and the
+    classes a candidate must fit.  A node draws through its first class by
+    least edge id whose other end is bound before it: from that end's image,
+    the other ends of its edges of the class's type and direction, given by
+    their :class:`Edge` items.  Once bound, it must fit each of its classes
+    whose ends are both bound: a host class at least as large."""
+    order, touching, _, _ = pattern._pattern_plan
+    classes, before, steps = pattern.edge_classes, set(bound), []
+    for v in order:
+        if v in bound:
+            continue
+        draw, fit = None, []
+        for cls in touching[v]:
+            etype, ps, pt = cls
+            u, near, far = (ps, 1, 2) if pt == v else (pt, 2, 1)
+            if draw is None and u in before:
+                draw = etype, u, near, far
+            if u in before or u == v:
+                fit.append((etype, ps, pt, len(classes[cls])))
+        before.add(v)
+        steps.append((v, pattern.nodes[v], draw, tuple(fit)))
+    return tuple(steps)
+
+
 def find_injective_extensions(
     pattern: TypedGraph,
     host: TypedGraph,
@@ -671,51 +721,34 @@ def find_injective_extensions(
     ascending id order, host candidates are tried in ascending id order, and
     parallel-edge assignments follow ascending edge ids.  The stream
     reroots the host's store each time it resumes.
+
+    What the search needs of the pattern alone, its node order and its
+    classes of parallel edges, is built by the pattern's first search and
+    kept on the pattern, which is immutable, with the steps that bind the
+    nodes for each set of nodes ``partial`` binds: a later search of the
+    pattern pays only for the partial map and its bindings.
     """
-    # The pattern's snapshots, its index's edge classes (sorted tuples of edge
-    # ids) among them, come first: both graphs may share one store.
-    p_nodes, p_edges, classes = pattern.nodes, pattern.edges, pattern.edge_classes
+    # The pattern's snapshots and plan come first: both graphs may share one store.
+    p_nodes, p_edges = pattern.nodes, pattern.edges
+    _, _, by_key, planned = pattern._pattern_plan
     store = host._rooted()
     node_map, edge_map = _normalise_partial(p_nodes, p_edges, store, partial)
-    free_nodes = [n for n in sorted(p_nodes) if n not in node_map]
+    bound = frozenset(node_map)
+    steps = planned.get(bound)
+    if steps is None:
+        steps = planned[bound] = _node_steps(pattern, bound)
     used = set(node_map.values())
     # The node map is injective, so distinct pattern classes land in distinct
     # host classes, and the endpoint closure puts a class's pre-assigned
     # edges in its own: a class fits when its host class is as large, and
-    # its free edges avoid only the pre-assigned images.  ``candidates`` draws
-    # from a node's first class with a bound end, by least edge id.
-    touching: dict[str, list[Edge]] = {n: [] for n in p_nodes}
-    for cls in sorted(classes, key=classes.get):
-        _, ps, pt = cls
-        touching[ps].append(cls)
-        if pt != ps:
-            touching[pt].append(cls)
+    # its free edges avoid only the pre-assigned images.
     fixed = set(edge_map.values())
-    free_edges = [
-        (cls, [e for e in ids if e not in edge_map])
-        for cls, ids in sorted(classes.items())
-    ]
-
-    def host_class(cls: Edge) -> tuple[str, ...]:
-        etype, ps, pt = cls
-        return store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())
-
-    def fits(cls: Edge) -> bool:
-        _, ps, pt = cls
-        if ps not in node_map or pt not in node_map:
-            return True
-        return len(host_class(cls)) >= len(classes[cls])
-
-    def candidates(v: str) -> Iterable[str]:
-        # Through a pattern edge to a bound node, the sorted other ends of its
-        # image's edges of that type and direction: the rest fail ``fits``.
-        for etype, ps, pt in touching[v]:
-            u, near, far = (ps, 1, 2) if pt == v else (pt, 2, 1)  # Edge items
-            if u in node_map:
-                incident = (store.edges[h] for h in store.incidence[node_map[u]])
-                ends = [e[far] for e in incident if e[0] == etype and e[near] == node_map[u]]
-                return sorted({x for x in ends if store.nodes[x] == p_nodes[v]})
-        return store.nodes_by_type.get(p_nodes[v], ())
+    free_edges = (
+        [(cls, [e for e in ids if e not in edge_map]) for cls, ids in by_key]
+        if edge_map
+        else by_key
+    )
+    n_free, n_all = len(steps), len(steps) + len(free_edges)
 
     # ``extend`` binds the free nodes, then each class's free edges, and
     # calls itself through an argument, not a closure cell, so a finished or
@@ -724,20 +757,32 @@ def find_injective_extensions(
     def extend(extend, pos: int) -> Iterator[Morphism]:
         if pos == 0:
             host._rooted()
-        if pos < len(free_nodes):
-            v = free_nodes[pos]
-            for x in candidates(v):
+        if pos < n_free:
+            v, ntype, draw, fit = steps[pos]
+            if draw is None:
+                candidates = store.nodes_by_type.get(ntype, ())
+            else:  # the rest fail to fit the class drawn through
+                etype, u, near, far = draw
+                y = node_map[u]
+                incident = map(store.edges.__getitem__, store.incidence[y])
+                ends = {e[far] for e in incident if e[0] == etype and e[near] == y}
+                candidates = sorted([x for x in ends if store.nodes[x] == ntype])
+            for x in candidates:
                 if x in used:
                     continue
                 node_map[v] = x
-                used.add(x)
-                if all(fits(cls) for cls in touching[v]):
+                for etype, ps, pt, n in fit:
+                    if len(store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())) < n:
+                        break
+                else:
+                    used.add(x)
                     yield from extend(extend, pos + 1)
+                    used.discard(x)
                 del node_map[v]
-                used.discard(x)
-        elif pos - len(free_nodes) < len(free_edges):
-            cls, remaining = free_edges[pos - len(free_nodes)]
-            free = [h for h in host_class(cls) if h not in fixed]
+        elif pos < n_all:
+            (etype, ps, pt), remaining = free_edges[pos - n_free]
+            host_class = store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())
+            free = [h for h in host_class if h not in fixed]
             for combo in itertools.permutations(free, len(remaining)):
                 edge_map.update(zip(remaining, combo))
                 yield from extend(extend, pos + 1)

@@ -191,6 +191,7 @@ def _leaves(
     skip although a candidate is free is added to the set."""
     elements, n_nodes, boundary, room, adjacent, gone, parts = eor._plan
     pd, pc = eor.potential_deletions, eor.potential_creations
+    n_all = len(elements)
 
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
@@ -237,6 +238,10 @@ def _leaves(
     def rekey(v: str) -> None:
         for j, e, _ in adjacent[v]:
             keys[j] = edge_key(e)
+            if best is not None:
+                grows[j] = keys[j] is None or not used_edges.issuperset(
+                    store.edge_classes.get(keys[j], ())
+                )
 
     def fitting(v: str, ntype: str) -> tuple[Iterator[str], set[tuple]]:
         """The nodes deletion node ``v`` can delete, in bucket order, and their
@@ -248,32 +253,34 @@ def _leaves(
         stats.backtracks += sum(len(buckets[p]) for p in buckets.keys() - fit) - taken
         return merge(*(ids for p, ids in buckets.items() if p in fit)), fit
 
-    def growable(i: int) -> list[int]:
-        """The positions from ``i`` on that can still bind: all but the nodes
-        whose type has no free host node and the edges whose host class has
-        no free edge left, dead edges included."""
-        by_type = store.nodes_by_type
-        return [
-            j for j in range(i, n_nodes)
-            if len(by_type.get(keys[j], ())) > used_types.get(keys[j], 0)
-        ] + [
-            j
-            for j in range(max(i, n_nodes), len(elements))
-            if keys[j] is None
-            or not used_edges.issuperset(store.edge_classes.get(keys[j], ()))
+    # With an incumbent, whether each position can still bind: all but the
+    # nodes whose type has no free host node and the edges whose host class
+    # has no free edge left, dead edges included.  Kept up to date as
+    # elements bind, and read from the position a branch has come to on.
+    if best is not None:
+        by_type, classes = store.nodes_by_type, store.edge_classes
+        grows = [
+            len(by_type.get(k, ())) > used_types.get(k, 0)
+            if j < n_nodes
+            else k is None or not used_edges.issuperset(classes.get(k, ()))
+            for j, k in enumerate(keys)
         ]
 
-    def cut(bound: int, grow: list[int]) -> bool:
-        """Whether a branch that binds at most ``bound`` elements cannot beat
-        the incumbent: it is smaller, or it ties the one leaf kept.  Then it
-        keeps its bindings and binds exactly the positions ``grow``, and it is
+    def cut(bound: int, i: int, skip: dict | tuple = ()) -> bool:
+        """Whether a branch that binds at most ``bound`` elements, no more
+        than the incumbent, cannot beat it: it is smaller, or it ties the one
+        leaf kept.  Then it keeps its bindings and binds exactly the positions
+        from ``i`` on that can still bind, but those of ``skip``, and it is
         cut if certain not to be less by key: by that selection, else by its
         images in key order up to the first one not fixed yet."""
-        if bound != best.size or not best.least:
+        if bound < best.size or not best.least:
             return bound < best.size
         key = best.key
         for part, images, least in zip(parts, (node_map, edge_map) * 2, key):
-            ids = tuple([x for j, x in part if x in images or j in grow])
+            ids = tuple([
+                x for j, x in part
+                if x in images or j >= i and grows[j] and j not in skip
+            ])
             if ids != least:  # a part of the selection's sort key
                 return ids > least
         for items, images in zip(key[4:], (node_map, edge_map)):
@@ -283,31 +290,31 @@ def _leaves(
         return True
 
     def tries(
-        i: int, size: int, candidates: tuple[str, ...], used: set[str], grow: list[int]
+        i: int, size: int, candidates: tuple[str, ...], used: set[str]
     ) -> Iterator[str]:
         """The free candidates element ``i`` tries, in order: those of
         ``candidates``, its bucket or class, or for a node with an
         incumbent, the supported ones and then the others of the bucket
-        until the bound they share cuts them.  ``grow`` is ``growable(i)``."""
+        until the bound they share cuts them."""
         supported: set[str] = set()
         shared = None  # the bound the unsupported candidates share, if any
         if best is not None and i < n_nodes:
             v = elements[i][0]
-            # The anchored edges but dead ones: each has a supported candidate.
+            # The anchored edges but dead ones: each has a supported candidate,
+            # and the unsupported candidates leave it without a host edge.
             anchored = {
                 j: (e, u) for j, e, u in adjacent[v] if u in node_map and keys[j] is None
             }
             for e, u in anchored.values():
                 supported.update(reach(node_map[u])[e.type, e.src == u])
             supported -= used_nodes
-            rest = [j for j in grow if j > i and j not in anchored]  # growable(i + 1)
-            shared = size + 1 + len(rest)
+            shared = size + 1 + sum(grows[i + 1 :]) - len(anchored)
             yield from sorted(supported)  # bucket order
         for x in candidates:
             stats.examined += 1
             if shared is not None and shared <= best.size:
                 node_map[v] = x  # the key test reads the candidate's image
-                stop = cut(shared, rest)
+                stop = cut(shared, i + 1, anchored)
                 del node_map[v]
                 if stop:  # so are the rest: their images only grow
                     return  # they are cut untried, but free all the same
@@ -315,65 +322,95 @@ def _leaves(
                 yield x
 
     def place(place, i: int, size: int) -> Iterator[MatchResult]:
-        if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
-            return
-        grow = [] if best is None else growable(i)
-        if best is not None and cut(size + len(grow), grow):
-            return
-        if i == len(elements):
-            sel = InducedSelection(
-                ElementSet(pd.nodes.intersection(node_map), pd.edges.intersection(edge_map)),
-                ElementSet(pc.nodes.intersection(node_map), pc.edges.intersection(edge_map)),
+        # A skip goes on to the next position in the same frame.
+        while True:
+            if i == boundary and dangling_node(host, del_nodes, del_edges) is not None:
+                return
+            if best is not None:
+                bound = size + sum(grows[i:])
+                if bound <= best.size and cut(bound, i):
+                    return
+            if i == n_all:
+                sel = InducedSelection(
+                    ElementSet(pd.nodes.intersection(node_map), pd.edges.intersection(edge_map)),
+                    ElementSet(pc.nodes.intersection(node_map), pc.edges.intersection(edge_map)),
+                )
+                induced = build_induced_rule(eor, sel)
+                match = Morphism(induced.rule.lhs, host, node_map, edge_map)
+                yield MatchResult(induced, match, pm)
+                host._rooted()  # before the frames above resume
+                return
+            xid, _, deleting, is_node = elements[i]
+            key = keys[i]  # None has no candidates: the edge is skipped
+            # Iterated across yields: a type bucket is the same list, with the
+            # same content, once rerooted, and an edge class is a tuple.
+            index, images, used, deleted = (
+                (store.nodes_by_type, node_map, used_nodes, del_nodes)
+                if is_node
+                else (store.edge_classes, edge_map, used_edges, del_edges)
             )
-            induced = build_induced_rule(eor, sel)
-            match = Morphism(induced.rule.lhs, host, node_map, edge_map)
-            yield MatchResult(induced, match, pm)
-            host._rooted()  # before the frames above resume
-            return
-        xid, _, deleting, is_node = elements[i]
-        key = keys[i]  # None has no candidates: the edge is skipped
-        # Iterated across yields: a type bucket is the same list, with the
-        # same content, once rerooted, and an edge class is a tuple.
-        index, images, used, deleted = (
-            (store.nodes_by_type, node_map, used_nodes, del_nodes)
-            if is_node
-            else (store.edge_classes, edge_map, used_edges, del_edges)
-        )
-        candidates = index.get(key, ())
-        if is_node:
-            free = len(candidates) - used_types.get(key, 0)
-            candidates, fit = fitting(xid, key) if deleting else (candidates, None)
-        else:
-            free = sum(x not in used for x in candidates)
-        for x in tries(i, size, candidates, used, grow):
-            if deleting and is_node and store.profile_of.get(x) not in fit:
-                continue  # a supported candidate, rejected by fitting()
-            images[xid] = x
-            used.add(x)
-            if deleting:
-                deleted.add(x)
+            candidates = bucket = index.get(key, ())
+            if not bucket and not is_node:
+                i += 1
+                continue
             if is_node:
-                used_types[key] = used_types.get(key, 0) + 1
-                rekey(xid)
-            found = False
-            for leaf in place(place, i + 1, size + 1):
-                found = True
-                yield leaf
-            deleted.discard(x)
-            used.discard(x)
-            del images[xid]
-            if is_node:
-                used_types[key] -= 1
-                rekey(xid)
-            if not found:
-                stats.backtracks += 1
-        if free == 0:
-            yield from place(place, i + 1, size)
-        elif free <= keys[i + 1 :].count(key):
-            if greedy is None:
-                yield from place(place, i + 1, size)
+                free = len(bucket) - used_types.get(key, 0)
+                candidates, fit = fitting(xid, key) if deleting else (bucket, None)
             else:
-                greedy.add(i)
+                free = sum(x not in used for x in bucket)
+            for x in tries(i, size, candidates, used):
+                if deleting and is_node and store.profile_of.get(x) not in fit:
+                    continue  # a supported candidate, rejected by fitting()
+                images[xid] = x
+                used.add(x)
+                if deleting:
+                    deleted.add(x)
+                if is_node:
+                    used_types[key] = used_types.get(key, 0) + 1
+                    rekey(xid)
+                    if best is not None and used_types[key] == len(bucket):
+                        retype(key)
+                elif best is not None:
+                    reclass(i, key)
+                found = False
+                for leaf in place(place, i + 1, size + 1):
+                    found = True
+                    yield leaf
+                deleted.discard(x)
+                used.discard(x)
+                del images[xid]
+                if is_node:
+                    used_types[key] -= 1
+                    rekey(xid)
+                    if best is not None and used_types[key] == len(bucket) - 1:
+                        retype(key)
+                elif best is not None:
+                    reclass(i, key)
+                if not found:
+                    stats.backtracks += 1
+            if free:
+                if free > keys[i + 1 :].count(key):
+                    return
+                if greedy is not None:
+                    greedy.add(i)
+                    return
+            i += 1
+
+    def retype(t: str) -> None:
+        """After a node of type ``t`` binds or unbinds: whether the nodes of
+        that type can still bind, if its last free host node changed hands."""
+        free = len(store.nodes_by_type.get(t, ())) > used_types.get(t, 0)
+        for j in range(n_nodes):
+            if keys[j] == t:
+                grows[j] = free
+
+    def reclass(i: int, k: tuple) -> None:
+        """After edge ``i`` of host class ``k`` binds or unbinds: whether the
+        later edges of that class can still bind."""
+        free = not used_edges.issuperset(store.edge_classes.get(k, ()))
+        for j in range(i + 1, n_all):
+            if keys[j] == k:
+                grows[j] = free
 
     # Recursing through an argument, not a closure cell, leaves no cycle, so
     # the search state is freed as soon as the caller drops the generator.
@@ -395,7 +432,7 @@ def _largest_leaves(
     for pm in pms:
         for leaf in _leaves(eor, host, pm, stats, best=best):
             best.offer(leaf)
-    return sorted(best.leaves, key=MatchResult.sort_key)
+    return best.leaves if least else sorted(best.leaves, key=MatchResult.sort_key)
 
 
 def _at_bound(
@@ -406,15 +443,18 @@ def _at_bound(
     map's first edge map is its least: parallel host edges swap freely, so
     the checks (no dangling edge; without ``pm``, base NACs) pass all or none."""
     induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[5], eor.potential_deletions
-    nacs = () if pm else eor.base.nacs
+    nodes, edges = gone.nodes | pd.nodes, gone.edges | pd.edges  # what it deletes
     partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
     for m in find_injective_extensions(induced.rule.lhs, host, partial):
         nm, em = m.node_map, m.edge_map
+        if dangling_node(host, map(nm.get, nodes), {em[e] for e in edges}) is not None:
+            continue
+        if pm is not None:
+            return [MatchResult(induced, m, pm)]
         restricted = {v: nm[v] for v in base.nodes}, {e: em[e] for e in base.edges}
         on_base = Morphism(base, host, *restricted)
-        deleted = map(nm.get, gone.nodes | pd.nodes), {em[e] for e in gone.edges | pd.edges}
-        if dangling_node(host, *deleted) is None and satisfies_nacs(on_base, nacs):
-            return [MatchResult(induced, m, pm or PreMatch(on_base))]
+        if satisfies_nacs(on_base, eor.base.nacs):
+            return [MatchResult(induced, m, PreMatch(on_base))]
     return []
 
 
