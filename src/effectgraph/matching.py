@@ -205,19 +205,24 @@ def _leaves(
     del_edges = {edge_map[e] for e in gone.edges}
 
     reached: dict[str, dict[tuple[str, bool], list[str]]] = {}
+    if best is not None:  # the edge types ``reach`` is asked about
+        asked = {item.type for _, item, _, is_node in elements if not is_node}
 
     def reach(y: str) -> dict[tuple[str, bool], list[str]]:
-        """The other ends of the free host edges at node ``y``, by type and
-        whether ``y`` is the source, from one scan of its incidence.  Only
-        nodes use it, and they bind before edges: the free edges stay put."""
+        """The other ends of the free host edges at node ``y`` of the types of
+        potential edges, by type and whether ``y`` is the source, from one
+        scan of its incidence.  Only nodes use it, with an incumbent, and
+        they bind before edges: the free edges stay put."""
         ends = reached.get(y)
         if ends is None:
             incident = store.incidence[y]
             stats.examined += len(incident)
             ends = reached[y] = {}
-            for he in (edges[h] for h in incident if h not in used_edges):
-                out = he.src == y
-                ends.setdefault((he.type, out), []).append(he.tgt if out else he.src)
+            for h in incident:
+                he = edges[h]
+                if he.type in asked and h not in used_edges:
+                    out = he.src == y
+                    ends.setdefault((he.type, out), []).append(he.tgt if out else he.src)
         return ends
 
     def edge_key(e: Edge) -> tuple[str, ...] | None:
@@ -235,13 +240,42 @@ def _leaves(
     # Each element's node type or edge class, kept up to date as nodes bind.
     keys = [item if is_node else edge_key(item) for _, item, _, is_node in elements]
 
+    def open_type(t: str) -> bool:  # whether type ``t`` has a free host node
+        return len(store.nodes_by_type.get(t, ())) > used_types.get(t, 0)
+
+    def open_class(k: tuple[str, ...] | None) -> bool:
+        # Whether an edge of key ``k`` may still bind: an end is unbound, or
+        # its host class has a free edge.  A dead edge's class has none.
+        return k is None or not used_edges.issuperset(store.edge_classes.get(k, ()))
+
+    # With an incumbent, whether each position can still bind, kept up to
+    # date as elements bind: a branch at position ``i`` can still bind the
+    # positions from ``i`` on that can.
+    grows = [] if best is None else [
+        open_type(k) if j < n_nodes else open_class(k) for j, k in enumerate(keys)
+    ]
+
     def rekey(v: str) -> None:
         for j, e, _ in adjacent[v]:
             keys[j] = edge_key(e)
             if best is not None:
-                grows[j] = keys[j] is None or not used_edges.issuperset(
-                    store.edge_classes.get(keys[j], ())
-                )
+                grows[j] = open_class(keys[j])
+
+    def retype(t: str) -> None:
+        """With an incumbent, once the last free host node of type ``t`` is
+        bound or freed again: whether the nodes of that type can bind."""
+        can = open_type(t)
+        for j in range(n_nodes):
+            if keys[j] == t:
+                grows[j] = can
+
+    def reclass(i: int, k: tuple[str, ...]) -> None:
+        """With an incumbent, once edge ``i`` of key ``k`` binds or unbinds:
+        whether the later edges of that key can bind."""
+        can = open_class(k)
+        for j in range(i + 1, n_all):
+            if keys[j] == k:
+                grows[j] = can
 
     def fitting(v: str, ntype: str) -> tuple[Iterator[str], set[tuple]]:
         """The nodes deletion node ``v`` can delete, in bucket order, and their
@@ -252,19 +286,6 @@ def _leaves(
         taken = sum(store.nodes[u] == ntype and of[u] not in fit for u in used_nodes)
         stats.backtracks += sum(len(buckets[p]) for p in buckets.keys() - fit) - taken
         return merge(*(ids for p, ids in buckets.items() if p in fit)), fit
-
-    # With an incumbent, whether each position can still bind: all but the
-    # nodes whose type has no free host node and the edges whose host class
-    # has no free edge left, dead edges included.  Kept up to date as
-    # elements bind, and read from the position a branch has come to on.
-    if best is not None:
-        by_type, classes = store.nodes_by_type, store.edge_classes
-        grows = [
-            len(by_type.get(k, ())) > used_types.get(k, 0)
-            if j < n_nodes
-            else k is None or not used_edges.issuperset(classes.get(k, ()))
-            for j, k in enumerate(keys)
-        ]
 
     def cut(bound: int, i: int, skip: dict | tuple = ()) -> bool:
         """Whether a branch that binds at most ``bound`` elements, no more
@@ -308,6 +329,7 @@ def _leaves(
             for e, u in anchored.values():
                 supported.update(reach(node_map[u])[e.type, e.src == u])
             supported -= used_nodes
+            # An anchored edge has an unbound end, so it can still bind.
             shared = size + 1 + sum(grows[i + 1 :]) - len(anchored)
             yield from sorted(supported)  # bucket order
         for x in candidates:
@@ -395,22 +417,6 @@ def _leaves(
                     greedy.add(i)
                     return
             i += 1
-
-    def retype(t: str) -> None:
-        """After a node of type ``t`` binds or unbinds: whether the nodes of
-        that type can still bind, if its last free host node changed hands."""
-        free = len(store.nodes_by_type.get(t, ())) > used_types.get(t, 0)
-        for j in range(n_nodes):
-            if keys[j] == t:
-                grows[j] = free
-
-    def reclass(i: int, k: tuple) -> None:
-        """After edge ``i`` of host class ``k`` binds or unbinds: whether the
-        later edges of that class can still bind."""
-        free = not used_edges.issuperset(store.edge_classes.get(k, ()))
-        for j in range(i + 1, n_all):
-            if keys[j] == k:
-                grows[j] = free
 
     # Recursing through an argument, not a closure cell, leaves no cycle, so
     # the search state is freed as soon as the caller drops the generator.
