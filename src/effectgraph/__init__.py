@@ -28,7 +28,6 @@ from .rules import (
     apply_rule,
     satisfies_nacs,
     shift_nacs,
-    validate_rule,
 )
 from .effect import (
     EffectOrientedRule,

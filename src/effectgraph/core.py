@@ -399,20 +399,9 @@ class TypedGraph(_Value):
     @cached_property
     def _pattern_plan(self) -> tuple:
         """What :func:`find_injective_extensions` needs of this graph as its
-        pattern alone: its node ids in order, each node's classes of parallel
-        edges by least edge id, the classes with their edge ids in key order,
-        and the steps that bind the nodes, by the set of nodes bound before
-        they start (:func:`_node_steps`, built when a search first asks).
-        Every search of the pattern shares it, so it must not change but by
-        gaining steps."""
-        classes = self.edge_classes
-        touching: dict[str, list] = {n: [] for n in self.nodes}
-        for cls in sorted(classes, key=classes.get):
-            _, ps, pt = cls
-            touching[ps].append(cls)
-            if pt != ps:
-                touching[pt].append(cls)
-        return tuple(sorted(self.nodes)), touching, tuple(sorted(classes.items())), {}
+        pattern: its edge classes in key order, and its :func:`_node_steps`
+        by the set of nodes bound first, added as searches ask."""
+        return tuple(sorted(self.edge_classes.items())), {}
 
     def __repr__(self) -> str:
         return (
@@ -683,19 +672,17 @@ def _normalise_partial(
 
 
 def _node_steps(pattern: TypedGraph, bound: frozenset[str]) -> tuple:
-    """The steps of :func:`find_injective_extensions` that bind the nodes
-    of ``pattern`` outside ``bound``, in id order.  Each is the node, its
-    type, the class it draws its candidates through, if any, and the
-    classes a candidate must fit.  A node draws through its first class by
-    least edge id whose other end is bound before it: from that end's image,
-    the other ends of its edges of the class's type and direction, given by
-    their :class:`Edge` items.  Once bound, it must fit each of its classes
-    whose ends are both bound: a host class at least as large."""
-    order, touching, _, _ = pattern._pattern_plan
+    """The steps that bind the nodes of ``pattern`` outside ``bound``, in id
+    order: each node, its type, the class it draws its candidates through,
+    if any, and the classes they must fit.  It draws through its first class
+    by least edge id with the other end bound before it, from that end (by
+    :class:`Edge` items), and fits each class with both ends bound."""
     classes, before, steps = pattern.edge_classes, set(bound), []
-    for v in order:
-        if v in bound:
-            continue
+    touching: dict[str, list[Edge]] = {n: [] for n in pattern.nodes}
+    for cls in sorted(classes, key=classes.get):  # by least edge id
+        for end in {cls.src, cls.tgt}:
+            touching[end].append(cls)
+    for v in sorted(pattern.nodes.keys() - bound):
         draw, fit = None, []
         for cls in touching[v]:
             etype, ps, pt = cls
@@ -722,15 +709,15 @@ def find_injective_extensions(
     parallel-edge assignments follow ascending edge ids.  The stream
     reroots the host's store each time it resumes.
 
-    What the search needs of the pattern alone, its node order and its
-    classes of parallel edges, is built by the pattern's first search and
-    kept on the pattern, which is immutable, with the steps that bind the
-    nodes for each set of nodes ``partial`` binds: a later search of the
-    pattern pays only for the partial map and its bindings.
+    What the search needs of the pattern alone, its classes of parallel
+    edges and the order and draw of its nodes, is built by the pattern's
+    first search with ``partial`` over the same nodes and kept on the
+    pattern, which is immutable: a later one pays for its bindings alone.
     """
-    # The pattern's snapshots and plan come first: both graphs may share one store.
+    # The pattern's snapshots come first, and its steps read no more: both
+    # graphs may share one store.
     p_nodes, p_edges = pattern.nodes, pattern.edges
-    _, _, by_key, planned = pattern._pattern_plan
+    by_key, planned = pattern._pattern_plan
     store = host._rooted()
     node_map, edge_map = _normalise_partial(p_nodes, p_edges, store, partial)
     bound = frozenset(node_map)
@@ -743,11 +730,9 @@ def find_injective_extensions(
     # edges in its own: a class fits when its host class is as large, and
     # its free edges avoid only the pre-assigned images.
     fixed = set(edge_map.values())
-    free_edges = (
-        [(cls, [e for e in ids if e not in edge_map]) for cls, ids in by_key]
-        if edge_map
-        else by_key
-    )
+    free_edges = by_key if not edge_map else [
+        (cls, [e for e in ids if e not in edge_map]) for cls, ids in by_key
+    ]
     n_free, n_all = len(steps), len(steps) + len(free_edges)
 
     # ``extend`` binds the free nodes, then each class's free edges, and
@@ -771,7 +756,7 @@ def find_injective_extensions(
                 if x in used:
                     continue
                 node_map[v] = x
-                for etype, ps, pt, n in fit:
+                for etype, ps, pt, n in fit:  # a host class as large
                     if len(store.edge_classes.get((etype, node_map[ps], node_map[pt]), ())) < n:
                         break
                 else:

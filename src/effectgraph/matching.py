@@ -163,8 +163,8 @@ def _leaves(
       unless ``best`` keeps one leaf (below).
 
     The free candidates of a node are counted, not scanned: the bucket's
-    size minus the used nodes of its type.  The host classes of the edges
-    are looked up again only when a node binding changes.
+    size minus the used nodes of its type.  The edges' host classes, and
+    what can still bind, are updated only where a binding changes them.
 
     With an incumbent, a potential node ``v`` first tries its supported
     candidates: those joined by a free host edge to the image of an already
@@ -191,7 +191,6 @@ def _leaves(
     skip although a candidate is free is added to the set."""
     elements, n_nodes, boundary, room, adjacent, gone, parts = eor._plan
     pd, pc = eor.potential_deletions, eor.potential_creations
-    n_all = len(elements)
 
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
@@ -209,18 +208,16 @@ def _leaves(
         asked = {item.type for _, item, _, is_node in elements if not is_node}
 
     def reach(y: str) -> dict[tuple[str, bool], list[str]]:
-        """The other ends of the free host edges at node ``y`` of the types of
-        potential edges, by type and whether ``y`` is the source, from one
-        scan of its incidence.  Only nodes use it, with an incumbent, and
-        they bind before edges: the free edges stay put."""
+        """The other ends of the free host edges at node ``y`` of the potential
+        edges' types, by type and whether ``y`` is the source, from one scan
+        of its incidence.  Only nodes use it: the free edges stay put."""
         ends = reached.get(y)
         if ends is None:
             incident = store.incidence[y]
             stats.examined += len(incident)
             ends = reached[y] = {}
-            for h in incident:
-                he = edges[h]
-                if he.type in asked and h not in used_edges:
+            for he in (edges[h] for h in incident if h not in used_edges):
+                if he.type in asked:
                     out = he.src == y
                     ends.setdefault((he.type, out), []).append(he.tgt if out else he.src)
         return ends
@@ -243,39 +240,29 @@ def _leaves(
     def open_type(t: str) -> bool:  # whether type ``t`` has a free host node
         return len(store.nodes_by_type.get(t, ())) > used_types.get(t, 0)
 
-    def open_class(k: tuple[str, ...] | None) -> bool:
-        # Whether an edge of key ``k`` may still bind: an end is unbound, or
-        # its host class has a free edge.  A dead edge's class has none.
+    def open_class(k: tuple[str, ...] | None) -> bool:  # an end unbound, or a free edge
         return k is None or not used_edges.issuperset(store.edge_classes.get(k, ()))
 
     # With an incumbent, whether each position can still bind, kept up to
-    # date as elements bind: a branch at position ``i`` can still bind the
-    # positions from ``i`` on that can.
+    # date as elements bind: a branch at ``i`` can bind those from ``i`` on.
     grows = [] if best is None else [
         open_type(k) if j < n_nodes else open_class(k) for j, k in enumerate(keys)
     ]
 
-    def rekey(v: str) -> None:
-        for j, e, _ in adjacent[v]:
-            keys[j] = edge_key(e)
-            if best is not None:
-                grows[j] = open_class(keys[j])
-
-    def retype(t: str) -> None:
-        """With an incumbent, once the last free host node of type ``t`` is
-        bound or freed again: whether the nodes of that type can bind."""
-        can = open_type(t)
-        for j in range(n_nodes):
-            if keys[j] == t:
-                grows[j] = can
-
-    def reclass(i: int, k: tuple[str, ...]) -> None:
-        """With an incumbent, once edge ``i`` of key ``k`` binds or unbinds:
-        whether the later edges of that key can bind."""
-        can = open_class(k)
-        for j in range(i + 1, n_all):
-            if keys[j] == k:
-                grows[j] = can
+    def rebound(i: int, key: str | tuple[str, ...]) -> None:
+        """Once element ``i``, of node type or edge class ``key``, binds or
+        unbinds: the classes of the edges at a node, and with an incumbent,
+        whether they and the later elements of ``key`` can bind."""
+        if i < n_nodes:
+            for j, e, _ in adjacent[elements[i][0]]:
+                keys[j] = edge_key(e)
+                if best is not None:
+                    grows[j] = open_class(keys[j])
+        if best is not None:
+            can = open_type(key) if i < n_nodes else open_class(key)
+            for j in range(i + 1, len(elements)):
+                if keys[j] == key:
+                    grows[j] = can
 
     def fitting(v: str, ntype: str) -> tuple[Iterator[str], set[tuple]]:
         """The nodes deletion node ``v`` can delete, in bucket order, and their
@@ -290,18 +277,15 @@ def _leaves(
     def cut(bound: int, i: int, skip: dict | tuple = ()) -> bool:
         """Whether a branch that binds at most ``bound`` elements, no more
         than the incumbent, cannot beat it: it is smaller, or it ties the one
-        leaf kept.  Then it keeps its bindings and binds exactly the positions
-        from ``i`` on that can still bind, but those of ``skip``, and it is
-        cut if certain not to be less by key: by that selection, else by its
-        images in key order up to the first one not fixed yet."""
+        leaf kept.  Then it binds exactly the positions from ``i`` on that can
+        still bind but ``skip``, and it is cut if certain not to be less by
+        key: by that selection, else by its images in key order up to one unfixed."""
         if bound < best.size or not best.least:
             return bound < best.size
         key = best.key
+        rest = {j for j in range(i, len(grows)) if grows[j] and j not in skip}
         for part, images, least in zip(parts, (node_map, edge_map) * 2, key):
-            ids = tuple([
-                x for j, x in part
-                if x in images or j >= i and grows[j] and j not in skip
-            ])
+            ids = tuple([x for j, x in part if x in images or j in rest])
             if ids != least:  # a part of the selection's sort key
                 return ids > least
         for items, images in zip(key[4:], (node_map, edge_map)):
@@ -310,9 +294,7 @@ def _leaves(
                     return v in images and images[v] > y
         return True
 
-    def tries(
-        i: int, size: int, candidates: tuple[str, ...], used: set[str]
-    ) -> Iterator[str]:
+    def tries(i: int, size: int, candidates: Iterable[str], used: set[str]) -> Iterator[str]:
         """The free candidates element ``i`` tries, in order: those of
         ``candidates``, its bucket or class, or for a node with an
         incumbent, the supported ones and then the others of the bucket
@@ -352,7 +334,7 @@ def _leaves(
                 bound = size + sum(grows[i:])
                 if bound <= best.size and cut(bound, i):
                     return
-            if i == n_all:
+            if i == len(elements):
                 sel = InducedSelection(
                     ElementSet(pd.nodes.intersection(node_map), pd.edges.intersection(edge_map)),
                     ElementSet(pc.nodes.intersection(node_map), pc.edges.intersection(edge_map)),
@@ -371,15 +353,12 @@ def _leaves(
                 if is_node
                 else (store.edge_classes, edge_map, used_edges, del_edges)
             )
-            candidates = bucket = index.get(key, ())
-            if not bucket and not is_node:
-                i += 1
-                continue
+            candidates = index.get(key, ())
             if is_node:
-                free = len(bucket) - used_types.get(key, 0)
-                candidates, fit = fitting(xid, key) if deleting else (bucket, None)
+                free = len(candidates) - used_types.get(key, 0)
+                candidates, fit = fitting(xid, key) if deleting else (candidates, None)
             else:
-                free = sum(x not in used for x in bucket)
+                free = sum(x not in used for x in candidates)
             for x in tries(i, size, candidates, used):
                 if deleting and is_node and store.profile_of.get(x) not in fit:
                     continue  # a supported candidate, rejected by fitting()
@@ -389,11 +368,7 @@ def _leaves(
                     deleted.add(x)
                 if is_node:
                     used_types[key] = used_types.get(key, 0) + 1
-                    rekey(xid)
-                    if best is not None and used_types[key] == len(bucket):
-                        retype(key)
-                elif best is not None:
-                    reclass(i, key)
+                rebound(i, key)
                 found = False
                 for leaf in place(place, i + 1, size + 1):
                     found = True
@@ -403,11 +378,7 @@ def _leaves(
                 del images[xid]
                 if is_node:
                     used_types[key] -= 1
-                    rekey(xid)
-                    if best is not None and used_types[key] == len(bucket) - 1:
-                        retype(key)
-                elif best is not None:
-                    reclass(i, key)
+                rebound(i, key)
                 if not found:
                     stats.backtracks += 1
             if free:

@@ -61,7 +61,7 @@ from effectgraph.effect import (
     enumerate_selections,
 )
 from effectgraph.matching import MatchResult, PreMatch, validate_prematch
-from effectgraph.rules import Nac, Rule, satisfies_nacs, shift_nacs, validate_rule
+from effectgraph.rules import Nac, Rule, satisfies_nacs, shift_nacs
 from effectgraph.semantics import (
     AuditEntry,
     AuditFailure,
@@ -229,6 +229,50 @@ def nac_sets_equivalent(
         for ones, others in ((first, second), (second, first))
         for a in ones
     )
+
+
+def validate_rule(r: Rule) -> list[Diagnostic]:
+    """All violations of the span shape, typing, and NAC rooting."""
+    out: list[Diagnostic] = []
+    tg = r.lhs.type_graph
+    for g, label in ((r.interface, "interface"), (r.rhs, "rhs")):
+        if g.type_graph != tg:
+            out.append(
+                Diagnostic("type-graph-mismatch", None, f"{label} uses another type graph")
+            )
+    for g, label in ((r.lhs, "lhs"), (r.interface, "interface"), (r.rhs, "rhs")):
+        for d in validate_graph(g, tg):
+            out.append(Diagnostic(d.code, d.element, f"{label}: {d.message}"))
+    k = r.interface
+    for sup, label in ((r.lhs, "lhs"), (r.rhs, "rhs")):
+        for ours, theirs, what in (
+            (k.nodes, sup.nodes, "node missing from or retyped in"),
+            (k.edges, sup.edges, "edge missing from or changed in"),
+        ):
+            for xid in sorted(ours):
+                if theirs.get(xid) != ours[xid]:
+                    problem = f"interface {what} {label}"
+                    out.append(Diagnostic("interface-not-included", xid, problem))
+    # Ids occurring on both sides but not in the interface would make the
+    # deleted and created elements indistinguishable.
+    overlap = (r.lhs.nodes.keys() & r.rhs.nodes.keys()) - r.interface.nodes.keys()
+    overlap |= (r.lhs.edges.keys() & r.rhs.edges.keys()) - r.interface.edges.keys()
+    for xid in sorted(overlap):
+        out.append(
+            Diagnostic(
+                "lhs-rhs-overlap",
+                xid,
+                "id shared by lhs and rhs outside the interface",
+            )
+        )
+    for i, nac in enumerate(r.nacs):
+        if not is_id_subgraph(r.lhs, nac.forbidden):
+            out.append(
+                Diagnostic("nac-not-rooted", None, f"NAC {i} does not contain the lhs")
+            )
+        for d in validate_graph(nac.forbidden, tg):
+            out.append(Diagnostic(d.code, d.element, f"NAC {i}: {d.message}"))
+    return out
 
 
 def validate_effect_rule(eor: EffectOrientedRule) -> list[Diagnostic]:

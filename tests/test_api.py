@@ -82,7 +82,6 @@ PUBLIC_NAMES = [
     "shift_nacs",
     "transform",
     "validate_graph",
-    "validate_rule",
     "validate_selection",
 ]
 

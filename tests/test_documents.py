@@ -36,7 +36,6 @@ from effectgraph import (
     rebuild_transformation,
     transform,
     validate_graph,
-    validate_rule,
 )
 from effectgraph import fixtures
 from effectgraph.documents import ACTIONS
@@ -52,7 +51,7 @@ from effectgraph.fixtures import (
 )
 
 from gen import random_effect_rule, random_type_graph
-from oracles import validate_effect_rule, with_elements
+from oracles import validate_effect_rule, validate_rule, with_elements
 
 
 def test_canonical_text_layout():
@@ -207,7 +206,7 @@ def test_rule_decoder_validates_each_graph_once(monkeypatch):
     maximal NACs are the base NACs shifted along an inclusion, valid by
     construction.  An invalid graph still raises the diagnostics of
     :func:`validate_graph` on it."""
-    from effectgraph import documents, rules
+    from effectgraph import documents
 
     seen: list[TypedGraph] = []  # kept alive, so their ids stay distinct
 
@@ -216,7 +215,6 @@ def test_rule_decoder_validates_each_graph_once(monkeypatch):
         return validate_graph(g, tg)
 
     monkeypatch.setattr(documents, "validate_graph", counting)
-    monkeypatch.setattr(rules, "validate_graph", counting)
     types = builtin_type_graphs()
     _, eor = decode_rule(fixtures.fixture_text(fixtures.ENSURE_ACCOUNT_FILE), types)
     assert len(seen) == len({id(g) for g in seen}) == 5

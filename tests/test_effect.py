@@ -23,7 +23,6 @@ from effectgraph import (
     build_induced_rule,
     count_bounds,
     enumerate_selections,
-    validate_rule,
     validate_selection,
 )
 from effectgraph import effect
@@ -51,6 +50,7 @@ from oracles import (
     identity,
     is_plain,
     validate_effect_rule,
+    validate_rule,
     with_elements,
 )
 

@@ -26,7 +26,6 @@ from effectgraph import (
     pushout_complement,
     satisfies_nacs,
     shift_nacs,
-    validate_rule,
 )
 
 from gen import empty_graph, grow, random_graph, random_plain_rule, random_type_graph
@@ -41,6 +40,7 @@ from oracles import (
     is_pullback_square,
     nac_sets_equivalent,
     same_maps,
+    validate_rule,
     with_elements,
 )
 
