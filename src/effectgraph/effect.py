@@ -163,8 +163,8 @@ def validate_selection(
 def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> InducedRule:
     """The induced rule for ``sel``: its lhs extends the base lhs by the
     selected deletions and preserved creations, its interface extends the
-    base interface by the preserved creations, and its rhs is the maximal
-    rhs.  NACs are the base NACs shifted to the new lhs.
+    base interface by the preserved creations, each in id order, and its rhs
+    is the maximal rhs.  NACs are the base NACs shifted to the new lhs.
 
     ``eor`` keeps each rule built, by selection, for as long as it lives:
     one entry per distinct valid selection asked for.  An invalid selection
@@ -178,16 +178,16 @@ def build_induced_rule(eor: EffectOrientedRule, sel: InducedSelection) -> Induce
     lg, rg = eor.maximal.lhs, eor.maximal.rhs
     lhs_nodes = dict(eor.base.lhs.nodes)
     lhs_edges = dict(eor.base.lhs.edges)
-    for nid in sel.del_extra.nodes:
+    for nid in sorted(sel.del_extra.nodes):
         lhs_nodes[nid] = lg.nodes[nid]
-    for eid in sel.del_extra.edges:
+    for eid in sorted(sel.del_extra.edges):
         lhs_edges[eid] = lg.edges[eid]
     interface_nodes = dict(eor.interface.nodes)
     interface_edges = dict(eor.interface.edges)
-    for nid in sel.preserve_extra.nodes:
+    for nid in sorted(sel.preserve_extra.nodes):
         interface_nodes[nid] = rg.nodes[nid]
         lhs_nodes[nid] = rg.nodes[nid]
-    for eid in sel.preserve_extra.edges:
+    for eid in sorted(sel.preserve_extra.edges):
         interface_edges[eid] = rg.edges[eid]
         lhs_edges[eid] = rg.edges[eid]
 

@@ -48,6 +48,7 @@ from effectgraph import (
     rules,
     transform,
 )
+from effectgraph import core
 from effectgraph.core import fresh_id
 from effectgraph.documents import prematch_from_maps
 from effectgraph.fixtures import banking_type_graph, ensure_account_rule
@@ -649,6 +650,42 @@ def test_a_pattern_from_the_hosts_lineage_matches_as_fresh_copies():
             fresh = [TypedGraph(tg, x.nodes, x.edges) for x in (step[p], step[h])]
             assert got == maps(find_injective_extensions(*fresh, partial))
             assert len(got) == count, ((p, h), image, last)
+
+
+def test_searches_of_a_pattern_share_one_plan(monkeypatch):
+    """What the injective search needs of its pattern alone is built by the
+    pattern's first search and kept on it: a later search with a partial
+    map over the same nodes reuses it, on any host, and one over other nodes
+    adds its own node steps.  A pattern from its host's own lineage keeps
+    its plan while the store moves between the two, and every search gives
+    the stream that independent copies of both graphs give."""
+    built: list[tuple[TypedGraph, frozenset]] = []
+    node_steps = core._node_steps
+
+    def counted(pattern: TypedGraph, bound: frozenset) -> tuple:
+        built.append((pattern, bound))
+        return node_steps(pattern, bound)
+
+    monkeypatch.setattr(core, "_node_steps", counted)
+    tg = TypeGraph("loops", frozenset({"N"}), {"e": EdgeType("N", "N")})
+    interface = TypedGraph(tg, {"k": "N"}, {})
+    parallel = {"c1": Edge("e", "k", "c"), "c2": Edge("e", "k", "c")}
+    grow = Rule(interface, interface, with_elements(interface, {"c": "N"}, parallel))
+    g = TypedGraph(tg, {"a": "N", "b": "N"}, {x: Edge("e", "a", "b") for x in "fg"})
+    record = apply_rule(grow, g, Morphism(grow.lhs, g, {"k": "a"}, {}))
+    pattern, host = record.input, record.output
+    copies = [TypedGraph(tg, x.nodes, x.edges) for x in (pattern, host)]
+    for partial in (None, ({"b": "c#1"}, {})):
+        want = maps(find_injective_extensions(*copies, partial))
+        assert maps(find_injective_extensions(pattern, host, partial)) == want
+        plan = pattern._pattern_plan
+        for moved in (pattern, host, pattern):  # the store moves to each in turn
+            moved._rooted()
+            assert maps(find_injective_extensions(pattern, host, partial)) == want
+            assert pattern._pattern_plan is plan
+    itself = maps(find_injective_extensions(*copies[:1] * 2))
+    assert maps(find_injective_extensions(pattern, pattern)) == itself
+    assert [bound for p, bound in built if p is pattern] == [frozenset(), {"b"}]
 
 
 def test_a_public_mapping_never_changes():

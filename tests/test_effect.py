@@ -268,6 +268,30 @@ def test_build_induced_rule_shapes_the_span():
     assert not validate_rule(induced.rule)
 
 
+def test_an_induced_rule_adds_its_elements_in_id_order():
+    """The induced lhs and interface list the base elements first, then the
+    selected deletions and the preserved creations, each in id order: not in
+    the order of the selection's sets, which follows the hash seed, so no
+    walk over an induced side costs what the seed decides."""
+    tg = TypeGraph("ring", frozenset({"N"}), {"e": EdgeType("N", "N")})
+    base = TypedGraph(tg, {"k": "N"}, {})
+    names = "zambycqd"
+    gone = with_elements(
+        base, {f"d{x}": "N" for x in names}, {f"f{x}": Edge("e", "k", f"d{x}") for x in names}
+    )
+    made = with_elements(
+        base, {f"n{x}": "N" for x in names}, {f"g{x}": Edge("e", "k", f"n{x}") for x in names}
+    )
+    eor = EffectOrientedRule(Rule(base, base, base), Rule(gone, base, made))
+    pd, pc = eor.potential_deletions, eor.potential_creations
+    rule = build_induced_rule(eor, InducedSelection(pd, pc)).rule
+    ordered = sorted(f"{p}{x}" for x in names for p in "dn")
+    assert list(rule.lhs.nodes) == ["k", *ordered]
+    assert list(rule.lhs.edges) == sorted(f"{p}{x}" for x in names for p in "fg")
+    assert list(rule.interface.nodes) == ["k", *sorted(f"n{x}" for x in names)]
+    assert list(rule.interface.edges) == sorted(f"g{x}" for x in names)
+
+
 def test_empty_selection_reproduces_base_lhs_with_maximal_rhs():
     provision = ensure_account_rule()
     induced = build_induced_rule(provision, empty_selection())

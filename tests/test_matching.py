@@ -916,6 +916,47 @@ def test_locally_maximal_transform_work_does_not_grow_with_the_host(monkeypatch)
     assert seen[200][0] <= 10
 
 
+def test_locally_maximal_transform_below_the_bound_does_not_grow_with_the_host(
+    monkeypatch,
+):
+    """For every client of a bank of 200 clients that holds no backed
+    account, so that no match reaches the rule's bound, the locally maximal
+    ``transform`` keeps one leaf of at most 2 offered, on that bank and on
+    one of 2,000 clients whose first 200 are the same.  A client holding
+    accounts examines as many host elements on both.  A client holding none
+    reuses the least backed account, and examines the unbacked accounts that
+    sort before it: the same count for each such client of a bank, and no
+    more on the larger one."""
+    incumbents, counters = counting(monkeypatch)
+    provision = ensure_account_rule()
+    seen: dict[int, dict[str, tuple[int, bool]]] = {}
+    for n in (200, 2000):
+        host = seeded_bank(n, 0)
+        edges, incidence = host.edges, host.incidence
+
+        def ends(x: str, etype: str) -> list[str]:  # the targets of x's edges of etype
+            out = (edges[e] for e in incidence[x])
+            return [e.tgt for e in out if e.type == etype and e.src == x]
+
+        seen[n] = {}
+        for c in (f"c{i}" for i in range(200)):
+            accounts = ends(c, "accounts")
+            if any(ends(a, "portfolio") for a in accounts):
+                continue
+            incumbents.clear()
+            counters.clear()
+            transform(provision, host, LOCALLY_MAXIMAL, prematch_at(provision, host, c))
+            (best,), (stats,) = incumbents, counters
+            assert best.least and len(best.leaves) == 1 and best.offered <= 2
+            seen[n][c] = stats.examined, bool(accounts)
+    small, large = seen[200], seen[2000]
+    assert small.keys() == large.keys() and len(small) > 100
+    held = [c for c in small if small[c][1]]
+    assert held and all(small[c] == large[c] for c in held)
+    (bare,) = {(small[c][0], large[c][0]) for c in small if not small[c][1]}
+    assert bare[1] <= bare[0]
+
+
 def without_portfolios(host: TypedGraph) -> TypedGraph:
     """``host`` less its portfolios and their edges: no ``ensure_account``
     match reaches the rule's bound."""
