@@ -1278,3 +1278,45 @@ def test_result_digest_is_unchanged():
             record(eor, host, [pm])
     digest = hashlib.sha256(repr(parts).encode()).hexdigest()
     assert digest == RESULT_DIGEST
+
+
+# The SHA-256 of ``repr`` of the counters of ``find_match``'s searches over
+# the hosts of the result digest and two of its seeds, computed before the
+# injective search kept a plan per pattern and the branch and bound kept
+# what can still bind up to date.  A change that keeps every result and
+# every cut keeps these counts too.
+COUNTER_DIGEST = "402a52df523068655ef23668a546fde8e3a257828eb41c79761ea5d4180d47a8"
+
+
+def test_find_match_counter_digest_is_unchanged(monkeypatch):
+    """The ``MatchStats`` each ``find_match`` creates, as (backtracks,
+    examined, full passes), under each strategy: on owned and tie-heavy
+    banks at every base pre-match, then once globally per host, and on 100
+    random instances of each of two seeds."""
+    _, counters = counting(monkeypatch)
+    parts: list = []
+
+    def count(run) -> None:
+        counters.clear()
+        run()
+        parts.append([(c.backtracks, c.examined, c.full_passes) for c in counters])
+
+    def record(eor: EffectOrientedRule, host: TypedGraph, pms) -> None:
+        for pm in pms:
+            for strategy in (LOCALLY_COMPLETE, LOCALLY_MAXIMAL):
+                count(lambda: find_match(eor, host, strategy, pm))
+        count(lambda: find_match(eor, host, GLOBALLY_MAXIMAL))
+
+    for n in (7, 20):
+        host = owned_bank(n)
+        for eor in (ensure_account_rule(), ensure_no_account_rule()):
+            record(eor, host, find_base_prematches(eor, host))
+    for seed in (3, 17, 29):
+        for eor in (ensure_account_rule(), ensure_no_account_rule(), *linked_rules()):
+            host = tie_bank(eor.base.lhs.type_graph, 12, seed)
+            record(eor, host, find_base_prematches(eor, host))
+    for seed in (1105, 1010):
+        for eor, host, pm in instances(seed, 100):
+            record(eor, host, [pm])
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == COUNTER_DIGEST
