@@ -8,11 +8,17 @@ verifies its effect guarantees.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 no match under the
 requested strategy, 3 audit failure.
+
+A step decodes its input graph once and encodes one graph: ``audit``
+compares the recorded output's text with the encoding of the replay, and
+decodes the output only when the two differ, to report its fault or the
+mismatch.  :func:`main` pauses the cyclic garbage collector for the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -21,6 +27,7 @@ from .core import EffectGraphError, TypeGraph
 from .documents import (
     ParseError,
     ValidationError,
+    _check_output,
     _load,
     decode_audit_report,
     decode_graph,
@@ -262,13 +269,21 @@ def cmd_audit(args: argparse.Namespace) -> int:
     registry = _registry(args)
     rule_name, eor = decode_rule(_read(args.rule), registry)
     host = decode_graph(_read(args.graph), registry)
-    output = decode_graph(_read(args.out), registry)
-    trace = decode_trace(_read(args.trace))
-    if trace.rule != rule_name:
-        raise ValidationError(
-            [f"trace was recorded for rule {trace.rule!r}, not {rule_name!r}"]
-        )
-    t = rebuild_transformation(eor, host, trace, output)
+    out_text = _read(args.out)
+    try:
+        trace = decode_trace(_read(args.trace))
+        if trace.rule != rule_name:
+            raise ValidationError(
+                [f"trace was recorded for rule {trace.rule!r}, not {rule_name!r}"]
+            )
+        t = rebuild_transformation(eor, host, trace)
+    except (EffectGraphError, OSError):
+        # A fault of the recorded output's own document is reported first.
+        decode_graph(out_text, registry)
+        raise
+    # The encoding is canonical: only other text can hold another graph.
+    if out_text != encode_graph(t.result.output):
+        _check_output(decode_graph(out_text, registry), t.result.output)
     color = _color_enabled(args)
     try:
         report = audit_effect(t)
@@ -339,6 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A call frees little before it returns, so collections during it would
+    # only rescan live documents and graphs.  The collector is paused for
+    # the call and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

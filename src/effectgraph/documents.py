@@ -16,7 +16,7 @@ elements glued onto the base left-hand side.
 from __future__ import annotations
 
 import json
-from typing import Any, Collection, Iterable, Mapping, NamedTuple, NoReturn
+from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
 from .core import (
     DanglingViolation,
@@ -168,11 +168,7 @@ def _resolve_type_graph(
 
 
 _quote = json.encoder.encode_basestring_ascii
-_NODE = '    {\n      "id": %s,\n      "type": %s\n    }'
-_EDGE = (
-    '    {\n      "id": %s,\n      "src": %s,\n      "tgt": %s,\n'
-    '      "type": %s\n    }'
-)
+_edge = tuple.__new__  # what ``Edge(...)`` calls, without its Python frame
 
 
 def _list_text(entries: list[str]) -> str:
@@ -181,94 +177,88 @@ def _list_text(entries: list[str]) -> str:
 
 def encode_graph(g: TypedGraph) -> str:
     """The canonical text of ``g``, written directly rather than through
-    :func:`canonical_text`: keys in sorted order, elements by id, and every
-    id and type name (all strings) escaped by the same C routine
-    ``json.dumps`` uses, so the bytes are the same."""
-    nodes, edges = g._rooted().nodes, g._rooted().edges
-    node_entries = [_NODE % (_quote(n), _quote(nodes[n])) for n in sorted(nodes)]
+    :func:`canonical_text`: one f-string per element, keys in sorted order,
+    elements by id, and every id and type name (all strings) escaped by the
+    same C routine ``json.dumps`` uses, so the bytes are the same."""
+    nodes, edges, q = g._rooted().nodes, g._rooted().edges, _quote
+    node_entries = [
+        f'    {{\n      "id": {q(n)},\n      "type": {q(nodes[n])}\n    }}'
+        for n in sorted(nodes)
+    ]
     edge_entries = []
     for eid in sorted(edges):
-        e = edges[eid]
+        etype, src, tgt = edges[eid]
         edge_entries.append(
-            _EDGE % (_quote(eid), _quote(e.src), _quote(e.tgt), _quote(e.type))
+            f'    {{\n      "id": {q(eid)},\n      "src": {q(src)},\n'
+            f'      "tgt": {q(tgt)},\n      "type": {q(etype)}\n    }}'
         )
     return (
         '{\n  "edges": ' + _list_text(edge_entries)
         + ',\n  "kind": "graph",\n  "nodes": ' + _list_text(node_entries)
-        + ',\n  "type_graph": ' + _quote(g.type_graph.name) + "\n}\n"
+        + ',\n  "type_graph": ' + q(g.type_graph.name) + "\n}\n"
     )
 
 
-def _refuse_entry(
-    entry: Mapping[str, Any], what: str, keys: tuple[str, ...], *taken: Mapping
-) -> NoReturn:
-    """Raise the first fault of an element entry that the fast check of
-    :func:`decode_graph` refused, checking its fields in the document
-    format's order: ``id``, duplicate id, then ``keys``."""
-    xid = _str_field(entry, "id", what)
-    if any(xid in ids for ids in taken):
-        raise ParseError("duplicate id", xid)
-    for key in keys:
-        _str_field(entry, key, f"{what} {xid}")
-    raise AssertionError(f"entry {xid!r} has no fault")
-
-
 def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
-    """The graph encoded in ``text``, checked in one pass over its nodes and
-    then its edges.
+    """The graph encoded in ``text``.
 
-    Of several faults, the first structural one in entry order is
-    reported; failing that, the first edge with an undeclared endpoint;
-    failing that, a typing fault, as a ``ValidationError`` carrying the
-    diagnostics of :func:`validate_graph`, which runs only then."""
+    Its element lists are read whole and accepted on checks of whole sets:
+    as many nodes and edges as entries, every id and type name a non-empty
+    string, node and edge ids disjoint, every node type and every distinct
+    (edge type, source type, target type) triple declared by the type graph.
+    Only when one of them fails are the entries read again in order, to
+    report the first fault: the first structural one in entry order;
+    failing that, the first edge with an undeclared endpoint; failing that,
+    a typing fault, as a ``ValidationError`` carrying the diagnostics of
+    :func:`validate_graph`, which runs only then."""
     doc = _load(text)
     _expect_kind(doc, "graph")
     tg = _resolve_type_graph(doc, types)
     raw_nodes, raw_edges = doc.get("nodes"), doc.get("edges")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ParseError("nodes and edges must be lists")
-    node_types, edge_types = tg.node_types, tg.edge_types
-    nodes: dict[str, str] = {}
-    edges: dict[str, Edge] = {}
-    typed = True
-    dangling = None
+    try:  # a non-object entry, a missing field or an unhashable value raises
+        nodes = {n["id"]: n["type"] for n in raw_nodes}
+        edges = {e["id"]: _edge(Edge, (e["type"], e["src"], e["tgt"])) for e in raw_edges}
+        triples = {(t, nodes[s], nodes[d]) for t, s, d in edges.values()}
+        node_types = set(nodes.values())
+    except (KeyError, TypeError):
+        pass
+    else:
+        names = node_types.union(t for t, _, _ in triples)
+        if (
+            len(nodes) == len(raw_nodes)
+            and len(edges) == len(raw_edges)
+            and {*map(type, nodes), *map(type, edges), *map(type, names)} <= {str}
+            and "" not in nodes and "" not in edges and "" not in names
+            and nodes.keys().isdisjoint(edges)
+            and node_types <= tg.node_types
+            and triples <= {(name, *et) for name, et in tg.edge_types.items()}
+        ):
+            return TypedGraph(tg, nodes, edges)
+    nodes, edges = {}, {}
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ParseError("a node entry must be an object")
-        nid, ntype = entry.get("id"), entry.get("type")
-        if (
-            not (isinstance(nid, str) and nid and isinstance(ntype, str) and ntype)
-            or nid in nodes
-        ):
-            _refuse_entry(entry, "node", ("type",), nodes)
-        nodes[nid] = ntype
-        if ntype not in node_types:
-            typed = False
+        nid = _str_field(entry, "id", "node")
+        if nid in nodes:
+            raise ParseError("duplicate id", nid)
+        nodes[nid] = _str_field(entry, "type", f"node {nid}")
     for entry in raw_edges:
         if not isinstance(entry, dict):
             raise ParseError("an edge entry must be an object")
-        eid, etype = entry.get("id"), entry.get("type")
-        src, tgt = entry.get("src"), entry.get("tgt")
-        if (
-            not (
-                isinstance(eid, str) and eid and isinstance(etype, str) and etype
-                and isinstance(src, str) and src and isinstance(tgt, str) and tgt
-            )
-            or eid in nodes
-            or eid in edges
-        ):
-            _refuse_entry(entry, "edge", ("type", "src", "tgt"), nodes, edges)
-        edges[eid] = Edge(etype, src, tgt)
-        src_type, tgt_type = nodes.get(src), nodes.get(tgt)
-        if src_type is None or tgt_type is None:
-            dangling = dangling or eid
-        elif edge_types.get(etype) != (src_type, tgt_type):
-            typed = False
-    if dangling is not None:
-        raise ParseError("edge endpoint is not a declared node", dangling)
+        eid = _str_field(entry, "id", "edge")
+        if eid in nodes or eid in edges:
+            raise ParseError("duplicate id", eid)
+        fields = (_str_field(entry, key, f"edge {eid}") for key in ("type", "src", "tgt"))
+        edges[eid] = Edge(*fields)
+    for eid, (_, src, tgt) in edges.items():
+        if src not in nodes or tgt not in nodes:
+            raise ParseError("edge endpoint is not a declared node", eid)
     g = TypedGraph(tg, nodes, edges)
-    if not typed:
-        raise ValidationError(validate_graph(g, tg))
+    problems = validate_graph(g, tg)
+    if problems:
+        raise ValidationError(problems)
     return g
 
 
@@ -583,6 +573,13 @@ def _split_ids(
     return ElementSet(frozenset(nodes), frozenset(edges))
 
 
+def _check_output(output: TypedGraph, replay: TypedGraph) -> None:
+    """``ValidationError`` unless ``output`` has the replay's elements; the
+    replay is read from its store, so no snapshot of it is made."""
+    if output.nodes != replay._rooted().nodes or output.edges != replay._rooted().edges:
+        raise ValidationError(["recorded output graph does not match the replay"])
+
+
 def rebuild_transformation(
     eor: EffectOrientedRule,
     host: TypedGraph,
@@ -623,11 +620,8 @@ def rebuild_transformation(
         or dict(record.comatch.edge_map) != trace.comatch[1]
     ):
         raise ValidationError(["recorded comatch does not match the replay"])
-    replay = record.output  # read from its store: no snapshot of the replay
-    if output is not None and (
-        output.nodes != replay._rooted().nodes or output.edges != replay._rooted().edges
-    ):
-        raise ValidationError(["recorded output graph does not match the replay"])
+    if output is not None:
+        _check_output(output, record.output)
     return EffectTransformation(
         eor=eor,
         strategy=trace.strategy,

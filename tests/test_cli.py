@@ -3,6 +3,7 @@ imports it costs a fresh interpreter."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -573,6 +574,96 @@ def test_audit_rejects_a_trace_for_another_rule(tmp_path, capsys):
     )
     assert code == 1
     assert "recorded for rule 'ensure_account'" in err
+
+
+def _applied_at_c2(tmp_path, capsys):
+    """The output and trace files of ``apply`` at ``c2``."""
+    out_file, trace_file = tmp_path / "out.json", tmp_path / "trace.json"
+    code, _, _ = run(
+        capsys, "apply", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+        "--strategy", "locally-maximal", "--base-match", MATCH_C2_FILE,
+        "--out", str(out_file), "--trace", str(trace_file),
+    )
+    assert code == 0
+    return out_file, trace_file
+
+
+def _audit(capsys, rule, out_file, trace_file):
+    return run(
+        capsys, "audit", "--rule", rule, "--graph", BANK_GRAPH_FILE,
+        "--out", str(out_file), "--trace", str(trace_file),
+    )
+
+
+def test_audit_rejects_an_output_with_one_element_changed(tmp_path, capsys):
+    out_file, trace_file = _applied_at_c2(tmp_path, capsys)
+    doc = json.loads(out_file.read_text())
+    doc["edges"][0]["id"] += "_renamed"  # still a valid graph
+    out_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, out, err = _audit(capsys, ENSURE_ACCOUNT_FILE, out_file, trace_file)
+    assert code == 1
+    assert err == "error: recorded output graph does not match the replay\n"
+    assert "audit passed" not in out
+
+
+def test_audit_accepts_the_output_in_other_text(tmp_path, capsys):
+    """Equal graphs in other text pass: the output is decoded when its text
+    is not the replay's canonical text."""
+    out_file, trace_file = _applied_at_c2(tmp_path, capsys)
+
+    def reordered(value):
+        if isinstance(value, dict):
+            return {k: reordered(value[k]) for k in reversed(list(value))}
+        return [reordered(v) for v in value] if isinstance(value, list) else value
+
+    text = json.dumps(reordered(json.loads(out_file.read_text())))
+    assert "\n" not in text and text != out_file.read_text()
+    out_file.write_text(text)
+    code, out, _ = _audit(capsys, ENSURE_ACCOUNT_FILE, out_file, trace_file)
+    assert code == 0
+    assert "audit passed (2 entries)" in out
+
+
+def test_audit_reports_a_malformed_output_before_the_trace(tmp_path, capsys):
+    out_file, trace_file = _applied_at_c2(tmp_path, capsys)
+    out_file.write_text('{"kind": "graph", ')
+    code, _, err = _audit(capsys, ENSURE_NO_ACCOUNT_FILE, out_file, trace_file)
+    assert code == 1
+    assert err.startswith("error: not valid JSON")
+    assert "recorded for rule" not in err
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
+    # The audit of a step that left reusable elements unused exits 3.
+    eor, host, none = ensure_account_rule(), bank_graph(), empty_selection()
+    rule = build_induced_rule(eor, none).rule
+    match = Morphism(rule.lhs, host, {"c": "c1"}, {})
+    record = apply_rule(rule, host, match)
+    t = EffectTransformation(eor, "locally_complete", record, none, PreMatch(match))
+    (tmp_path / "trace.json").write_text(encode_trace(t, "ensure_account"))
+    (tmp_path / "out.json").write_text(encode_graph(record.output))
+    paused = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: paused.append(not gc.isenabled()) or 0)
+    cases = [
+        (0, ["bounds", "--rule", ENSURE_ACCOUNT_FILE]),
+        (0, ["--help"]),
+        (1, ["match", "--rule", "no_such_rule.json", "--graph", BANK_GRAPH_FILE]),
+        (2, ["apply", "--rule", ENSURE_NO_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+             "--base-match", MATCH_C2_FILE, "--out", str(tmp_path / "none.json")]),
+        (3, ["audit", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+             "--out", str(tmp_path / "out.json"), "--trace", str(tmp_path / "trace.json")]),
+    ]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for code, argv in cases:
+                assert main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+                capsys.readouterr()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True, True]
 
 
 def test_help_and_usage_exit_codes(capsys):

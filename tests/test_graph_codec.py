@@ -291,6 +291,45 @@ def test_decoder_reports_structure_then_endpoints_then_typing():
                 raise AssertionError(f"{decode.__name__} accepted {text}")
 
 
+def test_decoder_matches_the_reference_on_whole_set_corner_cases():
+    """Documents that the whole-set checks must refuse, which the seeded
+    mutations reach only by chance: each is decoded in order, fault for
+    fault as the reference does."""
+    blank = TypeGraph(
+        "blank", frozenset({"", "N"}), {"": EdgeType("N", "N"), "e": EdgeType("N", "N")}
+    )
+    types = {"blank": blank, **builtin_type_graphs()}
+    n1, n2 = {"id": "n1", "type": "N"}, {"id": "n2", "type": "N"}
+
+    def doc(nodes, edges=()):
+        graph = {"kind": "graph", "type_graph": "blank", "nodes": nodes, "edges": edges}
+        return json.dumps(graph)
+
+    def edge(xid="x", etype="e", tgt="n2"):
+        return {"id": xid, "type": etype, "src": "n1", "tgt": tgt}
+
+    odd_ids = (0, True, 1.5, [1])
+    cases = [
+        (doc([n1, n2], [edge()]), None),
+        (doc([n1, {"id": "n3", "type": ""}]), "node n3: 'type' must be"),
+        (doc([n1, n2], [edge(etype="")]), "edge x: 'type' must be"),
+        *((doc([n1, {"id": odd, "type": "N"}]), "node: 'id' must be") for odd in odd_ids),
+        *((doc([n1, n2], [edge(xid=odd)]), "edge: 'id' must be") for odd in odd_ids),
+        (doc([n1, n2], [edge(xid="n2")]), "duplicate id (at 'n2')"),
+        (doc([n1, n2], [edge(), edge()]), "duplicate id (at 'x')"),
+        (doc([n1, n2], [edge(tgt=5)]), "edge x: 'tgt' must be"),
+        (doc([n1, ["id", "n2", "type", "N"]]), "a node entry must be an object"),
+        (doc([n1, "n2"]), "a node entry must be an object"),
+    ]
+    for text, words in cases:
+        got = _outcome(decode_graph, text, types)
+        assert got == _outcome(reference_decode_graph, text, types), text
+        if words is None:
+            assert got[0] is blank, got
+        else:
+            assert got[0] is ParseError and words in got[1], got
+
+
 # ---------------------------------------------------------------------------
 # every decoder
 
