@@ -146,8 +146,7 @@ def _find_results(strategy: str, eor, host, pm) -> list[MatchResult]:
     return find_locally_maximal(eor, host, pm)
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+def cmd_match(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     _, eor = decode_rule(_read(args.rule), registry)
     host = decode_graph(_read(args.graph), registry)
     strategy, pm = _strategy(args), _base_prematch(args, eor, host)
@@ -166,8 +165,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_apply(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+def cmd_apply(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     rule_name, eor = decode_rule(_read(args.rule), registry)
     host = decode_graph(_read(args.graph), registry)
     strategy = _strategy(args)
@@ -194,8 +192,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_induced(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+def cmd_induced(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     _, eor = decode_rule(_read(args.rule), registry)
     selection_filter = args.filter.replace("-", "_")
     if args.count_only:
@@ -208,17 +205,15 @@ def cmd_induced(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+def cmd_bounds(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     _, eor = decode_rule(_read(args.rule), registry)
     lower, upper = count_bounds(eor)
     print(lower, upper)
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     color = _color_enabled(args)
-    registry = _registry(args)
 
     def register(doc: dict) -> None:
         tg = decode_type_graph(doc)
@@ -265,8 +260,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+def cmd_audit(args: argparse.Namespace, registry: dict[str, TypeGraph]) -> int:
     rule_name, eor = decode_rule(_read(args.rule), registry)
     host = decode_graph(_read(args.graph), registry)
     out_text = _read(args.out)
@@ -373,7 +367,7 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return args.func(args, _registry(args))
     except ValidationError as exc:
         for d in exc.diagnostics:
             # Placeholder-coded diagnostics carry the whole story in their

@@ -99,6 +99,13 @@ def _str_field(obj: Mapping[str, Any], key: str, where: str) -> str:
     return value
 
 
+def _str_list(doc: Mapping[str, Any], key: str, message: str) -> list[str]:
+    value = doc.get(key)
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(message)
+    return value
+
+
 def _str_map(doc: Mapping[str, Any], key: str, where: str) -> dict[str, str]:
     value = doc.get(key)
     if not isinstance(value, dict):
@@ -128,11 +135,7 @@ def decode_type_graph(text: str) -> TypeGraph:
     doc = _load(text)
     _expect_kind(doc, "type_graph")
     name = _str_field(doc, "name", "type graph")
-    node_types = doc.get("node_types")
-    if not isinstance(node_types, list) or not all(
-        isinstance(t, str) for t in node_types
-    ):
-        raise ParseError("node_types must be a list of strings")
+    node_types = _str_list(doc, "node_types", "node_types must be a list of strings")
     raw = doc.get("edge_types")
     if not isinstance(raw, dict):
         raise ParseError("edge_types must be an object")
@@ -255,11 +258,7 @@ def decode_graph(text: str, types: Mapping[str, TypeGraph]) -> TypedGraph:
     for eid, (_, src, tgt) in edges.items():
         if src not in nodes or tgt not in nodes:
             raise ParseError("edge endpoint is not a declared node", eid)
-    g = TypedGraph(tg, nodes, edges)
-    problems = validate_graph(g, tg)
-    if problems:
-        raise ValidationError(problems)
-    return g
+    raise ValidationError(validate_graph(TypedGraph(tg, nodes, edges), tg))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,9 @@ def decode_rule(
             raise ValidationError(bad)
         nacs.append(Nac(forbidden))
 
-    for g in (maximal_lhs, maximal_rhs, interface, base_lhs, base_rhs):
+    # The endpoint tags keep each side's edge ends in that side, so the other
+    # sides, id-subgraphs of these two, are valid when these are.
+    for g in (maximal_lhs, maximal_rhs):
         bad = validate_graph(g, tg)
         if bad:
             raise ValidationError(bad)
@@ -429,8 +430,6 @@ def decode_rule(
         maximal_rhs,
         nacs=shift_nacs(Morphism.inclusion(base_lhs, maximal_lhs), tuple(nacs)),
     )
-    # Each graph was validated above; the rest holds by construction: sides
-    # cut by tag from one list of unique ids, NACs shifted by an inclusion.
     return name, EffectOrientedRule(base, maximal)
 
 
@@ -536,11 +535,10 @@ def decode_trace(text: str) -> TraceData:
     sel = doc.get("selection")
     if not isinstance(sel, dict):
         raise ParseError("selection must be an object")
-    for key in ("delete", "preserve"):
-        if not isinstance(sel.get(key), list) or not all(
-            isinstance(x, str) for x in sel[key]
-        ):
-            raise ParseError(f"selection.{key} must be a list of ids")
+    delete, preserve = (
+        _str_list(sel, key, f"selection.{key} must be a list of ids")
+        for key in ("delete", "preserve")
+    )
 
     def maps(key: str) -> tuple[dict[str, str], dict[str, str]]:
         value = doc.get(key)
@@ -551,8 +549,8 @@ def decode_trace(text: str) -> TraceData:
     return TraceData(
         rule=_str_field(doc, "rule", "trace"),
         strategy=strategy,
-        selection_delete=tuple(sel["delete"]),
-        selection_preserve=tuple(sel["preserve"]),
+        selection_delete=tuple(delete),
+        selection_preserve=tuple(preserve),
         base_match=maps("base_match"),
         match=maps("match"),
         comatch=maps("comatch"),

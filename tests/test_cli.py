@@ -643,7 +643,9 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch)
     (tmp_path / "trace.json").write_text(encode_trace(t, "ensure_account"))
     (tmp_path / "out.json").write_text(encode_graph(record.output))
     paused = []
-    monkeypatch.setattr(cli, "cmd_bounds", lambda args: paused.append(not gc.isenabled()) or 0)
+    monkeypatch.setattr(
+        cli, "cmd_bounds", lambda args, registry: paused.append(not gc.isenabled()) or 0
+    )
     cases = [
         (0, ["bounds", "--rule", ENSURE_ACCOUNT_FILE]),
         (0, ["--help"]),

@@ -723,12 +723,14 @@ def test_a_public_mapping_never_changes():
 def test_a_step_allocates_as_little_on_a_large_bank(clients):
     """A locally complete ``ensure_account`` step (pre-match, ``transform``
     and audit) allocates under 64 KB whether the bank has 2,000 clients or
-    20,000: it copies nothing of the host.  The first step builds the
-    indexes of the lineage and is not counted."""
+    20,000: it copies nothing of the host.  The indexes a step reads are
+    built before the first one, so every step counts."""
     eor = ensure_account_rule()
     nodes = {"b": "Bank", **{f"c{i}": "Client" for i in range(clients)}}
     edges = {f"o{i}": Edge("owns_client", "b", f"c{i}") for i in range(clients)}
     host = TypedGraph(banking_type_graph(), nodes, edges)
+    store = host._rooted()
+    store.nodes_by_type, store.edge_classes
     peaks = []
     tracemalloc.start()
     try:
@@ -743,4 +745,4 @@ def test_a_step_allocates_as_little_on_a_large_bank(clients):
             del t, pm
     finally:
         tracemalloc.stop()
-    assert max(peaks[1:]) < 64 * 1024, peaks
+    assert max(peaks) < 64 * 1024, peaks

@@ -200,29 +200,63 @@ def test_rule_decoder_rejects_bad_tags():
         )
 
 
-def test_rule_decoder_validates_each_graph_once(monkeypatch):
-    """Decoding validates every distinct graph of the rule once: the
-    interface, both base sides, both maximal sides and each base NAC.  The
-    maximal NACs are the base NACs shifted along an inclusion, valid by
-    construction.  An invalid graph still raises the diagnostics of
-    :func:`validate_graph` on it."""
-    from effectgraph import documents
+def _mutated_rule_docs(count):
+    """``count`` seeded rule documents, each with one to three fields changed
+    at random: an action tag, a type (possibly undeclared) or an edge end
+    (possibly undeclared).  Every third is a fixture rule, given a NAC block
+    half the time; the rest are random rules, most with NAC blocks."""
+    files = (fixtures.ENSURE_ACCOUNT_FILE, fixtures.ENSURE_NO_ACCOUNT_FILE)
+    held = [
+        {"id": "x", "type": "Account"},
+        {"id": "held", "type": "accounts", "src": "c", "tgt": "x"},
+    ]
+    for seed in range(count):
+        rng = random.Random(seed)
+        if seed % 3:
+            tg = random_type_graph(rng)
+            doc = json.loads(encode_rule("r", random_effect_rule(rng, tg, nac_chance=0.8)))
+        else:
+            tg = banking_type_graph()
+            doc = json.loads(fixture_text(rng.choice(files)))
+            if rng.random() < 0.5:
+                doc["nacs"] = [{"elements": [dict(x) for x in held]}]
+        entries = [*doc["elements"], *(x for nac in doc["nacs"] for x in nac["elements"])]
+        node_ids = [x["id"] for x in entries if "src" not in x]
+        for _ in range(rng.randint(1, 3) if entries else 0):
+            entry = rng.choice(entries)
+            field = rng.choice(("action", "type", "src", "tgt"))
+            if field == "type":
+                names = sorted(tg.edge_types if "src" in entry else tg.node_types)
+                entry["type"] = rng.choice([*names, "Ghost"])
+            elif field == "action" and "action" in entry:
+                entry["action"] = rng.choice(ACTIONS)
+            elif field in entry:
+                entry[field] = rng.choice([*node_ids, "nowhere"])
+        yield doc, {tg.name: tg}
 
-    seen: list[TypedGraph] = []  # kept alive, so their ids stay distinct
 
-    def counting(g, tg):
-        seen.append(g)
-        return validate_graph(g, tg)
+def test_rule_decoder_validates_each_graph_once():
+    """Every rule that decoding accepts has valid graphs: the interface,
+    both base sides, both maximal sides and each base NAC, on seeded
+    documents with faults and retaggings.  The maximal NACs are the base
+    NACs shifted along an inclusion, valid by construction.  An invalid
+    graph still raises the diagnostics of :func:`validate_graph` on it."""
+    outcomes = {"accepted": 0, "with NACs": 0, "ParseError": 0, "ValidationError": 0}
+    for doc, types in _mutated_rule_docs(1200):
+        try:
+            _, eor = decode_rule(doc, types)
+        except (ParseError, ValidationError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["accepted"] += 1
+        base, maximal = eor.base, eor.maximal
+        nacs = [nac.forbidden for nac in base.nacs]
+        outcomes["with NACs"] += bool(nacs)
+        for g in (base.lhs, base.interface, base.rhs, maximal.lhs, maximal.rhs, *nacs):
+            assert validate_graph(g, g.type_graph) == []
+    assert min(outcomes.values()) >= 60, outcomes
 
-    monkeypatch.setattr(documents, "validate_graph", counting)
     types = builtin_type_graphs()
-    _, eor = decode_rule(fixtures.fixture_text(fixtures.ENSURE_ACCOUNT_FILE), types)
-    assert len(seen) == len({id(g) for g in seen}) == 5
-    base, maximal = eor.base, eor.maximal
-    sides = (base.lhs, base.interface, base.rhs, maximal.lhs, maximal.rhs)
-    assert {id(g) for g in seen} == {id(g) for g in sides}
-
-    seen.clear()
     client = {"id": "c", "type": "Client", "action": "preserve"}
     held = [
         {"id": "x", "type": "Account"},
@@ -230,9 +264,8 @@ def test_rule_decoder_validates_each_graph_once(monkeypatch):
     ]
     account = {"id": "a", "type": "Account", "action": "delete_potential"}
     _, eor = decode_rule(_rule_doc([client, account], [{"elements": held}]), types)
-    assert len(seen) == len({id(g) for g in seen}) == 6
-    assert any(g is eor.base.nacs[0].forbidden for g in seen)
-    for nac in eor.maximal.nacs:
+    assert [sorted(nac.forbidden.nodes) for nac in eor.base.nacs] == [["c", "x"]]
+    for nac in (*eor.base.nacs, *eor.maximal.nacs):
         assert validate_graph(nac.forbidden, nac.forbidden.type_graph) == []
 
     ghost = {"id": "g", "type": "Ghost", "action": "create_potential"}
