@@ -5,6 +5,7 @@ actions to host elements: a potential deletion that is bound will be
 deleted, a potential creation that is bound is reused from the host instead
 of being created.  One search, :func:`_leaves`, serves every strategy; the
 public ``find_*`` functions drive it, and none enumerates the selections.
+Every maximal query searches the rule's bound first (:func:`_largest_leaves`).
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class MatchResult(NamedTuple):
 
 class MatchStats:
     """Counters filled in by :func:`find_locally_complete`,
-    :func:`find_locally_maximal` and :func:`find_globally_maximal`.
+    :func:`find_locally_maximal` and :func:`find_globally_maximal`.  A
+    maximal query answered at the rule's bound counts nothing.
 
     ``backtracks`` counts rejected candidates: host elements given up for a
     potential element, either up front (the free nodes whose incident edges
@@ -397,42 +399,47 @@ def _leaves(
 def _largest_leaves(
     eor: EffectOrientedRule,
     host: TypedGraph,
-    pms: Iterable[PreMatch],
+    pm: PreMatch | None,
     stats: MatchStats | None,
     least: bool = False,
 ) -> list[MatchResult]:
-    """The largest matches over ``pms``, sorted, or with ``least`` the least
-    of them alone, by branch and bound: one incumbent prunes the searches of
-    every pre-match."""
-    stats = MatchStats() if stats is None else stats
-    best = _Best(least)
-    for pm in pms:
-        for leaf in _leaves(eor, host, pm, stats, best=best):
-            best.offer(leaf)
-    return best.leaves if least else sorted(best.leaves, key=MatchResult.sort_key)
+    """The largest matches that extend ``pm``, or with ``None`` any base
+    pre-match, sorted, or with ``least`` the least of them alone.
 
-
-def _at_bound(
-    eor: EffectOrientedRule, host: TypedGraph, pm: PreMatch | None
-) -> list[MatchResult]:
-    """The least match of the rule's bound that extends ``pm`` or else a base
-    pre-match, alone in a list if any.  Matches come in key order, and a node
-    map's first edge map is its least: parallel host edges swap freely, so
-    the checks (no dangling edge; without ``pm``, base NACs) pass all or none."""
+    First the rule's bound is searched in key order: a match there that
+    passes the checks (no dangling edge; without ``pm``, base NACs) is
+    largest, and counts nothing.  A node map's first edge map is its least:
+    parallel host edges swap freely, so the checks pass all or none.  Only
+    when no match passes does a branch and bound run, in which one incumbent
+    prunes the searches of every pre-match."""
+    if pm is not None:
+        _entered(eor, host, pm)
     induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[5], eor.potential_deletions
     nodes, edges = gone.nodes | pd.nodes, gone.edges | pd.edges  # what it deletes
     partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
+    found = []
     for m in find_injective_extensions(induced.rule.lhs, host, partial):
         nm, em = m.node_map, m.edge_map
         if dangling_node(host, map(nm.get, nodes), {em[e] for e in edges}) is not None:
             continue
-        if pm is not None:
-            return [MatchResult(induced, m, pm)]
-        restricted = {v: nm[v] for v in base.nodes}, {e: em[e] for e in base.edges}
-        on_base = Morphism(base, host, *restricted)
-        if satisfies_nacs(on_base, eor.base.nacs):
-            return [MatchResult(induced, m, PreMatch(on_base))]
-    return []
+        at = pm
+        if pm is None:
+            restricted = {v: nm[v] for v in base.nodes}, {e: em[e] for e in base.edges}
+            on_base = Morphism(base, host, *restricted)
+            if not satisfies_nacs(on_base, eor.base.nacs):
+                continue
+            at = PreMatch(on_base)
+        found.append(MatchResult(induced, m, at))
+        if least:
+            return found
+    if not found:
+        stats = MatchStats() if stats is None else stats
+        best = _Best(least)
+        for p in find_base_prematches(eor, host) if pm is None else [pm]:
+            for leaf in _leaves(eor, host, p, stats, best=best):
+                best.offer(leaf)
+        found = best.leaves
+    return found if least else sorted(found, key=MatchResult.sort_key)
 
 
 def find_locally_complete(
@@ -479,8 +486,7 @@ def find_locally_maximal(
 ) -> list[MatchResult]:
     """The locally complete matches of maximal induced-rule size for ``pm``,
     in :meth:`MatchResult.sort_key` order."""
-    _entered(eor, host, pm)
-    return _largest_leaves(eor, host, [pm], stats)
+    return _largest_leaves(eor, host, pm, stats)
 
 
 def find_globally_maximal(
@@ -490,4 +496,4 @@ def find_globally_maximal(
 ) -> list[MatchResult]:
     """The locally complete matches of maximal size over all pre-matches,
     in :meth:`MatchResult.sort_key` order."""
-    return _largest_leaves(eor, host, find_base_prematches(eor, host), stats)
+    return _largest_leaves(eor, host, None, stats)

@@ -215,6 +215,7 @@ def apply_rule(r: Rule, g: TypedGraph, m: Morphism) -> TransformationRecord:
     if not satisfies_nacs(m, r.nacs):
         raise NacViolated("a negative application condition matches the host")
     Morphism.inclusion(r.interface, r.lhs)
+    Morphism.inclusion(r.interface, r.rhs)
     return _apply(r, g, m)
 
 

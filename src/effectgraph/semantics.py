@@ -21,15 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .core import EffectGraphError, ElementSet, Morphism, TypedGraph
 from .effect import EffectOrientedRule, InducedSelection
-from .matching import (
-    MatchResult,
-    PreMatch,
-    _at_bound,
-    _entered,
-    _largest_leaves,
-    find_base_prematches,
-    find_locally_complete,
-)
+from .matching import MatchResult, PreMatch, _largest_leaves, find_locally_complete
 from .rules import TransformationRecord, _apply
 
 LOCALLY_COMPLETE = "locally_complete"
@@ -82,10 +74,11 @@ def find_match(
 
     The two local strategies require a pre-match; the global strategy
     refuses one.  Under the maximal strategies this is the first result of
-    :func:`find_locally_maximal` or :func:`find_globally_maximal`, found
-    without building the other ties: by a search in key order for a match at
-    the rule's bound, which costs the candidates that sort below it plus
-    their degree, and only if there is none by branch and bound."""
+    :func:`find_locally_maximal` or :func:`find_globally_maximal`, found by
+    their search without building the other ties: by a search in key order
+    for a match at the rule's bound, which costs the candidates that sort
+    below it plus their degree, and only if there is none by branch and
+    bound."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == GLOBALLY_MAXIMAL:
@@ -97,10 +90,7 @@ def find_match(
         raise StrategyArgumentMismatch(f"strategy {strategy!r} needs a pre-match")
     elif strategy == LOCALLY_COMPLETE:
         return find_locally_complete(eor, host, pm)
-    else:
-        _entered(eor, host, pm)
-    pms = find_base_prematches(eor, host) if pm is None else [pm]
-    results = _at_bound(eor, host, pm) or _largest_leaves(eor, host, pms, None, least=True)
+    results = _largest_leaves(eor, host, pm, None, least=True)
     return results[0] if results else None
 
 

@@ -430,10 +430,13 @@ def test_teardown_backtracks_stay_linear_in_the_host():
     assert stats.backtracks <= 4 * n
 
 
-def test_maximal_backtracks_follow_the_client_not_the_host():
-    """A maximal search binds the client's own account and portfolio
-    first; every other binding then shares one bound below the incumbent,
-    so it is cut without being tried."""
+def test_maximal_backtracks_follow_the_client_not_the_host(monkeypatch):
+    """A backed client reaches the rule's bound, and so do the bank's backed
+    clients over every pre-match: the pass at the bound answers both
+    without an incumbent.  Below the bound, a maximal search binds the
+    client's own account and portfolio first; every other binding then
+    shares one bound below the incumbent, so it is cut without being tried."""
+    incumbents, _ = counting(monkeypatch)
     n = 200
     host = owned_bank(n)
     provision = ensure_account_rule()
@@ -443,6 +446,7 @@ def test_maximal_backtracks_follow_the_client_not_the_host():
     assert mr.induced.size == 5
     assert mr.match.node_map == {"c": "c0", "a": "a0", "p": "p0"}
     assert stats.backtracks <= 10
+    assert incumbents == []
 
     # Without a portfolio of its own, the client ties over every account
     # that can be reused with something: the search may give each account
@@ -454,12 +458,15 @@ def test_maximal_backtracks_follow_the_client_not_the_host():
     assert stats.backtracks <= len(host.nodes_by_type["Account"]) + len(
         host.nodes_by_type["Portfolio"]
     )
+    assert len(incumbents) == 1
 
+    incumbents.clear()
     stats = MatchStats()
     results = find_globally_maximal(provision, host, stats)
     assert len(results) == n // 2
     assert {mr.induced.size for mr in results} == {5}
     assert stats.backtracks <= 4 * n
+    assert incumbents == []
 
 
 
@@ -498,11 +505,14 @@ def test_teardown_examines_the_profiles_not_the_host():
 
 
 @pytest.mark.parametrize("n", [200, 800])
-def test_maximal_work_per_result_does_not_grow_with_the_host(n):
+def test_maximal_work_per_result_does_not_grow_with_the_host(n, monkeypatch):
     """The host elements a maximal search examines stay under one constant
     per result: an unbacked client ties over about every account and
     portfolio, a backed client has one result, and over every client the
-    bank's backed ones tie."""
+    bank's backed ones tie.  The last two reach the rule's bound, where the
+    pass at the bound answers without an incumbent, and reads no more of
+    the host per result than on a bank a quarter the size."""
+    incumbents, _ = counting(monkeypatch)
     host = owned_bank(n)
     provision = ensure_account_rule()
     stats = MatchStats()
@@ -511,15 +521,26 @@ def test_maximal_work_per_result_does_not_grow_with_the_host(n):
     assert len(results) >= n
     assert stats.examined <= 10 * len(results)
 
-    stats = MatchStats()
-    (mr,) = find_locally_maximal(provision, host, prematch_at(provision, host, "c0"), stats)
-    assert stats.examined <= 16
+    per_result = {}  # host elements read by the backed and the global query
+    for size in (n // 4, n):
+        host = owned_bank(size)
+        backed = prematch_at(provision, host, "c0")
+        incumbents.clear()
+        read = reading(host)
+        stats = MatchStats()
+        (mr,) = find_locally_maximal(provision, host, backed, stats)
+        assert stats.examined <= 16
+        at_c0, read[0] = read[0], 0
 
-    stats = MatchStats()
-    results = find_globally_maximal(provision, host, stats)
-    assert len(results) == n // 2
-    assert stats.examined <= 24 * len(results)
-    assert stats.full_passes == 0
+        stats = MatchStats()
+        results = find_globally_maximal(provision, host, stats)
+        assert len(results) == size // 2
+        assert stats.examined <= 24 * len(results)
+        assert stats.full_passes == 0
+        assert incumbents == []
+        per_result[size] = at_c0, read[0] / len(results)
+    small, large = per_result[n // 4], per_result[n]
+    assert 0 < large[0] <= small[0] and 0 < large[1] <= small[1]
 
 
 ABSORB_TG = TypeGraph(

@@ -197,6 +197,19 @@ def test_apply_rule_rejects_bad_matches():
         apply_rule(skewed, host, m)
 
 
+def test_apply_rule_rejects_an_interface_outside_the_rhs():
+    """A span whose interface keeps a node its rhs lacks has no comatch:
+    ``apply_rule`` refuses it instead of returning a record whose comatch
+    maps an id the rhs does not have."""
+    kept = TypedGraph(CHAIN, {"x": "A"}, {})
+    rule = Rule(kept, kept, empty_graph(CHAIN))
+    host = TypedGraph(CHAIN, {"a": "A"}, {})
+    m = Morphism(kept, host, {"x": "a"}, {})
+    assert check_morphism(m) == []
+    with pytest.raises(ValueError, match="not an id-subgraph"):
+        apply_rule(rule, host, m)
+
+
 def test_apply_rule_rejects_nac_violation():
     r = swap_rule()
     # Forbid a second A-node attached to the same hook.
