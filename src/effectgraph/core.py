@@ -10,9 +10,10 @@ type between the same nodes are permitted throughout.
 
 The module provides validation (:func:`validate_graph`,
 :func:`check_morphism`), deterministic injective-morphism search
-(:func:`find_injective_extensions`), the one dangling-edge check
-(:func:`dangling_node`), and pushout complements built on it
-(:func:`pushout_complement`, :func:`deleted_images`).  Gluing lives in
+(:func:`find_injective_extensions`) with the reader of a node's incident
+edges that it shares with the effect search (:func:`_around`), the one
+dangling-edge check (:func:`dangling_node`), and pushout complements built
+on it (:func:`pushout_complement`, :func:`deleted_images`).  Gluing lives in
 :func:`effectgraph.rules.apply_rule`; pushouts, pullback squares,
 isomorphism and host enumeration are test oracles, not library code.
 
@@ -671,12 +672,24 @@ def _normalise_partial(
     return node_map, edge_map
 
 
+def _around(store: _Store, y: str, memo: dict) -> dict[tuple[str, bool], list[tuple[str, str]]]:
+    """Node ``y``'s incident (edge id, other end) pairs in edge id order, by
+    (edge type, whether ``y`` is the source), a loop once, from its source.
+    Kept in ``memo``, which one search of one host version owns."""
+    if y not in memo:
+        groups = memo[y] = {}
+        for h in store.incidence[y]:
+            etype, src, tgt = store.edges[h]
+            groups.setdefault((etype, src == y), []).append((h, tgt if src == y else src))
+    return memo[y]
+
+
 def _node_steps(pattern: TypedGraph, bound: frozenset[str]) -> tuple:
     """The steps that bind the nodes of ``pattern`` outside ``bound``, in id
     order: each node, its type, the class it draws its candidates through,
     if any, and the classes they must fit.  It draws through its first class
-    by least edge id with the other end bound before it, from that end (by
-    :class:`Edge` items), and fits each class with both ends bound."""
+    by least edge id with the other end bound before it, as (edge type, that
+    end, whether it is the source), and fits each class with both ends bound."""
     classes, before, steps = pattern.edge_classes, set(bound), []
     touching: dict[str, list[Edge]] = {n: [] for n in pattern.nodes}
     for cls in sorted(classes, key=classes.get):  # by least edge id
@@ -686,9 +699,9 @@ def _node_steps(pattern: TypedGraph, bound: frozenset[str]) -> tuple:
         draw, fit = None, []
         for cls in touching[v]:
             etype, ps, pt = cls
-            u, near, far = (ps, 1, 2) if pt == v else (pt, 2, 1)
+            u = ps if pt == v else pt
             if draw is None and u in before:
-                draw = etype, u, near, far
+                draw = etype, u, u == ps
             if u in before or u == v:
                 fit.append((etype, ps, pt, len(classes[cls])))
         before.add(v)
@@ -724,7 +737,7 @@ def find_injective_extensions(
     steps = planned.get(bound)
     if steps is None:
         steps = planned[bound] = _node_steps(pattern, bound)
-    used = set(node_map.values())
+    used, near = set(node_map.values()), {}  # near: the images' groups (_around)
     # The node map is injective, so distinct pattern classes land in distinct
     # host classes, and the endpoint closure puts a class's pre-assigned
     # edges in its own: a class fits when its host class is as large, and
@@ -747,11 +760,9 @@ def find_injective_extensions(
             if draw is None:
                 candidates = store.nodes_by_type.get(ntype, ())
             else:  # the rest fail to fit the class drawn through
-                etype, u, near, far = draw
-                y = node_map[u]
-                incident = map(store.edges.__getitem__, store.incidence[y])
-                ends = {e[far] for e in incident if e[0] == etype and e[near] == y}
-                candidates = sorted([x for x in ends if store.nodes[x] == ntype])
+                etype, u, out = draw
+                pairs = _around(store, node_map[u], near).get((etype, out), ())
+                candidates = sorted({x for _, x in pairs if store.nodes[x] == ntype})
             for x in candidates:
                 if x in used:
                     continue

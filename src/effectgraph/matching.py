@@ -20,6 +20,7 @@ from .core import (
     Morphism,
     TypedGraph,
     _Value,
+    _around,
     check_morphism,
     dangling_node,
     find_injective_extensions,
@@ -196,33 +197,21 @@ def _leaves(
 
     node_map = dict(pm.morphism.node_map)
     edge_map = dict(pm.morphism.edge_map)
-    used_nodes, used_edges = set(node_map.values()), set(edge_map.values())
+    used_nodes, used_edges, near = set(node_map.values()), set(edge_map.values()), {}
     store = host._rooted()
-    edges = store.edges
     used_types: dict[str, int] = {}  # used nodes by type
     for t in map(store.nodes.__getitem__, used_nodes):
         used_types[t] = used_types.get(t, 0) + 1
     del_nodes = {node_map[v] for v in gone.nodes}
     del_edges = {edge_map[e] for e in gone.edges}
 
-    reached: dict[str, dict[tuple[str, bool], list[str]]] = {}
-    if best is not None:  # the edge types ``reach`` is asked about
-        asked = {item.type for _, item, _, is_node in elements if not is_node}
-
-    def reach(y: str) -> dict[tuple[str, bool], list[str]]:
-        """The other ends of the free host edges at node ``y`` of the potential
-        edges' types, by type and whether ``y`` is the source, from one scan
-        of its incidence.  Only nodes use it: the free edges stay put."""
-        ends = reached.get(y)
-        if ends is None:
-            incident = store.incidence[y]
-            stats.examined += len(incident)
-            ends = reached[y] = {}
-            for he in (edges[h] for h in incident if h not in used_edges):
-                if he.type in asked:
-                    out = he.src == y
-                    ends.setdefault((he.type, out), []).append(he.tgt if out else he.src)
-        return ends
+    def reach(y: str, etype: str, out: bool) -> list[str]:
+        """The other ends of the ``etype`` host edges at ``y``, its source if
+        ``out``, that are free: only nodes ask, before any edge binds."""
+        if y not in near:
+            stats.examined += len(store.incidence[y])
+        pairs = _around(store, y, near).get((etype, out), ())
+        return [x for h, x in pairs if h not in used_edges]
 
     def edge_key(e: Edge) -> tuple[str, ...] | None:
         # A bindable edge's host class, or None.  A valid rule's sides share
@@ -233,8 +222,7 @@ def _leaves(
             return (e.type, src, tgt)
         if best is None or src is None and tgt is None:
             return None
-        y = tgt if src is None else src
-        return None if (e.type, src is not None) in reach(y) else ()
+        return None if reach(tgt if src is None else src, e.type, src is not None) else ()
 
     # Each element's node type or edge class, kept up to date as nodes bind.
     keys = [item if is_node else edge_key(item) for _, item, _, is_node in elements]
@@ -311,7 +299,7 @@ def _leaves(
                 j: (e, u) for j, e, u in adjacent[v] if u in node_map and keys[j] is None
             }
             for e, u in anchored.values():
-                supported.update(reach(node_map[u])[e.type, e.src == u])
+                supported.update(reach(node_map[u], e.type, e.src == u))
             supported -= used_nodes
             # An anchored edge has an unbound end, so it can still bind.
             shared = size + 1 + sum(grows[i + 1 :]) - len(anchored)
@@ -409,17 +397,21 @@ def _largest_leaves(
     First the rule's bound is searched in key order: a match there that
     passes the checks (no dangling edge; without ``pm``, base NACs) is
     largest, and counts nothing.  A node map's first edge map is its least:
-    parallel host edges swap freely, so the checks pass all or none.  Only
-    when no match passes does a branch and bound run, in which one incumbent
-    prunes the searches of every pre-match."""
+    parallel host edges swap freely, so the checks pass all or none, and once
+    they fail the node map's other edge maps, which come next, are skipped.
+    Only when no match passes does a branch and bound run, in which one
+    incumbent prunes the searches of every pre-match."""
     if pm is not None:
         _entered(eor, host, pm)
     induced, base, gone, pd = eor._bound, eor.base.lhs, eor._plan[5], eor.potential_deletions
     nodes, edges = gone.nodes | pd.nodes, gone.edges | pd.edges  # what it deletes
     partial = None if pm is None else (pm.morphism.node_map, pm.morphism.edge_map)
-    found = []
+    found, failed = [], None  # the last node map that failed the checks
     for m in find_injective_extensions(induced.rule.lhs, host, partial):
         nm, em = m.node_map, m.edge_map
+        if nm == failed:
+            continue
+        failed = nm
         if dangling_node(host, map(nm.get, nodes), {em[e] for e in edges}) is not None:
             continue
         at = pm
@@ -429,6 +421,7 @@ def _largest_leaves(
             if not satisfies_nacs(on_base, eor.base.nacs):
                 continue
             at = PreMatch(on_base)
+        failed = None
         found.append(MatchResult(induced, m, at))
         if least:
             return found

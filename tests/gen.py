@@ -10,7 +10,7 @@ bindings, NAC overlaps) stay common.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from effectgraph import (
     Edge,
@@ -94,6 +94,17 @@ def random_graph(
     )
 
 
+def thicken(rng: random.Random, host: TypedGraph, extra: int) -> TypedGraph:
+    """``host`` with up to ``extra`` more edges parallel to each of its
+    edges, so that its classes hold more parallel edges than a rule's."""
+    more = {
+        f"{eid}'{j}": e
+        for eid, e in sorted(host.edges.items())
+        for j in range(rng.randint(0, extra))
+    }
+    return with_elements(host, edges=more)
+
+
 def _maybe_nacs(rng: random.Random, lhs: TypedGraph, chance: float) -> tuple[Nac, ...]:
     nacs = []
     if rng.random() < chance:
@@ -141,12 +152,14 @@ def instances(
     max_host_nodes: int = 8,
     allow_deletion_nodes: bool = True,
     require_base_applicable: bool = False,
+    parallel: int = 0,
 ) -> Iterator[tuple[EffectOrientedRule, TypedGraph, PreMatch]]:
     """Yield ``count`` random (rule, host, pre-match) triples.
 
     Hosts without any pre-match are discarded, so every yielded triple is
     ready for the matcher.  With ``require_base_applicable`` the pre-match
-    additionally passes the base rule's dangling check.
+    additionally passes the base rule's dangling check.  With ``parallel``,
+    each host edge gets up to that many parallel copies (:func:`thicken`).
     """
     rng = random.Random(seed)
     produced = 0
@@ -154,6 +167,8 @@ def instances(
         tg = random_type_graph(rng)
         eor = random_effect_rule(rng, tg, allow_deletion_nodes=allow_deletion_nodes)
         host = random_graph(rng, tg, max_nodes=max_host_nodes, max_edges=10)
+        if parallel:
+            host = thicken(rng, host, parallel)
         pms = list(find_base_prematches(eor, host))
         if require_base_applicable:
             pms = [
@@ -188,3 +203,45 @@ def seeded_bank(n: int, seed: int) -> TypedGraph:
                 edges[f"portfolios_{c}_{p}"] = Edge("portfolios", c, p)
                 edges[f"owns_portfolio_b_{p}"] = Edge("owns_portfolio", "b", p)
     return TypedGraph(banking_type_graph(), nodes, edges)
+
+
+def renaming(ids: Iterable[str], how: str, seed: int = 0) -> dict[str, str]:
+    """A bijection from ``ids`` onto new names ``n0``, ``n1``, …, padded so
+    that they sort as their numbers: ``"reverse"`` reverses the order of the
+    ids, ``"shuffle"`` permutes it at random from ``seed``."""
+    ids = sorted(set(ids))
+    order = list(range(len(ids)))
+    if how == "reverse":
+        order.reverse()
+    else:
+        random.Random(seed).shuffle(order)
+    width = len(str(len(ids)))
+    return {x: f"n{i:0{width}d}" for x, i in zip(ids, order)}
+
+
+def renamed(g: TypedGraph, to: Mapping[str, str]) -> TypedGraph:
+    """``g`` with every id ``x`` renamed ``to[x]``."""
+    return TypedGraph(
+        g.type_graph,
+        {to[n]: t for n, t in g.nodes.items()},
+        {to[eid]: Edge(e.type, to[e.src], to[e.tgt]) for eid, e in g.edges.items()},
+    )
+
+
+def _sides(r: Rule) -> list[TypedGraph]:
+    return [r.lhs, r.interface, r.rhs, *(nac.forbidden for nac in r.nacs)]
+
+
+def rule_ids(eor: EffectOrientedRule) -> set[str]:
+    """Every id of the graphs of ``eor``, NACs included."""
+    return {x for g in _sides(eor.base) + _sides(eor.maximal) for x in (*g.nodes, *g.edges)}
+
+
+def renamed_rule(eor: EffectOrientedRule, to: Mapping[str, str]) -> EffectOrientedRule:
+    """``eor`` with every id ``x`` of its graphs renamed ``to[x]``."""
+
+    def side(r: Rule) -> Rule:
+        lhs, interface, rhs, *nacs = (renamed(g, to) for g in _sides(r))
+        return Rule(lhs, interface, rhs, [Nac(g) for g in nacs])
+
+    return EffectOrientedRule(side(eor.base), side(eor.maximal))

@@ -534,6 +534,34 @@ def test_find_injective_extensions_draws_through_the_least_edge_id():
         assert found == ["b0", "b1"] and read == ["leaf"]
 
 
+def test_find_injective_extensions_reads_each_image_once_per_stream():
+    """Two accounts drawn through one bound client read the client's
+    incident edges once in the stream, not once per draw: the second is
+    drawn again for each candidate of the first."""
+    tg = banking_type_graph()
+    host = TypedGraph(
+        tg,
+        {"c0": "Client", **{f"a{i}": "Account" for i in range(4)}},
+        {f"e{i}": Edge("accounts", "c0", f"a{i}") for i in range(4)},
+    )
+    read: list[str] = []
+
+    class Reads(dict):
+        def __getitem__(self, node: str) -> list[str]:
+            read.append(node)
+            return dict.__getitem__(self, node)
+
+    store = host._rooted()
+    store.__dict__["incidence"] = Reads(store.incidence)
+    pattern = TypedGraph(
+        tg,
+        {"c": "Client", "x": "Account", "y": "Account"},
+        {"cx": Edge("accounts", "c", "x"), "cy": Edge("accounts", "c", "y")},
+    )
+    found = list(find_injective_extensions(pattern, host, ({"c": "c0"}, {})))
+    assert len(found) == 12 and read == ["c0"]
+
+
 # The SHA-256 of ``repr`` of ``_enumeration_parts`` over seeds 0-299,
 # computed before the injective search and the NAC shift were shortened.
 # Both must keep every result and its order.

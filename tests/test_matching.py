@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections import Counter
 from functools import cached_property
@@ -762,38 +763,72 @@ def _keys(results) -> list[tuple]:
     return [mr.sort_key() for mr in results]
 
 
+def agree_with_the_oracle(eor, host, pm, globally: bool = True) -> list[MatchResult]:
+    """Assert, list for list, that all locally complete matches at ``pm``
+    and the locally maximal ones (the oracle's of the best size) are the
+    brute-force oracle's, and with ``globally`` the globally maximal ones
+    (the best size over the oracle's lists of every pre-match).  Returns the
+    oracle's list at ``pm``."""
+    oracle = oracle_locally_complete(eor, host, pm)
+    assert _keys(find_all_locally_complete(eor, host, pm)) == _keys(oracle)
+    best = max((mr.induced.size for mr in oracle), default=None)
+    assert _keys(find_locally_maximal(eor, host, pm)) == _keys(
+        mr for mr in oracle if mr.induced.size == best
+    )
+    if globally:
+        union = [
+            mr
+            for other in find_base_prematches(eor, host)
+            for mr in oracle_locally_complete(eor, host, other)
+        ]
+        top = max((mr.induced.size for mr in union), default=None)
+        assert _keys(find_globally_maximal(eor, host)) == sorted(
+            _keys(mr for mr in union if mr.induced.size == top)
+        )
+    return oracle
+
+
 def test_every_strategy_equals_the_brute_force_oracle():
-    """List for list: all locally complete matches and the locally maximal
-    ones (the oracle's of the best size) on 100 instances per seed, and the
-    globally maximal ones (the best size over the oracle's lists of every
-    pre-match) on the first 30, whose pre-matches number in the hundreds."""
+    """Every strategy against the oracle on 100 instances per seed, the
+    globally maximal one on the first 30, whose pre-matches number in the
+    hundreds."""
     parallel = 0
     for seed in (1105, 1010, 4711, 5150):
         for k, (eor, host, pm) in enumerate(instances(seed, 100)):
-            oracle = oracle_locally_complete(eor, host, pm)
-            assert _keys(find_all_locally_complete(eor, host, pm)) == _keys(oracle)
-            best = max((mr.induced.size for mr in oracle), default=None)
-            assert _keys(find_locally_maximal(eor, host, pm)) == _keys(
-                mr for mr in oracle if mr.induced.size == best
-            )
-            for mr in oracle:
+            for mr in agree_with_the_oracle(eor, host, pm, globally=k < 30):
                 for eid, h in mr.match.edge_map.items():
                     e = host.edges[h]
                     siblings = host.edge_classes[(e.type, e.src, e.tgt)]
                     parallel += eid not in pm.morphism.edge_map and len(siblings) > 1
-            if k >= 30:
-                continue
-            union = [
-                mr
-                for other in find_base_prematches(eor, host)
-                for mr in oracle_locally_complete(eor, host, other)
-            ]
-            top = max((mr.induced.size for mr in union), default=None)
-            assert _keys(find_globally_maximal(eor, host)) == sorted(
-                _keys(mr for mr in union if mr.induced.size == top)
-            )
     # Some matches bind a potential edge among parallel host edges.
     assert parallel > 0
+
+
+def test_every_strategy_equals_the_oracle_on_parallel_heavy_hosts():
+    """Every strategy against the oracle on hosts whose edges each have up
+    to two parallel copies more, so that a host class often holds more
+    edges than the rule's class it hosts.  Where no match at the rule's
+    bound passes, the pass there meets node maps of several edge maps, and
+    skips the rest of each one that fails."""
+    wider = skipped = 0
+    for seed in (1616, 2727):
+        for eor, host, pm in instances(seed, 100, max_host_nodes=5, parallel=2):
+            oracle = agree_with_the_oracle(eor, host, pm)
+            for mr in oracle:
+                pattern = mr.match.src_graph.edge_classes
+                for eid, h in mr.match.edge_map.items():
+                    e, he = mr.match.src_graph.edges[eid], host.edges[h]
+                    wider += len(host.edge_classes[he]) > len(pattern[e])
+            bound = eor._bound
+            at_bound = Counter(
+                tuple(sorted(m.node_map.items()))
+                for m in find_injective_extensions(
+                    bound.rule.lhs, host, (pm.morphism.node_map, pm.morphism.edge_map)
+                )
+            )
+            below = all(mr.induced.size < bound.size for mr in oracle)
+            skipped += below and any(n > 1 for n in at_bound.values())
+    assert wider > 100 and skipped > 0
 
 
 def test_transform_applies_the_first_maximal_result(monkeypatch):
@@ -1015,6 +1050,60 @@ def test_a_match_at_the_bound_keeps_to_the_base_nacs():
     mr = find_match(guarded, host, GLOBALLY_MAXIMAL)
     assert mr == find_globally_maximal(guarded, host)[0]
     assert mr.induced.size == 3 and "accounts_c_a" not in mr.match.edge_map
+
+
+def parallel_teardown(k: int) -> EffectOrientedRule:
+    """A rule that may delete an account ``a`` of its client ``c`` with
+    ``k`` parallel ``accounts`` edges ``c -> a``."""
+    tg = banking_type_graph()
+    client = TypedGraph(tg, {"c": "Client"}, {})
+    held = with_elements(
+        client, {"a": "Account"}, {f"e{i}": Edge("accounts", "c", "a") for i in range(k)}
+    )
+    return EffectOrientedRule(Rule(client, client, client), Rule(held, client, client))
+
+
+def parallel_bank(m: int) -> TypedGraph:
+    """Clients ``c0`` and ``c1`` of one bank, each holding by ``m`` parallel
+    ``accounts`` edges one account, which the bank owns."""
+    nodes, edges = {"b": "Bank"}, {}
+    for i in range(2):
+        c, a = f"c{i}", f"a{i}"
+        nodes.update({c: "Client", a: "Account"})
+        edges[f"owns_client_{c}"] = Edge("owns_client", "b", c)
+        edges[f"owns_account_{a}"] = Edge("owns_account", "b", a)
+        edges.update({f"accounts_{c}_{j}": Edge("accounts", c, a) for j in range(m)})
+    return TypedGraph(banking_type_graph(), nodes, edges)
+
+
+@pytest.mark.parametrize("k, m", [(3, 6), (5, 9)])
+def test_the_pass_at_the_bound_checks_each_node_map_once(k, m, monkeypatch):
+    """At the rule's bound, a client's account binds by m!/(m-k)! edge maps,
+    and each leaves the bank's edge dangling.  Parallel host edges swap
+    freely, so the pass runs one dangling check per node map: one for a
+    client's pre-match and one per client without, for ``find_match`` and
+    the public finders alike.  No match exists."""
+    checks = []
+    dangling = matching.dangling_node
+
+    def counted(*args):
+        checks.append(args)
+        return dangling(*args)
+
+    monkeypatch.setattr(matching, "dangling_node", counted)
+    teardown, host = parallel_teardown(k), parallel_bank(m)
+    pm = prematch_at(teardown, host, "c0")
+    at_c0 = find_injective_extensions(teardown.maximal.lhs, host, ({"c": "c0"}, {}))
+    assert len(list(at_c0)) == math.perm(m, k)
+    for run, node_maps in (
+        (lambda: find_match(teardown, host, LOCALLY_MAXIMAL, pm), 1),
+        (lambda: find_match(teardown, host, GLOBALLY_MAXIMAL), 2),
+        (lambda: find_locally_maximal(teardown, host, pm), 1),
+        (lambda: find_globally_maximal(teardown, host), 2),
+    ):
+        checks.clear()
+        assert not run()
+        assert len(checks) == node_maps
 
 
 def reading(host: TypedGraph) -> list[int]:
