@@ -13,6 +13,10 @@ A step decodes its input graph once and encodes one graph: ``audit``
 compares the recorded output's text with the encoding of the replay, and
 decodes the output only when the two differ, to report its fault or the
 mismatch.  :func:`main` pauses the cyclic garbage collector for the call.
+:func:`run`, the entry of ``python -m effectgraph.cli`` and of the installed
+``effectgraph`` script, calls :func:`main` and then freezes the collector's
+generations: the objects left at exit then sit in the permanent generation,
+which the interpreter's exit-time collections do not scan.
 """
 
 from __future__ import annotations
@@ -380,5 +384,13 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: :func:`main`'s status, with the collector frozen
+    after it, since nothing the process still holds needs collecting."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

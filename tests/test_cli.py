@@ -668,6 +668,70 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch)
     assert paused == [True, True]
 
 
+def test_main_freezes_nothing(tmp_path, capsys):
+    """Only the process entry :func:`cli.run` freezes the collector: an
+    in-process caller of ``main`` keeps its generations collectable.  The
+    argv cases are those of the test above, one for each exit code."""
+    eor, host, none = ensure_account_rule(), bank_graph(), empty_selection()
+    rule = build_induced_rule(eor, none).rule
+    match = Morphism(rule.lhs, host, {"c": "c1"}, {})
+    record = apply_rule(rule, host, match)
+    t = EffectTransformation(eor, "locally_complete", record, none, PreMatch(match))
+    (tmp_path / "trace.json").write_text(encode_trace(t, "ensure_account"))
+    (tmp_path / "out.json").write_text(encode_graph(record.output))
+    cases = [
+        (0, ["bounds", "--rule", ENSURE_ACCOUNT_FILE]),
+        (0, ["--help"]),
+        (1, ["match", "--rule", "no_such_rule.json", "--graph", BANK_GRAPH_FILE]),
+        (2, ["apply", "--rule", ENSURE_NO_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+             "--base-match", MATCH_C2_FILE, "--out", str(tmp_path / "none.json")]),
+        (3, ["audit", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+             "--out", str(tmp_path / "out.json"), "--trace", str(tmp_path / "trace.json")]),
+    ]
+    for code, argv in cases:
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code, argv
+        assert gc.get_freeze_count() == frozen, argv
+        capsys.readouterr()
+
+
+# Loaded by ``site`` from PYTHONPATH: reports at exit whether the collector's
+# generations were frozen when the interpreter began to finalize.
+_EXIT_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+
+def test_both_process_entries_freeze_the_collector_before_exit(tmp_path, capsys):
+    """``python -m effectgraph.cli`` runs the module's ``__main__`` block, and
+    the installed ``effectgraph`` script calls ``run`` as below: each writes
+    the bytes in-process ``main`` writes and exits with frozen generations."""
+    argv = ["apply", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
+            "--strategy", "globally-maximal"]
+    assert main([*argv, "--out", str(tmp_path / "main.json")]) == 0
+    capsys.readouterr()
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "sitecustomize.py").write_text(_EXIT_PROBE)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(tmp_path / "probe"), str(src)))}
+    entries = {
+        "module": ["-m", "effectgraph.cli"],
+        "script": ["-c", "import sys; from effectgraph.cli import run; sys.exit(run())"],
+    }
+    for name, entry in entries.items():
+        out = tmp_path / f"{name}.json"
+        done = subprocess.run(
+            [sys.executable, *entry, *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "frozen True\n", name
+        assert out.read_bytes() == (tmp_path / "main.json").read_bytes(), name
+
+
 def test_help_and_usage_exit_codes(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
