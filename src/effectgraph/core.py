@@ -178,23 +178,20 @@ class _Store:
 
     @cached_property
     def edge_classes(self) -> dict[Edge, tuple[str, ...]]:
-        """Classes are small: each is a sorted tuple, replaced when patched.
-        One C-level pass keys each class by its first edge and holds its
-        last one; only parallel edges, which leave fewer classes than edges,
-        are grouped and sorted again."""
-        edges = self.edges
-        classes = dict(zip(edges.values(), zip(edges)))
-        if len(classes) < len(edges):
-            shared = []  # classes of parallel edges: lists until sorted
-            for eid, e in edges.items():
-                ids = classes[e]
-                if type(ids) is list:
-                    ids.append(eid)
-                elif ids[0] != eid:  # not its class's last edge: the first parallel one
-                    classes[e] = [eid]
-                    shared.append(e)
-            for key in shared:
-                classes[key] = tuple(sorted(classes[key]))
+        """Classes are small: each is a sorted tuple, replaced when patched."""
+        classes: dict = {}
+        shared = []  # classes of parallel edges: lists until sorted
+        for eid, e in self.edges.items():
+            ids = classes.get(e)
+            if ids is None:
+                classes[e] = (eid,)
+            elif type(ids) is list:
+                ids.append(eid)
+            else:
+                classes[e] = [ids[0], eid]
+                shared.append(e)
+        for key in shared:
+            classes[key] = tuple(sorted(classes[key]))
         return classes
 
     @cached_property

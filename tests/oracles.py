@@ -22,8 +22,6 @@ tests build their graphs.
 codecs built on :func:`canonical_text` and on separate structure,
 endpoint and :func:`validate_graph` passes, which the direct emitter and
 the one-pass decoder must agree with byte for byte and error for error.
-``edge_classes_by_loop`` groups a graph's edges into their classes one
-edge at a time, the index the store builds in one pass.
 """
 
 from __future__ import annotations
@@ -677,15 +675,6 @@ def reference_audit(t: EffectTransformation) -> AuditReport:
         "could have been reused instead of creating",
     )
     return AuditReport((*deletions, *creations))
-
-
-def edge_classes_by_loop(edges: Mapping[str, Edge]) -> dict[Edge, tuple[str, ...]]:
-    """Each class of parallel edges, keyed by its first edge in ``edges``'
-    order, holding its ids sorted."""
-    classes: dict[Edge, tuple[str, ...]] = {}
-    for eid, e in edges.items():
-        classes[e] = classes.get(e, ()) + (eid,)
-    return {key: tuple(sorted(ids)) for key, ids in classes.items()}
 
 
 def reference_encode_graph(g: TypedGraph) -> str:

@@ -633,8 +633,10 @@ def test_audit_reports_a_malformed_output_before_the_trace(tmp_path, capsys):
     assert "recorded for rule" not in err
 
 
-def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
-    # The audit of a step that left reusable elements unused exits 3.
+def _one_case_per_exit_code(tmp_path):
+    """(exit code, argv) for each of ``main``'s exit codes, with the files
+    they read written to ``tmp_path``.  The audit of a step that left
+    reusable elements unused exits 3."""
     eor, host, none = ensure_account_rule(), bank_graph(), empty_selection()
     rule = build_induced_rule(eor, none).rule
     match = Morphism(rule.lhs, host, {"c": "c1"}, {})
@@ -642,11 +644,7 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch)
     t = EffectTransformation(eor, "locally_complete", record, none, PreMatch(match))
     (tmp_path / "trace.json").write_text(encode_trace(t, "ensure_account"))
     (tmp_path / "out.json").write_text(encode_graph(record.output))
-    paused = []
-    monkeypatch.setattr(
-        cli, "cmd_bounds", lambda args, registry: paused.append(not gc.isenabled()) or 0
-    )
-    cases = [
+    return [
         (0, ["bounds", "--rule", ENSURE_ACCOUNT_FILE]),
         (0, ["--help"]),
         (1, ["match", "--rule", "no_such_rule.json", "--graph", BANK_GRAPH_FILE]),
@@ -655,6 +653,14 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch)
         (3, ["audit", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
              "--out", str(tmp_path / "out.json"), "--trace", str(tmp_path / "trace.json")]),
     ]
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
+    cases = _one_case_per_exit_code(tmp_path)
+    paused = []
+    monkeypatch.setattr(
+        cli, "cmd_bounds", lambda args, registry: paused.append(not gc.isenabled()) or 0
+    )
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -672,23 +678,7 @@ def test_main_freezes_nothing(tmp_path, capsys):
     """Only the process entry :func:`cli.run` freezes the collector: an
     in-process caller of ``main`` keeps its generations collectable.  The
     argv cases are those of the test above, one for each exit code."""
-    eor, host, none = ensure_account_rule(), bank_graph(), empty_selection()
-    rule = build_induced_rule(eor, none).rule
-    match = Morphism(rule.lhs, host, {"c": "c1"}, {})
-    record = apply_rule(rule, host, match)
-    t = EffectTransformation(eor, "locally_complete", record, none, PreMatch(match))
-    (tmp_path / "trace.json").write_text(encode_trace(t, "ensure_account"))
-    (tmp_path / "out.json").write_text(encode_graph(record.output))
-    cases = [
-        (0, ["bounds", "--rule", ENSURE_ACCOUNT_FILE]),
-        (0, ["--help"]),
-        (1, ["match", "--rule", "no_such_rule.json", "--graph", BANK_GRAPH_FILE]),
-        (2, ["apply", "--rule", ENSURE_NO_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
-             "--base-match", MATCH_C2_FILE, "--out", str(tmp_path / "none.json")]),
-        (3, ["audit", "--rule", ENSURE_ACCOUNT_FILE, "--graph", BANK_GRAPH_FILE,
-             "--out", str(tmp_path / "out.json"), "--trace", str(tmp_path / "trace.json")]),
-    ]
-    for code, argv in cases:
+    for code, argv in _one_case_per_exit_code(tmp_path):
         frozen = gc.get_freeze_count()
         assert main(argv) == code, argv
         assert gc.get_freeze_count() == frozen, argv

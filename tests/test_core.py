@@ -39,11 +39,10 @@ from effectgraph.fixtures import (
 )
 from effectgraph.matching import _leaves
 
-from gen import empty_graph, grow, instances, random_graph, random_type_graph, thicken
+from gen import empty_graph, grow, instances, random_graph, random_type_graph
 from oracles import (
     NonCommuting,
     compose,
-    edge_classes_by_loop,
     enumerate_typed_graphs,
     graph_union,
     identity,
@@ -194,28 +193,6 @@ def test_edge_classes_sort_a_large_class_and_keep_singletons():
     assert all(type(ids) is tuple for ids in g.edge_classes.values())
     assert len(g.edge_classes[("aa", "x", "y")]) == 2000
     assert g.edge_classes[("aa", "x", "x")] == ("loop",)
-
-
-def test_edge_classes_agree_with_a_loop_in_first_occurrence_order():
-    # Half the graphs get parallel edges; the edges are shuffled, so a
-    # class's first edge is not its least id.
-    rng = random.Random(43)
-    parallel = 0
-    for _ in range(300):
-        tg = random_type_graph(rng)
-        g = random_graph(rng, tg, max_nodes=8, max_edges=12)
-        if rng.random() < 0.5:
-            g = thicken(rng, g, 3)
-        edges = list(g.edges.items())
-        rng.shuffle(edges)
-        g = TypedGraph(tg, g.nodes, dict(edges))
-        expected = edge_classes_by_loop(g.edges)
-        built = g._rooted().edge_classes
-        assert built == expected
-        assert all(key is first for key, first in zip(built, expected, strict=True))
-        assert all(type(ids) is tuple for ids in built.values())
-        parallel += len(built) < len(g.edges)
-    assert parallel > 50
 
 
 def test_incidence_counts_loops_once():
